@@ -4,7 +4,9 @@ Everything works directly on first and second statistical moments: the
 Uhlmann fidelity between arbitrary (mixed or pure, displaced) Gaussian
 states, symplectic invariants, the Bures distance and metric, quantum Fisher
 information and fidelity-based discrimination bounds — backed by an
-independent truncated Fock-space oracle for validation.
+independent truncated Fock-space oracle for validation.  The cross-check
+routes that only validate the engine live in :mod:`gaussfid.reference`, which
+is not imported here (it is the only module that needs scipy).
 """
 
 __version__ = "0.1.0"
@@ -57,13 +59,11 @@ from .fidelity import (
     AuxSpectrum,
     FidelityReport,
     InvariantSet,
-    alt_ftot_v12,
     aux_matrix,
     aux_spectrum,
     closed_form_fidelity,
     fidelity,
     invariant_set,
-    singular_reduction,
 )
 from .metrology import (
     ErrorBounds,
@@ -99,8 +99,8 @@ __all__ = [
     "random_symplectic", "squeezed", "tensor", "thermal", "two_mode_squeezed",
     "vacuum",
     "AuxMatrix", "AuxSpectrum", "FidelityReport", "InvariantSet",
-    "alt_ftot_v12", "aux_matrix", "aux_spectrum", "closed_form_fidelity",
-    "fidelity", "invariant_set", "singular_reduction",
+    "aux_matrix", "aux_spectrum", "closed_form_fidelity",
+    "fidelity", "invariant_set",
     "ErrorBounds", "MetricEvaluation", "QfiMatrix", "bures_distance",
     "bures_metric", "bures_metric_delta", "error_bounds", "get_family",
     "qfi_matrix", "qfi_scalar",

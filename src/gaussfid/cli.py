@@ -33,6 +33,7 @@ from .core import (
     GaussianState,
     ModeOrdering,
     as_xxpp,
+    make_symplectic_form,
     validate_state,
     williamson,
 )
@@ -357,7 +358,8 @@ def _cmd_oracle_check(args):
 def _cmd_williamson(args):
     s = parse_state_file(args.state_a, args.tol_phys)
     dec = williamson(s.V)
-    omega_resid = dec.S @ _omega(s.n) @ dec.S.T - _omega(s.n)
+    omega = make_symplectic_form(s.n)
+    omega_resid = dec.S @ omega @ dec.S.T - omega
     D = np.diag(np.concatenate([dec.nu, dec.nu]))
     recon_resid = dec.S @ D @ dec.S.T - s.V
     report = {
@@ -371,11 +373,6 @@ def _cmd_williamson(args):
         "warnings": [],
     }
     return report, EXIT_OK
-
-
-def _omega(n):
-    from .core import make_symplectic_form
-    return make_symplectic_form(n)
 
 
 def _cmd_random(args):

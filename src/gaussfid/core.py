@@ -9,7 +9,8 @@ boundary only (see :func:`reorder_state`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -36,22 +37,26 @@ class ModeOrdering(str, Enum):
 # symplectic form and ordering permutations
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def make_symplectic_form(n: int, ordering: ModeOrdering = ModeOrdering.XXPP) -> np.ndarray:
     """Return the 2n x 2n symplectic form Omega encoding [Q, Q^T] = i*Omega.
 
     In xxpp ordering Omega = [[0, I], [-I, 0]]; in xpxp ordering it is the
-    direct sum of n blocks [[0, 1], [-1, 0]].
+    direct sum of n blocks [[0, 1], [-1, 0]].  The array is built once per
+    (n, ordering), cached and read-only: writing to it raises ``ValueError``.
     """
     if n < 1:
         raise InvalidParameter(f"mode count must be >= 1, got {n}")
     if ordering == ModeOrdering.XXPP:
         eye = np.eye(n)
         zero = np.zeros((n, n))
-        return np.block([[zero, eye], [-eye, zero]])
-    out = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        out[2 * k, 2 * k + 1] = 1.0
-        out[2 * k + 1, 2 * k] = -1.0
+        out = np.block([[zero, eye], [-eye, zero]])
+    else:
+        out = np.zeros((2 * n, 2 * n))
+        for k in range(n):
+            out[2 * k, 2 * k + 1] = 1.0
+            out[2 * k + 1, 2 * k] = -1.0
+    out.setflags(write=False)
     return out
 
 
@@ -366,10 +371,14 @@ def purity(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> float:
     return float(np.prod(1.0 / (2.0 * nu)))
 
 
-def _checked_nu(V: np.ndarray, tol: float) -> np.ndarray:
+def _require_physical_cov(V: np.ndarray, tol: float) -> np.ndarray:
     V = np.asarray(V, dtype=float)
-    state = GaussianState(V.shape[0] // 2, np.zeros(V.shape[0]), V)
-    require_physical(state, tol)
+    require_physical(GaussianState(V.shape[0] // 2, np.zeros(V.shape[0]), V), tol)
+    return V
+
+
+def _checked_nu(V: np.ndarray, tol: float) -> np.ndarray:
+    V = _require_physical_cov(V, tol)
     # clamp roundoff below the vacuum bound
     return np.clip(symplectic_eigenvalues(V), 0.5, None)
 
@@ -380,9 +389,7 @@ def square_root_cov(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> np.ndarray:
     Pure states are fixed points; mixed symplectic eigenvalues map as
     v -> (sqrt(1 - 1/(4 v^2)) + 1) v.
     """
-    nu = _checked_nu(V, tol)
-    del nu
-    return symplectic_action_odd(sqrt_kernel, np.asarray(V, dtype=float))
+    return symplectic_action_odd(sqrt_kernel, _require_physical_cov(V, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,18 @@ I_2k = Tr(W_aux^{2k}) and the classic closed forms for one, two and three modes.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DEFAULT_PHYS_TOL,
     GaussianState,
-    ModeOrdering,
     as_xxpp,
     make_symplectic_form,
     require_physical,
-    symplectic_eigenvalues,
-    williamson,
-    xxpp_to_xpxp_indices,
 )
 from .errors import InvalidParameter, NumericalError
 
@@ -41,6 +37,9 @@ DEFAULT_PURE_TOL = 1e-9
 
 #: Retained eigenvalues this far below 1 indicate a numerical breakdown.
 _W_BELOW_ONE_LIMIT = 1e-6
+
+#: Relative imaginary residue of Lambda above which a pair is refused.
+LAMBDA_RESID_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,11 @@ class InvariantSet:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Fidelity value with the intermediate quantities it was built from."""
+    """Fidelity value with the intermediate quantities it was built from.
+
+    ``invariants`` is computed from the covariance pair on first access and
+    cached; :func:`fidelity` itself does not evaluate it.
+    """
 
     F: float
     F0: float
@@ -98,14 +101,34 @@ class FidelityReport:
     disp_exponent: float
     waux_spectrum: np.ndarray
     discarded_pairs: int
-    invariants: InvariantSet
     F_raw: float
     clamped: bool
+    #: The xxpp covariance matrices (V1, V2) the report was computed from.
+    covariances: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def invariants(self) -> InvariantSet:
+        return invariant_set(*self.covariances)
 
 
 # ---------------------------------------------------------------------------
 # auxiliary matrix and its spectrum
 # ---------------------------------------------------------------------------
+
+def _solve_v_sum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
+    """One solve of V1 + V2 for the block [Omega/4 + V2 Omega V1 | du].
+
+    Returns (V1 + V2, V_aux, (V1 + V2)^{-1} du).
+    """
+    n = V1.shape[0] // 2
+    omega = make_symplectic_form(n)
+    v_sum = V1 + V2
+    rhs = np.empty((2 * n, 2 * n + 1))
+    rhs[:, :-1] = omega / 4.0 + V2 @ omega @ V1
+    rhs[:, -1] = du
+    x = np.linalg.solve(v_sum, rhs)
+    return v_sum, omega.T @ x[:, :-1], x[:, -1]
+
 
 def aux_matrix(V1: np.ndarray, V2: np.ndarray) -> AuxMatrix:
     """V_aux of a covariance pair (xxpp layout)."""
@@ -113,10 +136,7 @@ def aux_matrix(V1: np.ndarray, V2: np.ndarray) -> AuxMatrix:
     V2 = np.asarray(V2, dtype=float)
     if V1.shape != V2.shape:
         raise InvalidParameter("covariance matrices have mismatched shapes")
-    n = V1.shape[0] // 2
-    omega = make_symplectic_form(n)
-    rhs = omega / 4.0 + V2 @ omega @ V1
-    return AuxMatrix(V_aux=omega.T @ np.linalg.solve(V1 + V2, rhs))
+    return AuxMatrix(V_aux=_solve_v_sum(V1, V2, np.zeros(V1.shape[0]))[1])
 
 
 def _paired_imag_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -180,7 +200,8 @@ def _char_coeffs_from_traces(i2k: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def invariant_set(V1: np.ndarray, V2: np.ndarray, resid_tol: float = 1e-8) -> InvariantSet:
+def invariant_set(V1: np.ndarray, V2: np.ndarray,
+                  resid_tol: float = LAMBDA_RESID_TOL) -> InvariantSet:
     """Trace and determinant invariants of a covariance pair."""
     V1 = np.asarray(V1, dtype=float)
     V2 = np.asarray(V2, dtype=float)
@@ -199,19 +220,40 @@ def invariant_set(V1: np.ndarray, V2: np.ndarray, resid_tol: float = 1e-8) -> In
     if sign <= 0:
         raise NumericalError("det(V1 + V2) is not positive")
     delta = float(sign * np.exp(logdet))
-    gamma = float(4.0 ** n * np.linalg.det(omega @ V1 @ omega @ V2 - 0.25 * np.eye(2 * n)))
+    gamma = _gamma(V1, V2)
+    lam = _checked_lambda(V1, V2, resid_tol, gamma)
+    return InvariantSet(i2k=i2k, gamma=gamma, lam=lam, delta=delta,
+                        char_coeffs=_char_coeffs_from_traces(i2k))
 
+
+def _gamma(V1: np.ndarray, V2: np.ndarray) -> float:
+    n = V1.shape[0] // 2
+    omega = make_symplectic_form(n)
+    return float(4.0 ** n * np.linalg.det(omega @ V1 @ omega @ V2 - 0.25 * np.eye(2 * n)))
+
+
+def _checked_lambda(V1: np.ndarray, V2: np.ndarray, resid_tol: float,
+                    gamma: float | None = None) -> float:
+    """Lambda, refused when its imaginary residue does not vanish.
+
+    Lambda vanishes on pure states, so the relative check is floored by the
+    roundoff scale of the determinants (gamma >= delta > 0 anchors it).  The
+    floor can only matter when the residue exceeds ``resid_tol * |Lambda|``,
+    so gamma is evaluated there only when the caller has not passed it.
+    """
+    n = V1.shape[0] // 2
+    omega = make_symplectic_form(n)
     d1 = np.linalg.det(V1 + 0.5j * omega)
     d2 = np.linalg.det(V2 + 0.5j * omega)
     lam_c = 4.0 ** n * d1 * d2
-    # Lambda vanishes on pure states, so the relative check is floored by the
-    # roundoff scale of the determinants (gamma >= delta > 0 anchors it).
+    if gamma is None and abs(lam_c.imag) <= resid_tol * max(abs(lam_c), 1e-300):
+        return float(lam_c.real)
+    if gamma is None:
+        gamma = _gamma(V1, V2)
     scale = max(abs(lam_c), 1e-6 * abs(gamma), 1e-300)
     if abs(lam_c.imag) > resid_tol * scale:
         raise NumericalError("Lambda has a non-vanishing imaginary part: %.3e" % lam_c.imag)
-
-    return InvariantSet(i2k=i2k, gamma=gamma, lam=float(lam_c.real), delta=delta,
-                        char_coeffs=_char_coeffs_from_traces(i2k))
+    return float(lam_c.real)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +313,16 @@ def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHY
     require_physical(s1, phys_tol)
     require_physical(s2, phys_tol)
 
-    spectrum = aux_spectrum(aux_matrix(s1.V, s2.V), pure_tol)
+    du = s2.u - s1.u
+    v_sum, v_aux, solved_du = _solve_v_sum(s1.V, s2.V, du)
+    spectrum = aux_spectrum(AuxMatrix(V_aux=v_aux), pure_tol)
     ftot = ftot_from_spectrum(spectrum.retained)
 
-    v_sum = s1.V + s2.V
     sign, logdet = np.linalg.slogdet(v_sum)
     if sign <= 0:
         raise NumericalError("det(V1 + V2) is not positive")
     det_v_sum = float(sign * np.exp(logdet))
-    du = s2.u - s1.u
-    disp_exponent = float(-0.25 * du @ np.linalg.solve(v_sum, du))
+    disp_exponent = float(-0.25 * du @ solved_du)
 
     f0 = float(ftot * np.exp(-0.25 * logdet))
     f_raw = float(f0 * np.exp(disp_exponent))
@@ -288,6 +330,9 @@ def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHY
         raise NumericalError("fidelity %.12g exceeds 1 beyond tolerance" % f_raw)
     clamped = f_raw > 1.0
     f = min(f_raw, 1.0)
+    # The only refusal invariant_set adds on stiff inputs; the other
+    # invariants are left to the report's first access.
+    _checked_lambda(s1.V, s2.V, LAMBDA_RESID_TOL)
 
     return FidelityReport(
         F=f,
@@ -297,95 +342,7 @@ def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHY
         disp_exponent=disp_exponent,
         waux_spectrum=spectrum.retained,
         discarded_pairs=spectrum.discarded_pairs,
-        invariants=invariant_set(s1.V, s2.V),
         F_raw=f_raw,
         clamped=clamped,
+        covariances=(s1.V, s2.V),
     )
-
-
-# ---------------------------------------------------------------------------
-# independent cross-check routes
-# ---------------------------------------------------------------------------
-
-def alt_ftot_v12(V1: np.ndarray, V2: np.ndarray, resid_tol: float = 1e-7) -> float:
-    """Ftot from the complex matrix V12 = -iOmega/2 + (V1+iOmega/2)(V1+V2)^{-1}(V2+iOmega/2).
-
-    The spectrum of the associated W12 equals that of -W_aux, so this route
-    must agree with the eigenvalue route; it is kept as a cross-check.
-    Swapping the arguments evaluates the Hermitian-conjugate variant.
-    """
-    V1 = np.asarray(V1, dtype=float)
-    V2 = np.asarray(V2, dtype=float)
-    n = V1.shape[0] // 2
-    omega = make_symplectic_form(n)
-    half = 0.5j * omega
-    v12 = -half + (V1 + half) @ np.linalg.solve(V1 + V2, V2 + half)
-    m = v12 @ omega
-    inner = np.eye(2 * n) + 0.25 * np.linalg.matrix_power(np.linalg.inv(m), 2)
-    root = scipy.linalg.sqrtm(inner)
-    ftot4 = complex(np.linalg.det(2.0 * (root + np.eye(2 * n)) @ v12))
-    if abs(ftot4.imag) > resid_tol * max(abs(ftot4), 1e-30):
-        raise NumericalError("Ftot^4 has imaginary residue %.3e" % ftot4.imag)
-    if ftot4.real <= 0:
-        raise NumericalError("Ftot^4 is not positive")
-    return float(ftot4.real ** 0.25)
-
-
-@dataclass(frozen=True)
-class SingularReduction:
-    """Diagnostic block reduction when pure symplectic eigenvalues are present.
-
-    In the Williamson frame of the purer state (pure modes first, interleaved
-    layout), V_aux is block upper-triangular with an I/2 corner of size 2r; the
-    retained spectrum comes from the lower-right block alone.
-    """
-
-    r: int
-    retained: np.ndarray
-    corner_residual: float
-    lower_block_residual: float
-    reduced_block: np.ndarray
-
-
-def singular_reduction(V1: np.ndarray, V2: np.ndarray,
-                       tol: float = DEFAULT_PURE_TOL) -> SingularReduction:
-    V1 = np.asarray(V1, dtype=float)
-    V2 = np.asarray(V2, dtype=float)
-    n = V1.shape[0] // 2
-    nu1 = symplectic_eigenvalues(V1)
-    nu2 = symplectic_eigenvalues(V2)
-    r1 = int(np.sum(nu1 - 0.5 <= tol))
-    r2 = int(np.sum(nu2 - 0.5 <= tol))
-    if r2 > r1:
-        V1, V2 = V2, V1
-        r, nu = r2, nu2
-    else:
-        r, nu = r1, nu1
-
-    omega = make_symplectic_form(n)
-    dec = williamson(V1)
-    s_inv = -omega @ dec.S.T @ omega
-    v1d = s_inv @ V1 @ s_inv.T
-    v2d = s_inv @ V2 @ s_inv.T
-    # pure modes first (williamson returns nu descending, so pure modes last)
-    pure = dec.nu - 0.5 <= tol
-    mode_order = np.concatenate([np.flatnonzero(pure), np.flatnonzero(~pure)])
-    idx = np.concatenate([mode_order, mode_order + n])
-    v1d = v1d[np.ix_(idx, idx)]
-    v2d = v2d[np.ix_(idx, idx)]
-
-    vaux = aux_matrix(v1d, v2d).V_aux
-    perm = xxpp_to_xpxp_indices(n)
-    vaux = vaux[np.ix_(perm, perm)]
-
-    corner = float(np.max(np.abs(vaux[:2 * r, :2 * r] - 0.5 * np.eye(2 * r)))) if r else 0.0
-    lower = float(np.max(np.abs(vaux[2 * r:, :2 * r]))) if 0 < r < n else 0.0
-    block = vaux[2 * r:, 2 * r:]
-    if n > r:
-        omega_t = make_symplectic_form(n - r, ModeOrdering.XPXP)
-        w = _paired_imag_eigenvalues(2.0 * block @ omega_t)
-        w = np.clip(w, 1.0, None)
-    else:
-        w = np.empty(0)
-    return SingularReduction(r=r, retained=w, corner_residual=corner,
-                             lower_block_residual=lower, reduced_block=block)

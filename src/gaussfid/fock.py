@@ -10,6 +10,13 @@ squeezers, phase rotations and beam splitters.
 Generators are anti-Hermitian, so their exact exponentials are unitary and
 the trace deficit stems from the thermal input tail alone; the population of
 the top Fock level is reported as a secondary truncation diagnostic.
+
+The density matrix is handled as a tensor with one row and one column leg per
+mode.  A gate is exponentiated on the factor of the modes it acts on (the
+beam splitter block by block over its conserved total photon number) and
+applied to those legs only; moments contract single-mode quadrature factors
+against the tensor.  :func:`mode_operators` and :func:`quadrature_operators`
+give the same operators on the full space, as a dense reference.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ MAX_SQUEEZE = 0.8
 MAX_NBAR = 1.5
 
 #: Default cutoff per mode, keyed by mode count; the oracle is capped at 2 modes.
-DEFAULT_CUTOFFS = {1: 40, 2: 25}
+DEFAULT_CUTOFFS = {1: 56, 2: 25}
 
 TRACE_DEFICIT_BUDGET = 1e-8
 
@@ -162,26 +169,67 @@ def _validate_circuit(circuit: CircuitSpec) -> None:
             raise InvalidParameter(f"mode index {op[1]} out of range")
 
 
-def _op_unitary(op, a_ops) -> np.ndarray:
+def _gate_blocks(op, cutoffs: Sequence[int]):
+    """Exact exponential of a primitive's truncated generator, as
+    (modes, [(indices, block), ...]) on the factor of the modes it acts on.
+
+    A single-mode gate is one c x c block.  The beam splitter on modes (j, k)
+    acts on the flattened factor index n_j * c_k + n_k; its generator
+    conserves n_j + n_k, also after truncation, so it is exponentiated block
+    by block over those sectors, each block cut from the same matrix as the
+    full-space generator.
+    """
     kind = op[0]
+    if kind == "beamsplitter":
+        _, modes, theta, phi = op
+        cj, ck = cutoffs[modes[0]], cutoffs[modes[1]]
+        aj, ak = destroy(cj), destroy(ck)
+        total = np.add.outer(np.arange(cj), np.arange(ck)).ravel()
+        blocks = []
+        for N in range(cj + ck - 1):
+            idx = np.flatnonzero(total == N)
+            on_j, on_k = np.ix_(idx // ck, idx // ck), np.ix_(idx % ck, idx % ck)
+            K = theta * (np.exp(1j * phi) * aj.conj().T[on_j] * ak[on_k]
+                         - np.exp(-1j * phi) * aj[on_j] * ak.conj().T[on_k])
+            blocks.append((idx, _unitary_from_generator(K)))
+        return list(modes), blocks
+    mode = op[1]
+    a = destroy(cutoffs[mode])
     if kind == "displace":
-        _, mode, alpha = op
-        a = a_ops[mode]
-        return _unitary_from_generator(alpha * a.conj().T - np.conj(alpha) * a)
-    if kind == "squeeze":
-        _, mode, r, phi = op
-        a = a_ops[mode]
+        alpha = op[2]
+        K = alpha * a.conj().T - np.conj(alpha) * a
+    elif kind == "squeeze":
+        _, _, r, phi = op
         xi = r * np.exp(1j * phi)
-        return _unitary_from_generator(
-            0.5 * (np.conj(xi) * a @ a - xi * a.conj().T @ a.conj().T))
-    if kind == "phase":
-        _, mode, phi = op
-        a = a_ops[mode]
-        return _unitary_from_generator(-1j * phi * a.conj().T @ a)
-    _, modes, theta, phi = op
-    aj, ak = a_ops[modes[0]], a_ops[modes[1]]
-    return _unitary_from_generator(
-        theta * (np.exp(1j * phi) * aj.conj().T @ ak - np.exp(-1j * phi) * aj @ ak.conj().T))
+        K = 0.5 * (np.conj(xi) * a @ a - xi * a.conj().T @ a.conj().T)
+    else:
+        K = -1j * op[2] * a.conj().T @ a
+    return [mode], [(slice(None), _unitary_from_generator(K))]
+
+
+def _apply_left(rho_t: np.ndarray, legs: Sequence[int], blocks) -> np.ndarray:
+    """Multiply the tensor legs ``legs`` of rho_t from the left by a
+    block-diagonal operator given as (indices, block) pairs."""
+    k = len(legs)
+    front = np.moveaxis(rho_t, legs, range(k))
+    shape = front.shape
+    flat = front.reshape(int(np.prod(shape[:k])), -1)
+    out = np.empty_like(flat)
+    for idx, U in blocks:
+        # a full-factor block is written in place; sector rows are gathered
+        if isinstance(idx, slice):
+            np.matmul(U, flat[idx], out=out[idx])
+        else:
+            out[idx] = U @ flat[idx]
+    return np.moveaxis(out.reshape(shape), range(k), legs)
+
+
+def _conjugate(rho: np.ndarray, cutoffs: Sequence[int], modes, blocks) -> np.ndarray:
+    """U rho U^dagger for U acting on ``modes``, with rho a full-space matrix."""
+    n = len(cutoffs)
+    rho_t = _apply_left(rho.reshape(tuple(cutoffs) * 2), modes, blocks)
+    rho_t = _apply_left(rho_t, [n + m for m in modes], [(i, U.conj()) for i, U in blocks])
+    return rho_t.reshape(rho.shape)
 
 
 def _op_moment_action(op, n: int):
@@ -217,7 +265,6 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
     if cutoff < 4:
         raise InvalidParameter("cutoff must be at least 4")
     cutoffs = (cutoff,) * n
-    a_ops = mode_operators(cutoffs)
 
     rho = thermal_fock(circuit.thermal_nbar[0], cutoff)
     for nb in circuit.thermal_nbar[1:]:
@@ -226,9 +273,9 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
     u = np.zeros(2 * n)
     V = np.diag(np.concatenate([np.asarray(circuit.thermal_nbar)] * 2) + 0.5)
     for op in circuit.ops:
-        U = _op_unitary(op, a_ops)
-        rho = U @ rho @ U.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = _conjugate(rho, cutoffs, *_gate_blocks(op, cutoffs))
+        rho += rho.conj().T
+        rho *= 0.5
         S, d = _op_moment_action(op, n)
         u = S @ u + d
         V = S @ V @ S.T
@@ -272,31 +319,56 @@ def uhlmann_fidelity_matrix(r1: FockDensityMatrix, r2: FockDensityMatrix) -> flo
 
 def fidelity_of_matrices(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Uhlmann fidelity of two raw Hermitian PSD matrices (trace-normalized)."""
-    rho1 = np.asarray(rho1) / np.trace(rho1)
-    rho2 = np.asarray(rho2) / np.trace(rho2)
-    w1, U1 = np.linalg.eigh(0.5 * (rho1 + rho1.conj().T))
+    # Each temporary is dropped once it is dead and rho2 is normalised only
+    # when it is used: at two modes each one is a 625 x 625 complex matrix.
+    herm1 = np.asarray(rho1) / np.trace(rho1)
+    herm1 += herm1.conj().T
+    herm1 *= 0.5
+    w1, U1 = np.linalg.eigh(herm1)
+    del herm1
     if w1[0] < -1e-8:
         raise NumericalError(f"eigenvalue {w1[0]:.3e} below -1e-8")
-    root1 = (U1 * np.sqrt(np.clip(w1, 0.0, None))) @ U1.conj().T
-    inner = root1 @ rho2 @ root1
-    wm = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    root1 = U1 * np.sqrt(np.clip(w1, 0.0, None))
+    np.conjugate(U1, out=U1)
+    root1 = root1 @ U1.T
+    del U1
+    inner = root1 @ (np.asarray(rho2) / np.trace(rho2))
+    inner = inner @ root1
+    del root1
+    inner += inner.conj().T
+    inner *= 0.5
+    wm = np.linalg.eigvalsh(inner)
     if wm[0] < -1e-8:
         raise NumericalError(f"eigenvalue {wm[0]:.3e} below -1e-8")
     return float(np.sum(np.sqrt(np.clip(wm, 0.0, None))).real)
 
 
+def _expectation(rho_t: np.ndarray, factors: dict) -> complex:
+    """Tr(rho A) for A the tensor product of ``factors[mode]`` (identity elsewhere)."""
+    n = rho_t.ndim // 2
+    rows = [chr(ord("a") + m) for m in range(n)]
+    cols = [chr(ord("A") + m) if m in factors else rows[m] for m in range(n)]
+    subscripts = ",".join(["".join(rows + cols)] + [cols[m] + rows[m] for m in factors])
+    return complex(np.einsum(subscripts + "->", rho_t, *factors.values()))
+
+
 def moments_from_fock(r: FockDensityMatrix) -> GaussianState:
-    """Mean and covariance of a Fock-space state from quadrature expectations."""
-    Q = quadrature_operators(r.cutoffs)
-    rho = r.rho / np.trace(r.rho)
-    u = np.array([float(np.sum(rho * q.T).real) for q in Q])
-    n2 = len(Q)
-    M = np.empty((n2, n2))
-    rq = [rho @ q for q in Q]
-    for i in range(n2):
-        for j in range(n2):
-            # Tr(rq_i Q_j) without forming the product
-            M[i, j] = float(np.sum(rq[i] * Q[j].T).real)
+    """Mean and covariance of a Fock-space state from quadrature expectations.
+
+    Each expectation contracts single-mode quadrature factors against the
+    density tensor; quadratures of one mode multiply on their factor.
+    """
+    n = r.n_modes
+    rho_t = (r.rho / np.trace(r.rho)).reshape(tuple(r.cutoffs) * 2)
+    a = [destroy(c) for c in r.cutoffs]
+    xs = [(ak + ak.conj().T) / np.sqrt(2.0) for ak in a]
+    ps = [-1j * (ak - ak.conj().T) / np.sqrt(2.0) for ak in a]
+    Q = list(enumerate(xs)) + list(enumerate(ps))
+    u = np.array([_expectation(rho_t, {k: q}).real for k, q in Q])
+    M = np.empty((2 * n, 2 * n))
+    for i, (k, qi) in enumerate(Q):
+        for j, (m, qj) in enumerate(Q):
+            M[i, j] = _expectation(rho_t, {k: qi @ qj} if k == m else {k: qi, m: qj}).real
     V = 0.5 * (M + M.T) - np.outer(u, u)
     return GaussianState(r.n_modes, u, V)
 

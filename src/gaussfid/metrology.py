@@ -115,22 +115,6 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray,
     return DeltaResult(delta=float(total.real), skipped=int(keep.size - keep.sum()))
 
 
-def bures_metric_delta_superop(V: np.ndarray, dV: np.ndarray) -> float:
-    """delta = 4 Tr[dV (4 L_V + L_Omega)^{-1} dV] via an explicit pseudo-inverse.
-
-    Builds the superoperator as a 4n^2 x 4n^2 matrix; intended as an
-    independent cross-check of :func:`bures_metric_delta`, not for production.
-    """
-    V = np.asarray(V, dtype=float)
-    dV = np.asarray(dV, dtype=float)
-    n = V.shape[0] // 2
-    omega = make_symplectic_form(n)
-    # row-major vec: vec(A X B) = (A kron B^T) vec(X)
-    superop = 4.0 * np.kron(V, V) - np.kron(omega, omega)
-    vec = dV.reshape(-1)
-    return float(4.0 * vec @ (np.linalg.pinv(superop, rcond=1e-10) @ vec))
-
-
 def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray,
                  tol: float = DEFAULT_METRIC_TOL) -> MetricEvaluation:
     """ds^2 = du^T V^{-1} du / 4 + delta / 8 for a state perturbed by (du, dV)."""

@@ -24,7 +24,6 @@ from gaussfid import (
     qfi_scalar,
     random_circuit,
     random_state,
-    singular_reduction,
     squeezed,
     tensor,
     thermal,
@@ -35,6 +34,7 @@ from gaussfid.core import GaussianState
 from gaussfid.fidelity import aux_matrix, aux_spectrum
 from gaussfid.fock import fidelity_of_matrices
 from gaussfid.metrology import bures_metric
+from gaussfid.reference import singular_reduction
 
 
 def _passline(number, name, started, budget):

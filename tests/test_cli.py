@@ -1,6 +1,9 @@
 """Command-line interface: state files, reports, exit codes, schema stability."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -250,3 +253,16 @@ class TestSchemaStability:
         _, report, _ = run_json(capsys, [
             "fidelity", vacuum_file, vacuum_file, "--tol-pure", "1e-8"])
         assert report["tolerances"]["pure"] == 1e-8
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only the cross-check routes in gaussfid.reference; keeping
+    # it off the import path keeps every CLI call about 200 ms faster
+    import gaussfid
+    src = str(Path(gaussfid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, gaussfid; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

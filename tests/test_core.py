@@ -67,6 +67,17 @@ class TestSymplecticForm:
         with pytest.raises(InvalidParameter):
             make_symplectic_form(0)
 
+    @pytest.mark.parametrize("ordering", list(ModeOrdering))
+    def test_cached_and_read_only(self, ordering):
+        omega = make_symplectic_form(3, ordering)
+        assert make_symplectic_form(3, ordering) is omega
+        before = omega.copy()
+        with pytest.raises(ValueError):
+            omega[0, 1] = 2.0
+        with pytest.raises(ValueError):
+            omega *= 2.0
+        np.testing.assert_array_equal(make_symplectic_form(3, ordering), before)
+
 
 # ---------------------------------------------------------------------------
 # physicality

@@ -1,11 +1,12 @@
 """Fidelity engine: auxiliary spectrum, invariants, closed forms, cross-checks."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from gaussfid import (
     NumericalError,
-    alt_ftot_v12,
     apply_symplectic,
     aux_matrix,
     aux_spectrum,
@@ -16,14 +17,14 @@ from gaussfid import (
     invariant_set,
     make_symplectic_form,
     random_state,
-    singular_reduction,
     squeezed,
     tensor,
     thermal,
     vacuum,
     w_matrix,
 )
-from gaussfid.fidelity import ftot_from_spectrum
+from gaussfid.fidelity import AuxMatrix, ftot_from_spectrum
+from gaussfid.reference import alt_ftot_v12, singular_reduction
 from gaussfid.states import random_symplectic
 
 from conftest import mixed_pair
@@ -177,6 +178,96 @@ class TestFidelity:
         bad = GaussianState(1, np.zeros(2), 0.25 * np.eye(2))
         with pytest.raises(InvalidState):
             fidelity(bad, vacuum(1))
+
+
+def _separate_solves(a, b):
+    """The fidelity from separate solves of V1 + V2 for V_aux and for du."""
+    n = a.n
+    omega = make_symplectic_form(n)
+    v_sum = a.V + b.V
+    v_aux = omega.T @ np.linalg.solve(v_sum, omega / 4.0 + b.V @ omega @ a.V)
+    ftot = ftot_from_spectrum(aux_spectrum(AuxMatrix(V_aux=v_aux)).retained)
+    sign, logdet = np.linalg.slogdet(v_sum)
+    du = b.u - a.u
+    disp = float(-0.25 * du @ np.linalg.solve(v_sum, du))
+    f0 = float(ftot * np.exp(-0.25 * logdet))
+    return {"F": min(f0 * np.exp(disp), 1.0), "F0": f0, "Ftot": ftot,
+            "det_v_sum": float(sign * np.exp(logdet)), "disp_exponent": disp}
+
+
+def _ensemble():
+    pairs = []
+    for n in (1, 2, 3, 4, 16):
+        for seed in range(3):
+            a, b = mixed_pair(n, 2400 + 10 * n + seed)
+            p = random_state(n, 2500 + 10 * n + seed, pure=True)
+            pairs += [(a, b), (a, a), (p, b), (p, p)]
+    return pairs
+
+
+class TestLeanHotPath:
+    """fidelity() solves V1 + V2 once and leaves the invariants to the report."""
+
+    @pytest.mark.parametrize("index", range(len(_ensemble())))
+    def test_matches_separate_solves(self, index):
+        a, b = _ensemble()[index]
+        rep = fidelity(a, b)
+        for name, expected in _separate_solves(a, b).items():
+            assert getattr(rep, name) == pytest.approx(expected, rel=1e-14, abs=1e-14), name
+
+    def test_fidelity_does_not_compute_invariants(self, monkeypatch):
+        module = importlib.import_module("gaussfid.fidelity")
+        original = module.invariant_set
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "invariant_set", counting)
+        for a, b in _ensemble()[:8]:
+            rep = fidelity(a, b)
+        assert calls == []
+        first = rep.invariants
+        assert len(calls) == 1
+        assert rep.invariants is first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_invariants_on_access_equal_invariant_set(self, n):
+        a, b = mixed_pair(n, 2600 + n)
+        inv = fidelity(a, b).invariants
+        ref = invariant_set(a.V, b.V)
+        np.testing.assert_array_equal(inv.i2k, ref.i2k)
+        np.testing.assert_array_equal(inv.char_coeffs, ref.char_coeffs)
+        assert (inv.gamma, inv.lam, inv.delta) == (ref.gamma, ref.lam, ref.delta)
+
+    def test_lambda_residue_refusal_kept(self):
+        s = random_state(3, 984611708, max_squeeze=4.0)
+        with pytest.raises(NumericalError, match="Lambda has a non-vanishing imaginary part"):
+            fidelity(s, s)
+
+    def test_lambda_refusal_matches_invariant_set(self):
+        # fidelity() evaluates Gamma only when the Lambda-relative check
+        # fails; its refusals must stay the ones invariant_set makes.  Eight
+        # of these stiff self-pairs trip the Lambda check.
+        refused = 0
+        for seed in range(400, 700):
+            s = random_state(3, seed, max_squeeze=4.0)
+            outcomes = []
+            for call in (lambda: invariant_set(s.V, s.V), lambda: fidelity(s, s)):
+                try:
+                    call()
+                    outcomes.append("")
+                except NumericalError as exc:
+                    outcomes.append(str(exc))
+            expected, got = outcomes
+            refused += "Lambda" in expected
+            if "Lambda" in got:
+                assert got == expected, seed
+            if "Lambda" in expected:
+                assert got != "", seed
+        assert refused == 8
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,15 @@ from gaussfid import (
 )
 from gaussfid.core import cov_from_w, w_matrix, square_root_cov, product_w
 from gaussfid.fidelity import aux_matrix, aux_spectrum, ftot_from_spectrum
-from gaussfid.fock import destroy, fidelity_of_matrices, thermal_fock
+from gaussfid.fock import (
+    DEFAULT_CUTOFFS,
+    _unitary_from_generator,
+    destroy,
+    fidelity_of_matrices,
+    mode_operators,
+    quadrature_operators,
+    thermal_fock,
+)
 
 
 def one_mode_circuit(nbar=0.0, r=0.0, phi=0.0, alpha=0.0):
@@ -126,6 +134,93 @@ class TestMomentsFromFock:
         tol = max(1e-6, 10.0 * built.fock.trace_deficit)
         np.testing.assert_allclose(measured.u, built.gaussian.u, atol=tol)
         np.testing.assert_allclose(measured.V, built.gaussian.V, atol=tol)
+
+
+class TestDefaultCutoffBound:
+    def test_one_mode_moments_well_below_1e6(self):
+        # the module documents moment errors well below 1e-6 at the default
+        # cutoff for every circuit random_circuit samples
+        worst, worst_seed = 0.0, None
+        for seed in range(1000):
+            built = build_circuit_state(random_circuit(1, np.random.default_rng(seed)))
+            measured = moments_from_fock(built.fock)
+            err = max(np.max(np.abs(measured.u - built.gaussian.u)),
+                      np.max(np.abs(measured.V - built.gaussian.V)))
+            if err > worst:
+                worst, worst_seed = err, seed
+        assert worst < 1e-6, f"seed {worst_seed}: moment error {worst:.3e}"
+
+
+def _dense_unitary(op, a_ops):
+    """Full-space exponential of a primitive's truncated generator."""
+    kind = op[0]
+    if kind == "displace":
+        _, mode, alpha = op
+        a = a_ops[mode]
+        return _unitary_from_generator(alpha * a.conj().T - np.conj(alpha) * a)
+    if kind == "squeeze":
+        _, mode, r, phi = op
+        a = a_ops[mode]
+        xi = r * np.exp(1j * phi)
+        return _unitary_from_generator(
+            0.5 * (np.conj(xi) * a @ a - xi * a.conj().T @ a.conj().T))
+    if kind == "phase":
+        _, mode, phi = op
+        a = a_ops[mode]
+        return _unitary_from_generator(-1j * phi * a.conj().T @ a)
+    _, modes, theta, phi = op
+    aj, ak = a_ops[modes[0]], a_ops[modes[1]]
+    return _unitary_from_generator(
+        theta * (np.exp(1j * phi) * aj.conj().T @ ak - np.exp(-1j * phi) * aj @ ak.conj().T))
+
+
+def _dense_state(circuit, cutoff):
+    """rho from full-space unitaries and dense matrix products."""
+    a_ops = mode_operators((cutoff,) * circuit.n_modes)
+    rho = thermal_fock(circuit.thermal_nbar[0], cutoff)
+    for nb in circuit.thermal_nbar[1:]:
+        rho = np.kron(rho, thermal_fock(nb, cutoff))
+    for op in circuit.ops:
+        U = _dense_unitary(op, a_ops)
+        rho = U @ rho @ U.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+    return rho
+
+
+def _dense_moments(rho, cutoffs):
+    """Moments from full-space quadrature operators."""
+    Q = quadrature_operators(cutoffs)
+    rho = rho / np.trace(rho)
+    u = np.array([np.trace(rho @ q).real for q in Q])
+    M = np.array([[np.trace(rho @ qi @ qj).real for qj in Q] for qi in Q])
+    return u, 0.5 * (M + M.T) - np.outer(u, u)
+
+
+LAYOUT_CIRCUITS = (
+    [random_circuit(1, np.random.default_rng(4500 + s)) for s in range(3)]
+    + [random_circuit(2, np.random.default_rng(4600 + s)) for s in range(3)]
+    + [CircuitSpec(2, (0.2, 0.1), (("squeeze", 0, 0.3, 0.4), ("displace", 1, 0.4 - 0.2j),
+                                   ("beamsplitter", (1, 0), 0.7, 1.1),
+                                   ("phase", 1, 0.5)))]
+)
+
+
+class TestTensorLayout:
+    """Gates and moments on tensor legs against full-space dense operators."""
+
+    @pytest.mark.parametrize("index", range(len(LAYOUT_CIRCUITS)))
+    def test_state_and_moments_match_dense_reference(self, index):
+        circuit = LAYOUT_CIRCUITS[index]
+        # small 2-mode cutoff keeps the dense reference cheap; the layout
+        # does not depend on it, so the trace budget is lifted
+        cutoff = DEFAULT_CUTOFFS[1] if circuit.n_modes == 1 else 12
+        built = build_circuit_state(circuit, cutoff, deficit_budget=1.0)
+        rho = _dense_state(circuit, cutoff)
+        assert np.max(np.abs(built.fock.rho - rho)) < 1e-13
+        u, V = _dense_moments(built.fock.rho, built.fock.cutoffs)
+        measured = moments_from_fock(built.fock)
+        np.testing.assert_allclose(measured.u, u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(measured.V, V, rtol=0, atol=1e-13)
 
 
 class TestUhlmannFidelity:

@@ -21,7 +21,8 @@ from gaussfid import (
     vacuum,
     w_matrix,
 )
-from gaussfid.metrology import FAMILIES, bures_metric_delta_superop
+from gaussfid.metrology import FAMILIES
+from gaussfid.reference import bures_metric_delta_superop
 
 from conftest import mixed_pair
 
