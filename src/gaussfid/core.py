@@ -43,7 +43,8 @@ def make_symplectic_form(n: int, ordering: ModeOrdering = ModeOrdering.XXPP) -> 
 
     In xxpp ordering Omega = [[0, I], [-I, 0]]; in xpxp ordering it is the
     direct sum of n blocks [[0, 1], [-1, 0]].  The array is built once per
-    (n, ordering), cached and read-only: writing to it raises ``ValueError``.
+    (n, ordering), cached and read-only: writing to it, or re-enabling writes
+    with ``setflags``, raises ``ValueError``.
     """
     if n < 1:
         raise InvalidParameter(f"mode count must be >= 1, got {n}")
@@ -56,8 +57,7 @@ def make_symplectic_form(n: int, ordering: ModeOrdering = ModeOrdering.XXPP) -> 
         for k in range(n):
             out[2 * k, 2 * k + 1] = 1.0
             out[2 * k + 1, 2 * k] = -1.0
-    out.setflags(write=False)
-    return out
+    return _frozen_view(out)
 
 
 def xxpp_to_xpxp_indices(n: int) -> np.ndarray:
@@ -80,10 +80,15 @@ def permute_quadratures(u: np.ndarray, V: np.ndarray, perm: np.ndarray):
 # state container
 # ---------------------------------------------------------------------------
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _frozen_view(out: np.ndarray) -> np.ndarray:
+    """A read-only view of ``out``, which must own its data.  numpy lets the
+    owner of the data re-enable writes, but not a view of a read-only base."""
     out.setflags(write=False)
-    return out
+    return out.view()
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    return _frozen_view(np.array(a, dtype=float))
 
 
 @dataclass(frozen=True)

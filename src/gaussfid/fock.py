@@ -11,8 +11,16 @@ Generators are anti-Hermitian, so their exact exponentials are unitary and
 the trace deficit stems from the thermal input tail alone; the population of
 the top Fock level is reported as a secondary truncation diagnostic.
 
-The density matrix is handled as a tensor with one row and one column leg per
-mode.  A gate is exponentiated on the factor of the modes it acts on (the
+The circuit carries sigma = sqrt(rho) rather than rho: the unitaries are
+exact on the truncated space, so U sqrt(rho_th) U^dagger is the square root
+of U rho_th U^dagger and the Uhlmann fidelity needs no diagonalisation of
+rho1.  sigma starts as the diagonal root of the thermal input, and rho =
+sigma sigma is formed once at the end.  Single-mode gates that come before
+the circuit's first two-mode gate act on per-mode cutoff-sized factors,
+which are joined by a Kronecker product at that gate (or at the end).
+
+The full-space matrix is handled as a tensor with one row and one column leg
+per mode.  A gate is exponentiated on the factor of the modes it acts on (the
 beam splitter block by block over its conserved total photon number) and
 applied to those legs only; moments contract single-mode quadrature factors
 against the tensor.  :func:`mode_operators` and :func:`quadrature_operators`
@@ -21,7 +29,8 @@ give the same operators on the full space, as a dense reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,6 +61,10 @@ class FockDensityMatrix:
     rho: np.ndarray
     trace_deficit: float
     top_level_population: float = 0.0
+    #: Hermitian square root of ``rho`` (rho = root @ root), set by
+    #: :func:`build_circuit_state`; without it the Uhlmann fidelity
+    #: diagonalises rho.
+    root: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def validate(self, herm_tol: float = 1e-12, eig_tol: float = 1e-10,
                  deficit_budget: float = TRACE_DEFICIT_BUDGET) -> None:
@@ -232,6 +245,13 @@ def _conjugate(rho: np.ndarray, cutoffs: Sequence[int], modes, blocks) -> np.nda
     return rho_t.reshape(rho.shape)
 
 
+def _hermitise(a: np.ndarray) -> np.ndarray:
+    """(a + a^dagger) / 2, in place."""
+    a += a.conj().T
+    a *= 0.5
+    return a
+
+
 def _op_moment_action(op, n: int):
     """Exact (S, d) action of a primitive on (u, V) in the xxpp layout."""
     kind = op[0]
@@ -255,8 +275,9 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
                         deficit_budget: float = TRACE_DEFICIT_BUDGET) -> BuildResult:
     """Build the same state as a truncated density matrix and as exact moments.
 
-    Raises :class:`TruncationError` when the final trace deficit exceeds the
-    budget; raise the cutoff in that case.
+    The density matrix carries its Hermitian square root, tracked through the
+    gates, as ``fock.root``.  Raises :class:`TruncationError` when the final
+    trace deficit exceeds the budget; raise the cutoff in that case.
     """
     _validate_circuit(circuit)
     n = circuit.n_modes
@@ -266,19 +287,27 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
         raise InvalidParameter("cutoff must be at least 4")
     cutoffs = (cutoff,) * n
 
-    rho = thermal_fock(circuit.thermal_nbar[0], cutoff)
-    for nb in circuit.thermal_nbar[1:]:
-        rho = np.kron(rho, thermal_fock(nb, cutoff))
-
+    # sigma = sqrt(rho): per-mode factors until the first two-mode gate; the
+    # input's root is the elementwise root of its diagonal matrix
+    factors = [np.sqrt(thermal_fock(nb, cutoff)) for nb in circuit.thermal_nbar]
+    sigma = None
     u = np.zeros(2 * n)
     V = np.diag(np.concatenate([np.asarray(circuit.thermal_nbar)] * 2) + 0.5)
     for op in circuit.ops:
-        rho = _conjugate(rho, cutoffs, *_gate_blocks(op, cutoffs))
-        rho += rho.conj().T
-        rho *= 0.5
+        modes, blocks = _gate_blocks(op, cutoffs)
+        if sigma is None and len(modes) == 1:
+            m = modes[0]
+            factors[m] = _hermitise(_conjugate(factors[m], cutoffs[m:m + 1], [0], blocks))
+        else:
+            if sigma is None:
+                sigma = functools.reduce(np.kron, factors)
+            sigma = _hermitise(_conjugate(sigma, cutoffs, modes, blocks))
         S, d = _op_moment_action(op, n)
         u = S @ u + d
         V = S @ V @ S.T
+    if sigma is None:
+        sigma = functools.reduce(np.kron, factors)
+    rho = _hermitise(sigma @ sigma)
 
     deficit = float(1.0 - np.trace(rho).real)
     top = _top_level_population(rho, cutoffs)
@@ -288,7 +317,7 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
             "raise the cutoff")
     fock = FockDensityMatrix(n_modes=n, cutoffs=cutoffs, rho=rho,
                              trace_deficit=max(deficit, 0.0),
-                             top_level_population=top)
+                             top_level_population=top, root=sigma)
     return BuildResult(fock=fock, gaussian=GaussianState(n, u, V))
 
 
@@ -308,36 +337,45 @@ def _top_level_population(rho: np.ndarray, cutoffs) -> float:
 # ---------------------------------------------------------------------------
 
 def uhlmann_fidelity_matrix(r1: FockDensityMatrix, r2: FockDensityMatrix) -> float:
-    """F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) via Hermitian eigendecompositions."""
+    """F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
+
+    sqrt(rho1) is ``r1.root`` when the state carries one (every state from
+    :func:`build_circuit_state` does), else a Hermitian eigendecomposition of
+    rho1; the outer root takes the eigenvalues of the Hermitian product.
+    """
     if r1.rho.shape != r2.rho.shape:
         raise InvalidParameter("density matrices have different dimensions")
-    f = fidelity_of_matrices(r1.rho, r2.rho)
+    f = fidelity_of_matrices(r1.rho, r2.rho, r1.root)
     if f > 1.0 + 1e-8:
         raise NumericalError(f"fidelity {f} exceeds 1 beyond tolerance")
     return min(f, 1.0)
 
 
-def fidelity_of_matrices(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Uhlmann fidelity of two raw Hermitian PSD matrices (trace-normalized)."""
+def fidelity_of_matrices(rho1: np.ndarray, rho2: np.ndarray,
+                         root1: np.ndarray | None = None) -> float:
+    """Uhlmann fidelity of two raw Hermitian PSD matrices (trace-normalized).
+
+    ``root1``, a Hermitian square root of rho1 (rho1 = root1 @ root1),
+    replaces the eigendecomposition of rho1.
+    """
     # Each temporary is dropped once it is dead and rho2 is normalised only
     # when it is used: at two modes each one is a 625 x 625 complex matrix.
-    herm1 = np.asarray(rho1) / np.trace(rho1)
-    herm1 += herm1.conj().T
-    herm1 *= 0.5
-    w1, U1 = np.linalg.eigh(herm1)
-    del herm1
-    if w1[0] < -1e-8:
-        raise NumericalError(f"eigenvalue {w1[0]:.3e} below -1e-8")
-    root1 = U1 * np.sqrt(np.clip(w1, 0.0, None))
-    np.conjugate(U1, out=U1)
-    root1 = root1 @ U1.T
-    del U1
+    if root1 is None:
+        herm1 = _hermitise(np.asarray(rho1) / np.trace(rho1))
+        w1, U1 = np.linalg.eigh(herm1)
+        del herm1
+        if w1[0] < -1e-8:
+            raise NumericalError(f"eigenvalue {w1[0]:.3e} below -1e-8")
+        root1 = U1 * np.sqrt(np.clip(w1, 0.0, None))
+        np.conjugate(U1, out=U1)
+        root1 = root1 @ U1.T
+        del U1
+    else:
+        root1 = np.asarray(root1) / np.sqrt(np.trace(rho1).real)
     inner = root1 @ (np.asarray(rho2) / np.trace(rho2))
     inner = inner @ root1
     del root1
-    inner += inner.conj().T
-    inner *= 0.5
-    wm = np.linalg.eigvalsh(inner)
+    wm = np.linalg.eigvalsh(_hermitise(inner))
     if wm[0] < -1e-8:
         raise NumericalError(f"eigenvalue {wm[0]:.3e} below -1e-8")
     return float(np.sum(np.sqrt(np.clip(wm, 0.0, None))).real)

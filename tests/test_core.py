@@ -78,6 +78,36 @@ class TestSymplecticForm:
             omega *= 2.0
         np.testing.assert_array_equal(make_symplectic_form(3, ordering), before)
 
+    @pytest.mark.parametrize("ordering", list(ModeOrdering))
+    def test_writes_cannot_be_reenabled(self, ordering):
+        omega = make_symplectic_form(1, ordering)
+        with pytest.raises(ValueError):
+            omega.setflags(write=True)
+        assert not omega.flags.writeable
+        # the shared cache is intact: a corrupted one made every later
+        # random_state and fidelity call raise
+        np.testing.assert_array_equal(make_symplectic_form(1, ordering),
+                                      [[0.0, 1.0], [-1.0, 0.0]])
+        random_state(1, 3)
+
+
+class TestFrozenState:
+    def test_arrays_are_copied_and_read_only(self):
+        u, V = np.array([0.1, -0.2]), np.diag([0.7, 0.9])
+        state = GaussianState(1, u, V)
+        u[0], V[0, 0] = 5.0, 5.0
+        assert state.u[0] == 0.1 and state.V[0, 0] == 0.7
+        for a in (state.u, state.V):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_writes_cannot_be_reenabled(self):
+        state = random_state(2, 7)
+        for a in (state.u, state.V):
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
+            assert not a.flags.writeable
+
 
 # ---------------------------------------------------------------------------
 # physicality

@@ -20,6 +20,8 @@ from gaussfid.core import cov_from_w, w_matrix, square_root_cov, product_w
 from gaussfid.fidelity import aux_matrix, aux_spectrum, ftot_from_spectrum
 from gaussfid.fock import (
     DEFAULT_CUTOFFS,
+    TRACE_DEFICIT_BUDGET,
+    FockDensityMatrix,
     _unitary_from_generator,
     destroy,
     fidelity_of_matrices,
@@ -201,7 +203,13 @@ LAYOUT_CIRCUITS = (
     + [random_circuit(2, np.random.default_rng(4600 + s)) for s in range(3)]
     + [CircuitSpec(2, (0.2, 0.1), (("squeeze", 0, 0.3, 0.4), ("displace", 1, 0.4 - 0.2j),
                                    ("beamsplitter", (1, 0), 0.7, 1.1),
-                                   ("phase", 1, 0.5)))]
+                                   ("phase", 1, 0.5))),
+       # a two-mode gate first: sigma is a Kronecker product from the start
+       CircuitSpec(2, (0.3, 0.05), (("beamsplitter", (0, 1), 0.4, 0.2),
+                                    ("squeeze", 1, 0.2, 0.3), ("displace", 0, 0.3j))),
+       # no two-mode gate: the per-mode factors are joined at the end
+       CircuitSpec(2, (0.1, 0.2), (("squeeze", 0, 0.3, 0.4), ("phase", 1, 0.5),
+                                   ("displace", 1, -0.2 + 0.1j)))]
 )
 
 
@@ -217,6 +225,12 @@ class TestTensorLayout:
         built = build_circuit_state(circuit, cutoff, deficit_budget=1.0)
         rho = _dense_state(circuit, cutoff)
         assert np.max(np.abs(built.fock.rho - rho)) < 1e-13
+        # the tracked square root: Hermitian, positive and squaring to rho
+        root = built.fock.root
+        assert np.array_equal(root, root.conj().T)
+        assert np.linalg.eigvalsh(root)[0] > -1e-13
+        assert np.max(np.abs(root @ root - built.fock.rho)) < 1e-13
+        assert np.max(np.abs(root @ root - rho)) < 1e-13
         u, V = _dense_moments(built.fock.rho, built.fock.cutoffs)
         measured = moments_from_fock(built.fock)
         np.testing.assert_allclose(measured.u, u, rtol=0, atol=1e-13)
@@ -268,6 +282,85 @@ class TestUhlmannFidelity:
         f_joint = fidelity_of_matrices(np.kron(a1.fock.rho, a2.fock.rho),
                                        np.kron(b1.fock.rho, b2.fock.rho))
         assert f_joint == pytest.approx(f1 * f2, abs=1e-6)
+
+
+def _eigh_route_fidelity(rho1, rho2):
+    """The Uhlmann fidelity with sqrt(rho1) from a Hermitian eigendecomposition,
+    step by step as fidelity_of_matrices takes it when no root is given."""
+    herm1 = rho1 / np.trace(rho1)
+    herm1 = (herm1 + herm1.conj().T) * 0.5
+    w1, U1 = np.linalg.eigh(herm1)
+    root1 = (U1 * np.sqrt(np.clip(w1, 0.0, None))) @ U1.conj().T
+    inner = root1 @ (rho2 / np.trace(rho2)) @ root1
+    inner = (inner + inner.conj().T) * 0.5
+    return float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None))).real)
+
+
+@pytest.fixture(scope="module")
+def two_mode_pairs():
+    # one pair at the default cutoff and a cheaper one at cutoff 15, where the
+    # trace budget is lifted: the square-root routes do not depend on it
+    pairs = []
+    for seed, cutoff, budget in ((4800, None, TRACE_DEFICIT_BUDGET), (4801, 15, 1.0)):
+        rng = np.random.default_rng(seed)
+        pairs.append([build_circuit_state(random_circuit(2, rng), cutoff, budget).fock
+                      for _ in range(2)])
+    return pairs
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestTrackedRoot:
+    """Uhlmann fidelity through the square root carried by the build."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_agrees_with_eigh_root_one_mode(self, seed):
+        rng = np.random.default_rng(4700 + seed)
+        a, b = (build_circuit_state(random_circuit(1, rng)).fock for _ in range(2))
+        f_root = uhlmann_fidelity_matrix(a, b)
+        f_eigh = fidelity_of_matrices(a.rho, b.rho)
+        assert abs(f_root - f_eigh) < 1e-8
+
+    def test_agrees_with_eigh_root_two_modes(self, two_mode_pairs):
+        for a, b in two_mode_pairs:
+            f_root = uhlmann_fidelity_matrix(a, b)
+            f_eigh = fidelity_of_matrices(a.rho, b.rho)
+            assert abs(f_root - f_eigh) < 1e-8
+
+    def test_root_is_trace_normalised(self):
+        rng = np.random.default_rng(4760)
+        a, b = (build_circuit_state(random_circuit(1, rng)).fock for _ in range(2))
+        f = fidelity_of_matrices(a.rho, b.rho, a.root)
+        assert fidelity_of_matrices(4.0 * a.rho, b.rho, 2.0 * a.root) == pytest.approx(f, abs=1e-14)
+
+    def test_no_full_space_eigh(self, two_mode_pairs, monkeypatch):
+        # the square root of rho1 comes from the build, not from diagonalising
+        calls = _count_eigh(monkeypatch)
+        for a, b in two_mode_pairs:
+            assert a.root is not None
+            uhlmann_fidelity_matrix(a, b)
+        assert calls == []
+
+    def test_hand_made_state_takes_eigh_route(self, monkeypatch):
+        rng = np.random.default_rng(4750)
+        a, b = (build_circuit_state(random_circuit(1, rng)).fock for _ in range(2))
+        bare = FockDensityMatrix(a.n_modes, a.cutoffs, a.rho, a.trace_deficit)
+        assert bare.root is None
+        assert "root" not in repr(bare)
+        calls = _count_eigh(monkeypatch)
+        f = uhlmann_fidelity_matrix(bare, b)
+        assert calls == [1]
+        assert f == _eigh_route_fidelity(a.rho, b.rho)
 
 
 class TestOperatorComposition:
