@@ -336,7 +336,7 @@ def _cmd_oracle_check(args):
     passed = diff < ORACLE_CHECK_THRESHOLD
     warnings = []
     for name, built in (("a", built_a), ("b", built_b)):
-        if built.fock.trace_deficit > 0:
+        if built.fock.trace_deficit > fock.TRACE_DEFICIT_ROUNDOFF:
             warnings.append(
                 f"state {name}: truncation trace deficit {built.fock.trace_deficit:.3e}")
     report = {

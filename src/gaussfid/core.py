@@ -91,12 +91,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return _frozen_view(np.array(a, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """An n-mode Gaussian state given by its mean vector and covariance matrix.
 
     Arrays are copied and frozen at construction; instances are immutable and
-    safe to share across threads.
+    safe to share across threads.  Two states are equal when their mode count,
+    ordering and arrays are equal entry by entry; equal states hash alike, so
+    states can be set members and dict keys.
     """
 
     n: int
@@ -115,6 +117,16 @@ class GaussianState:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "ordering", ModeOrdering(self.ordering))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n == other.n and self.ordering == other.ordering
+                and np.array_equal(self.u, other.u) and np.array_equal(self.V, other.V))
+
+    def __hash__(self):
+        # adding 0.0 turns -0.0 into 0.0, which array_equal counts as equal
+        return hash((self.n, self.ordering, (self.u + 0.0).tobytes(), (self.V + 0.0).tobytes()))
 
 
 @dataclass(frozen=True)
@@ -191,6 +203,26 @@ def validate_state(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> Physi
 
 
 def require_physical(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> None:
+    """Raise :class:`InvalidState` exactly when :func:`validate_state` reports
+    the state unphysical.
+
+    A Cholesky factorisation of V + i*Omega/2 + (tol*scale/2)*I is the accept
+    test: it succeeds only if the smallest eigenvalue of V + i*Omega/2 lies
+    above -tol*scale/2 up to roundoff, which the eigenvalue test accepts too.
+    Everything else goes to :func:`validate_state`, which alone decides: a
+    failed factorisation, an asymmetric V, tol <= 0 and a V with a non-finite
+    entry (an inf makes the bound infinite, a NaN fails the symmetry test).
+    """
+    V = state.V
+    bound = tol * max(1.0, float(np.max(np.abs(V))))
+    if 0 < bound < np.inf and np.max(np.abs(V - V.T)) <= bound:
+        shifted = V + 0.5j * make_symplectic_form(state.n, state.ordering)
+        shifted.flat[::V.shape[0] + 1] += 0.5 * bound
+        try:
+            np.linalg.cholesky(shifted)
+            return
+        except np.linalg.LinAlgError:
+            pass
     report = validate_state(state, tol)
     if not report.physical:
         raise InvalidState(

@@ -48,14 +48,20 @@ MAX_NBAR = 1.5
 DEFAULT_CUTOFFS = {1: 56, 2: 25}
 
 TRACE_DEFICIT_BUDGET = 1e-8
+#: Trace deficits up to this size are roundoff of the build, not truncation.
+TRACE_DEFICIT_ROUNDOFF = 1e-12
 
 # Sampling ranges (nbar, r, |alpha|) for random circuits, chosen so that the
 # default cutoffs keep moment and fidelity truncation errors well below 1e-6.
 SAMPLING_RANGES = {1: (0.6, 0.4, 0.8), 2: (0.35, 0.25, 0.5)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
+    """A truncated density matrix.  Equality compares every field but
+    ``root`` (a derived quantity), ``rho`` entry by entry; ``rho`` is a plain
+    writable array, so instances are not hashable."""
+
     n_modes: int
     cutoffs: tuple
     rho: np.ndarray
@@ -64,7 +70,17 @@ class FockDensityMatrix:
     #: Hermitian square root of ``rho`` (rho = root @ root), set by
     #: :func:`build_circuit_state`; without it the Uhlmann fidelity
     #: diagonalises rho.
-    root: np.ndarray | None = field(default=None, repr=False, compare=False)
+    root: np.ndarray | None = field(default=None, repr=False)
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n_modes, self.cutoffs, self.trace_deficit, self.top_level_population)
+                == (other.n_modes, other.cutoffs, other.trace_deficit,
+                    other.top_level_population)
+                and np.array_equal(self.rho, other.rho))
 
     def validate(self, herm_tol: float = 1e-12, eig_tol: float = 1e-10,
                  deficit_budget: float = TRACE_DEFICIT_BUDGET) -> None:

@@ -9,8 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussfid import InvalidState, StateFileError, random_state
+from gaussfid import (
+    InvalidState,
+    StateFileError,
+    build_circuit_state,
+    random_circuit,
+    random_state,
+)
 from gaussfid.cli import main, parse_state_file, write_state_file
+from gaussfid.fock import TRACE_DEFICIT_ROUNDOFF
 
 DATA = Path(__file__).parent / "data"
 
@@ -185,6 +192,23 @@ class TestCommands:
         assert code == 0
         assert report["passed"] is True
         assert report["abs_diff"] < 1e-6
+
+    def test_oracle_check_roundoff_deficit_does_not_warn(self, capsys):
+        rng = np.random.default_rng(3)
+        deficits = [build_circuit_state(random_circuit(1, rng)).fock.trace_deficit
+                    for _ in range(2)]
+        assert 0.0 < max(deficits) <= TRACE_DEFICIT_ROUNDOFF
+        code, report, _ = run_json(capsys, ["oracle-check", "--seed", "3", "--modes", "1"])
+        assert code == 0
+        assert report["warnings"] == []
+
+    def test_oracle_check_truncation_deficit_warns(self, capsys):
+        # at cutoff 16 state b loses ~4e-11 of its trace to the truncation
+        code, report, _ = run_json(capsys, ["oracle-check", "--seed", "3", "--modes", "1",
+                                            "--cutoff", "16"])
+        assert code == 0
+        assert len(report["warnings"]) == 1
+        assert report["warnings"][0].startswith("state b: truncation trace deficit")
 
     def test_numerical_failure_exits_3(self, capsys):
         # cutoff far too small: the truncation budget trips

@@ -6,17 +6,20 @@ import pytest
 from gaussfid import (
     GaussianState,
     InvalidParameter,
+    InvalidState,
     ModeOrdering,
     NumericalError,
     PureStateError,
     cov_from_gibbs,
     cov_from_w,
+    fidelity,
     gibbs_from_cov,
     make_symplectic_form,
     partition_function,
     product_w,
     purity,
     random_state,
+    reorder_state,
     square_root_cov,
     symplectic_action_odd,
     symplectic_eigenvalues,
@@ -26,7 +29,13 @@ from gaussfid import (
     w_matrix,
     williamson,
 )
-from gaussfid.core import ODD_KERNELS, gibbs_kernel, symmetric_sqrt
+from gaussfid.core import (
+    DEFAULT_PHYS_TOL,
+    ODD_KERNELS,
+    gibbs_kernel,
+    require_physical,
+    symmetric_sqrt,
+)
 from gaussfid.states import random_symplectic
 
 from conftest import mixed_pair
@@ -109,6 +118,44 @@ class TestFrozenState:
             assert not a.flags.writeable
 
 
+class TestStateEquality:
+    def test_equal_states_compare_and_hash_equal(self):
+        assert vacuum(1) == vacuum(1)
+        assert hash(vacuum(1)) == hash(vacuum(1))
+        a, b = random_state(3, 41), random_state(3, 41)
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_signed_zeros_are_equal(self):
+        a = GaussianState(1, np.array([0.0, -0.0]), np.diag([0.5, 0.5]))
+        b = GaussianState(1, np.zeros(2), np.diag([0.5, 0.5]))
+        assert a == b and hash(a) == hash(b)
+
+    def test_differing_states_compare_unequal(self):
+        base = random_state(2, 42)
+        V = base.V.copy()
+        V[0, 0] += 1e-12
+        assert base != GaussianState(2, base.u, V)
+        assert base != random_state(2, 43)
+        assert vacuum(1) != vacuum(2)
+        assert vacuum(1) != "vacuum"
+
+    def test_ordering_is_compared(self):
+        # at one mode both orderings lay out the same arrays
+        u, V = np.zeros(2), np.diag([0.7, 0.9])
+        assert GaussianState(1, u, V) != GaussianState(1, u, V, ModeOrdering.XPXP)
+        s = random_state(2, 44)
+        assert reorder_state(s, ModeOrdering.XPXP) != s
+        assert reorder_state(reorder_state(s, ModeOrdering.XPXP), ModeOrdering.XXPP) == s
+
+    def test_set_members_and_dict_keys(self):
+        states = {vacuum(1), vacuum(1), thermal([0.5]), random_state(2, 45), random_state(2, 45)}
+        assert len(states) == 3
+        assert thermal([0.5]) in states
+        labels = {vacuum(1): "vac", random_state(2, 45): "rand"}
+        assert labels[vacuum(1)] == "vac"
+        assert labels[random_state(2, 45)] == "rand"
+
+
 # ---------------------------------------------------------------------------
 # physicality
 # ---------------------------------------------------------------------------
@@ -135,6 +182,149 @@ class TestValidateState:
         V = 0.5 * np.eye(2)
         V = V + np.array([[0.0, 1e-3], [0.0, 0.0]])
         assert not validate_state(GaussianState(1, np.zeros(2), V)).symmetric
+
+
+def _shifted_eigh(V, ordering):
+    omega = make_symplectic_form(V.shape[0] // 2, ordering)
+    return np.linalg.eigh(V + 0.5j * omega)
+
+
+def _pushed(state, k, tol=DEFAULT_PHYS_TOL):
+    """``state`` with V moved until the smallest eigenvalue of V + i*Omega/2
+    is k * tol * scale: first along its eigenvector, then by a multiple of I."""
+    lam, psi = _shifted_eigh(state.V, state.ordering)
+    direction = np.real(np.outer(psi[:, 0], psi[:, 0].conj()))
+    V = state.V + 2.0 * (k * tol * max(1.0, np.max(np.abs(state.V))) - lam[0]) * direction
+    V = 0.5 * (V + V.T)
+    target = k * tol * max(1.0, np.max(np.abs(V)))
+    V = V + (target - _shifted_eigh(V, state.ordering)[0][0]) * np.eye(len(V))
+    return GaussianState(state.n, state.u, V, state.ordering)
+
+
+def _refusal(check, state):
+    """The exception type ``check`` raises on ``state``, or None."""
+    try:
+        check(state)
+    except Exception as exc:  # the route's refusals are compared by type
+        return type(exc)
+    return None
+
+
+def _validate_or_raise(state):
+    if not validate_state(state).physical:
+        raise InvalidState("unphysical")
+
+
+def _sweep_states(n, kind):
+    seeds = range(3) if n < 64 else range(1)
+    if kind == "mixed":
+        return [random_state(n, 4900 + 10 * n + s) for s in seeds]
+    if kind == "pure":
+        return [random_state(n, 5000 + 10 * n + s, pure=True) for s in seeds]
+    if kind == "squeezed":
+        return [random_state(n, 5100 + 10 * n + s, max_squeeze=4) for s in seeds]
+    return [reorder_state(random_state(n, 5200 + 10 * n + s, pure=bool(s % 2)),
+                          ModeOrdering.XPXP) for s in seeds]
+
+
+def _count_eigvalsh(monkeypatch):
+    original = np.linalg.eigvalsh
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+PUSHES = (None, 0.0, -0.25, -0.5, -0.75, -1.0, -2.0, -1000.0)
+
+
+class TestRequirePhysical:
+    """The Cholesky accept test refuses exactly what validate_state refuses."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "pure", "squeezed", "xpxp"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
+    def test_decisions_match_validate_state(self, n, kind):
+        verdicts = set()
+        for state in _sweep_states(n, kind):
+            for k in PUSHES:
+                s = state if k is None else _pushed(state, k)
+                expected = _refusal(_validate_or_raise, s)
+                assert _refusal(require_physical, s) is expected, (k, expected)
+                verdicts.add(expected)
+        assert verdicts == {None, InvalidState}
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_asymmetric_covariances(self, n):
+        state = random_state(n, 5300 + n)
+        scale = max(1.0, np.max(np.abs(state.V)))
+        for skew in (1e-3, 2.0 * DEFAULT_PHYS_TOL, 0.5 * DEFAULT_PHYS_TOL):
+            V = state.V.copy()
+            V[0, -1] += skew * scale
+            s = GaussianState(n, state.u, V)
+            expected = _refusal(_validate_or_raise, s)
+            assert _refusal(require_physical, s) is expected
+            assert (expected is None) == (skew < DEFAULT_PHYS_TOL)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries(self, value):
+        for index in [(0, 0), (0, 1), (1, 0), (3, 2), (2, 2)]:
+            V = random_state(2, 5400).V.copy()
+            V[index] = value
+            s = GaussianState(2, np.zeros(4), V)
+            with np.errstate(invalid="ignore"):
+                assert _refusal(require_physical, s) is _refusal(_validate_or_raise, s)
+
+    @pytest.mark.parametrize("kind", ["mixed", "pure", "squeezed", "xpxp"])
+    def test_eigvalsh_decides_only_below_half_the_tolerance(self, kind, monkeypatch):
+        # Cholesky with a shift of tol*scale/2 accepts down to about
+        # -tol*scale/2; between that and -tol*scale eigvalsh accepts
+        cases = [(s, k) for n in (1, 2, 3, 4, 8) for s in _sweep_states(n, kind)
+                 for k in (None, -0.25, -0.75, -2.0)]
+        pushed = [(state if k is None else _pushed(state, k), k) for state, k in cases]
+        calls = _count_eigvalsh(monkeypatch)
+        for s, k in pushed:
+            del calls[:]
+            if k == -2.0:
+                with pytest.raises(InvalidState, match="min_eig_shifted"):
+                    require_physical(s)
+            else:
+                require_physical(s)
+            assert len(calls) == (1 if k in (-0.75, -2.0) else 0), k
+
+    def test_fidelity_makes_no_eigvalsh_call_on_physical_pairs(self, monkeypatch):
+        pairs = []
+        for n in (1, 2, 3, 4, 8, 64):
+            a, b = mixed_pair(n, 5500 + n)
+            p = random_state(n, 5600 + n, pure=True)
+            pairs += [(a, b), (a, a), (p, b), (p, p)]
+        pairs.append((reorder_state(pairs[0][0], ModeOrdering.XPXP), pairs[0][1]))
+        calls = _count_eigvalsh(monkeypatch)
+        for a, b in pairs:
+            assert 0.0 <= fidelity(a, b).F <= 1.0
+        assert calls == []
+
+    def test_unphysical_input_makes_one_eigvalsh_call(self, monkeypatch):
+        good = random_state(2, 5700)
+        bad = GaussianState(2, np.zeros(4), 0.25 * np.eye(4))
+        calls = _count_eigvalsh(monkeypatch)
+        for a, b in ((bad, good), (good, bad)):
+            del calls[:]
+            with pytest.raises(InvalidState, match="min_eig_shifted=-2.500e-01"):
+                fidelity(a, b)
+            assert calls == [(4, 4)]
+
+    def test_refusal_message_names_min_eig_shifted(self):
+        state = _pushed(random_state(3, 5800), -2.0)
+        report = validate_state(state)
+        with pytest.raises(InvalidState) as info:
+            require_physical(state)
+        assert str(info.value) == (
+            "state is not physical: symmetric=True, min_eig_shifted=%.3e"
+            % report.min_eig_shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,29 @@ class TestTrackedRoot:
         assert f == _eigh_route_fidelity(a.rho, b.rho)
 
 
+class TestDensityMatrixEquality:
+    def test_value_equality_without_root(self):
+        a = build_circuit_state(random_circuit(1, np.random.default_rng(4770))).fock
+        bare = FockDensityMatrix(a.n_modes, a.cutoffs, a.rho.copy(), a.trace_deficit,
+                                 a.top_level_population)
+        assert a.root is not None and bare.root is None
+        assert a == bare
+
+    def test_differing_fields_compare_unequal(self):
+        a = build_circuit_state(random_circuit(1, np.random.default_rng(4771))).fock
+        rho = a.rho.copy()
+        rho[0, 0] += 1e-15
+        fields = (a.n_modes, a.cutoffs, a.rho, a.trace_deficit, a.top_level_population)
+        assert a != FockDensityMatrix(*fields[:2], rho, *fields[3:])
+        assert a != FockDensityMatrix(*fields[:3], a.trace_deficit + 1e-12, fields[4])
+        assert a != "rho"
+
+    def test_not_hashable(self):
+        a = build_circuit_state(random_circuit(1, np.random.default_rng(4772))).fock
+        with pytest.raises(TypeError):
+            hash(a)
+
+
 class TestOperatorComposition:
     """sqrt(rho1) rho2 sqrt(rho1) in Fock space against the W-matrix calculus."""
 
