@@ -97,6 +97,8 @@ def parse_state_file(path: str | Path, phys_tol: float = DEFAULT_PHYS_TOL) -> Ga
     if mean.shape != (2 * n,) or cov.shape != (2 * n, 2 * n):
         raise StateFileError(
             f"{path}: mean/cov shapes {mean.shape}/{cov.shape} do not match modes={n}")
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise InvalidState(f"{path}: mean/cov has a non-finite entry")
     state = GaussianState(n, mean, cov, ordering)
     report = validate_state(state, max(phys_tol, 1e-8))
     if not report.symmetric:

@@ -185,11 +185,16 @@ def validate_state(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> Physi
 
     ``min_eig_shifted`` is the smallest eigenvalue of the Hermitian matrix
     V + i*Omega/2; the state is physical iff it is >= -tol (equivalently all
-    symplectic eigenvalues >= 1/2 - tol) and V is symmetric within tol.
+    symplectic eigenvalues >= 1/2 - tol) and V is symmetric within tol.  A V
+    with a NaN or infinite entry is unphysical, with ``min_eig_shifted`` NaN.
     """
     V = state.V
     if V.shape[0] != 2 * state.n:
         raise InvalidParameter("covariance matrix shape does not match mode count")
+    if not np.isfinite(V).all():
+        # eigvalsh reads one triangle only and fails to converge on a NaN
+        return PhysicalityReport(symmetric=False, min_eig_shifted=float("nan"),
+                                 physical=False)
     scale = max(1.0, float(np.max(np.abs(V))))
     symmetric = bool(np.max(np.abs(V - V.T)) <= tol * scale)
     omega = make_symplectic_form(state.n, state.ordering)
@@ -212,7 +217,10 @@ def require_physical(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> Non
     Everything else goes to :func:`validate_state`, which alone decides: a
     failed factorisation, an asymmetric V, tol <= 0 and a V with a non-finite
     entry (an inf makes the bound infinite, a NaN fails the symmetry test).
+    A mean vector with a NaN or infinite entry is refused as well.
     """
+    if not np.isfinite(state.u).all():
+        raise InvalidState("state is not physical: the mean vector has a non-finite entry")
     V = state.V
     bound = tol * max(1.0, float(np.max(np.abs(V))))
     if 0 < bound < np.inf and np.max(np.abs(V - V.T)) <= bound:
@@ -223,6 +231,8 @@ def require_physical(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> Non
             return
         except np.linalg.LinAlgError:
             pass
+    if not np.isfinite(V).all():
+        raise InvalidState("state is not physical: the covariance matrix has a non-finite entry")
     report = validate_state(state, tol)
     if not report.physical:
         raise InvalidState(

@@ -11,8 +11,10 @@ all with |w| >= 1) determines the covariance part of the fidelity:
     Ftot = prod_k [w_k + sqrt(w_k^2 - 1)]^{1/2}.
 
 Unit pairs (w = 1) arise from pure modes and do not contribute; they are
-discarded and counted.  The same spectrum yields the symplectic invariants
-I_2k = Tr(W_aux^{2k}) and the classic closed forms for one, two and three modes.
+discarded and counted.  When one state of the pair is pure, every pair is a
+unit pair and Ftot = 1, so :func:`fidelity` does not compute the spectrum.
+The same spectrum yields the symplectic invariants I_2k = Tr(W_aux^{2k}) and
+the classic closed forms for one, two and three modes.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ _W_BELOW_ONE_LIMIT = 1e-6
 
 #: Relative imaginary residue of Lambda above which a pair is refused.
 LAMBDA_RESID_TOL = 1e-8
+
+#: |t(V) - 1| at or below this marks a covariance as pure (see
+#: :func:`_purity_invariant`).  It sits at working precision, apart from
+#: ``pure_tol``: a state whose t cannot be resolved this finely (strong
+#: squeezing) fails the test and takes the W_aux spectrum route.
+_PURITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,19 @@ def aux_spectrum(aux: AuxMatrix, tol: float = DEFAULT_PURE_TOL) -> AuxSpectrum:
             % float(retained.min()))
     return AuxSpectrum(retained=np.clip(retained, 1.0, None),
                        discarded_pairs=int(unit.sum()))
+
+
+def _purity_invariant(V: np.ndarray) -> float:
+    """t(V) = -(2/n) Tr((V Omega)^2) = (4/n) sum_k nu_k^2 of a symmetric xxpp
+    covariance.
+
+    t = 1 on a pure state and t > 1 on every other physical state.  With
+    V = [[a, b], [c, d]], Omega V Omega = [[-d, c], [b, -a]], so
+    Tr((V Omega)^2) = sum(V * Omega V Omega) = -2 (sum(a * d) - sum(b * c))
+    needs no matrix product.
+    """
+    n = V.shape[0] // 2
+    return (4.0 / n) * float(np.vdot(V[:n, :n], V[n:, n:]) - np.vdot(V[:n, n:], V[n:, :n]))
 
 
 def ftot_from_spectrum(retained: np.ndarray) -> float:
@@ -305,6 +326,13 @@ def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHY
     and valid for any mix of pure and mixed multimode states.  Values that
     exceed 1 by at most 1e-10 (roundoff) are clamped to 1 in ``F`` with the
     raw value kept in ``F_raw``.
+
+    When either state is pure (its purity invariant t(V) = (4/n) sum_k nu_k^2
+    lies within 1e-12 of 1), the W_aux eigenproblem is skipped: every pair
+    is a unit pair, so ``waux_spectrum`` is empty, ``discarded_pairs`` is n,
+    ``Ftot`` is 1 and F is the root overlap
+    sqrt(Tr rho1 rho2) = det(V1+V2)^{-1/4} exp[-du^T (V1+V2)^{-1} du / 4].
+    ``pure_tol`` applies to the spectrum of mixed-mixed pairs only.
     """
     s1 = as_xxpp(s1)
     s2 = as_xxpp(s2)
@@ -314,8 +342,16 @@ def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHY
     require_physical(s2, phys_tol)
 
     du = s2.u - s1.u
-    v_sum, v_aux, solved_du = _solve_v_sum(s1.V, s2.V, du)
-    spectrum = aux_spectrum(AuxMatrix(V_aux=v_aux), pure_tol)
+    if (abs(_purity_invariant(s1.V) - 1.0) <= _PURITY_TOL
+            or abs(_purity_invariant(s2.V) - 1.0) <= _PURITY_TOL):
+        # sqrt(rho1) rho2 sqrt(rho1) has rank one: every W_aux pair is a
+        # unit pair, Ftot = 1 and F is the root overlap sqrt(Tr rho1 rho2)
+        v_sum = s1.V + s2.V
+        solved_du = np.linalg.solve(v_sum, du)
+        spectrum = AuxSpectrum(retained=np.empty(0), discarded_pairs=s1.n)
+    else:
+        v_sum, v_aux, solved_du = _solve_v_sum(s1.V, s2.V, du)
+        spectrum = aux_spectrum(AuxMatrix(V_aux=v_aux), pure_tol)
     ftot = ftot_from_spectrum(spectrum.retained)
 
     sign, logdet = np.linalg.slogdet(v_sum)

@@ -1,8 +1,43 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import configuration, settings
 
 from gaussfid import random_state
 from gaussfid.states import random_symplectic
+
+# The same examples on every run, and no example database on disk.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it reads from local source files in its
+    # home directory, ./.hypothesis by default; keep that out of the checkout
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.stash[_HYPOTHESIS_HOME] = home
+    configuration.set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[_HYPOTHESIS_HOME].cleanup()
+
+
+def count_linalg_calls(monkeypatch, name):
+    """The argument shape of every ``numpy.linalg.<name>`` call from here on."""
+    original = getattr(np.linalg, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 def mixed_pair(n, seed, **kwargs):

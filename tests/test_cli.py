@@ -84,6 +84,21 @@ class TestStateFiles:
         assert code == 2
         assert "min_eig_shifted" in err
 
+    @pytest.mark.parametrize("field", ["mean", "cov"])
+    def test_non_finite_entry_rejected(self, tmp_path, capsys, vacuum_file, field):
+        payload = {"modes": 1, "ordering": "xxpp",
+                   "mean": [0.0, 0.0], "cov": [[0.5, 0.0], [0.0, 0.5]]}
+        if field == "mean":
+            payload["mean"][1] = float("nan")
+        else:
+            payload["cov"][0][0] = float("nan")
+        path = make_state_file(tmp_path, "nan.json", payload)
+        assert "NaN" in Path(path).read_text()
+        code, report, err = run_json(capsys, ["fidelity", path, vacuum_file])
+        assert code == 2
+        assert report is None
+        assert "non-finite" in err and "NaN" not in err
+
     def test_missing_ordering_rejected(self, tmp_path):
         path = make_state_file(tmp_path, "no_ord.json", {
             "modes": 1, "mean": [0.0, 0.0], "cov": [[0.5, 0.0], [0.0, 0.5]],

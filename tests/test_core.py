@@ -38,7 +38,7 @@ from gaussfid.core import (
 )
 from gaussfid.states import random_symplectic
 
-from conftest import mixed_pair
+from conftest import count_linalg_calls, mixed_pair
 
 LN3 = 1.0986122886681098  # 2 arccoth(2)
 
@@ -227,18 +227,6 @@ def _sweep_states(n, kind):
                           ModeOrdering.XPXP) for s in seeds]
 
 
-def _count_eigvalsh(monkeypatch):
-    original = np.linalg.eigvalsh
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return calls
-
-
 PUSHES = (None, 0.0, -0.25, -0.5, -0.75, -1.0, -2.0, -1000.0)
 
 
@@ -278,6 +266,26 @@ class TestRequirePhysical:
             with np.errstate(invalid="ignore"):
                 assert _refusal(require_physical, s) is _refusal(_validate_or_raise, s)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_fidelity_refuses_non_finite_input(self, value, monkeypatch):
+        good = random_state(2, 5400)
+        calls = count_linalg_calls(monkeypatch, "eigvalsh")
+        bad_states = []
+        for index in range(4):
+            u = np.zeros(4)
+            u[index] = value
+            bad_states.append(GaussianState(2, u, good.V))
+        for index in [(0, 0), (0, 1), (1, 0), (3, 2), (2, 2)]:
+            V = good.V.copy()
+            V[index] = value
+            bad_states.append(GaussianState(2, np.zeros(4), V))
+            assert not validate_state(bad_states[-1]).physical
+        for bad in bad_states:
+            for a, b in ((bad, good), (good, bad)):
+                with pytest.raises(InvalidState, match="non-finite entry"):
+                    fidelity(a, b)
+        assert calls == []
+
     @pytest.mark.parametrize("kind", ["mixed", "pure", "squeezed", "xpxp"])
     def test_eigvalsh_decides_only_below_half_the_tolerance(self, kind, monkeypatch):
         # Cholesky with a shift of tol*scale/2 accepts down to about
@@ -285,7 +293,7 @@ class TestRequirePhysical:
         cases = [(s, k) for n in (1, 2, 3, 4, 8) for s in _sweep_states(n, kind)
                  for k in (None, -0.25, -0.75, -2.0)]
         pushed = [(state if k is None else _pushed(state, k), k) for state, k in cases]
-        calls = _count_eigvalsh(monkeypatch)
+        calls = count_linalg_calls(monkeypatch, "eigvalsh")
         for s, k in pushed:
             del calls[:]
             if k == -2.0:
@@ -302,7 +310,7 @@ class TestRequirePhysical:
             p = random_state(n, 5600 + n, pure=True)
             pairs += [(a, b), (a, a), (p, b), (p, p)]
         pairs.append((reorder_state(pairs[0][0], ModeOrdering.XPXP), pairs[0][1]))
-        calls = _count_eigvalsh(monkeypatch)
+        calls = count_linalg_calls(monkeypatch, "eigvalsh")
         for a, b in pairs:
             assert 0.0 <= fidelity(a, b).F <= 1.0
         assert calls == []
@@ -310,7 +318,7 @@ class TestRequirePhysical:
     def test_unphysical_input_makes_one_eigvalsh_call(self, monkeypatch):
         good = random_state(2, 5700)
         bad = GaussianState(2, np.zeros(4), 0.25 * np.eye(4))
-        calls = _count_eigvalsh(monkeypatch)
+        calls = count_linalg_calls(monkeypatch, "eigvalsh")
         for a, b in ((bad, good), (good, bad)):
             del calls[:]
             with pytest.raises(InvalidState, match="min_eig_shifted=-2.500e-01"):

@@ -2,6 +2,7 @@
 
 import importlib
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,11 +24,18 @@ from gaussfid import (
     vacuum,
     w_matrix,
 )
-from gaussfid.fidelity import AuxMatrix, ftot_from_spectrum
+from gaussfid.core import ModeOrdering, reorder_state
+from gaussfid.fidelity import (
+    _PURITY_TOL,
+    AuxMatrix,
+    _purity_invariant,
+    _solve_v_sum,
+    ftot_from_spectrum,
+)
 from gaussfid.reference import alt_ftot_v12, singular_reduction
 from gaussfid.states import random_symplectic
 
-from conftest import mixed_pair
+from conftest import count_linalg_calls, mixed_pair
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +213,20 @@ def _ensemble():
     return pairs
 
 
+def _record_calls(monkeypatch, name):
+    """The arguments of every call of ``gaussfid.fidelity.<name>`` from here on."""
+    module = importlib.import_module("gaussfid.fidelity")
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 class TestLeanHotPath:
     """fidelity() solves V1 + V2 once and leaves the invariants to the report."""
 
@@ -216,15 +238,7 @@ class TestLeanHotPath:
             assert getattr(rep, name) == pytest.approx(expected, rel=1e-14, abs=1e-14), name
 
     def test_fidelity_does_not_compute_invariants(self, monkeypatch):
-        module = importlib.import_module("gaussfid.fidelity")
-        original = module.invariant_set
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, "invariant_set", counting)
+        calls = _record_calls(monkeypatch, "invariant_set")
         for a, b in _ensemble()[:8]:
             rep = fidelity(a, b)
         assert calls == []
@@ -268,6 +282,122 @@ class TestLeanHotPath:
             if "Lambda" in expected:
                 assert got != "", seed
         assert refused == 8
+
+
+def _route_pairs(n):
+    """(pairs with a pure member, mixed-mixed pairs) on n modes."""
+    a, b = mixed_pair(n, 6100 + n)
+    p = random_state(n, 6200 + n, pure=True)
+    q = random_state(n, 6300 + n, pure=True, max_disp=0.0)
+    with_pure = [(p, b), (a, p), (p, q), (p, p), (reorder_state(p, ModeOrdering.XPXP), a)]
+    return with_pure, [(a, b), (a, a)]
+
+
+def _spectrum_route(a, b):
+    """The report fields of the W_aux spectrum route, evaluated directly."""
+    du = b.u - a.u
+    v_sum, v_aux, solved_du = _solve_v_sum(a.V, b.V, du)
+    spectrum = aux_spectrum(AuxMatrix(V_aux=v_aux))
+    sign, logdet = np.linalg.slogdet(v_sum)
+    f0 = float(ftot_from_spectrum(spectrum.retained) * np.exp(-0.25 * logdet))
+    disp = float(-0.25 * du @ solved_du)
+    values = {"F": min(f0 * np.exp(disp), 1.0), "F0": f0,
+              "det_v_sum": float(sign * np.exp(logdet)), "disp_exponent": disp}
+    return values, spectrum
+
+
+def _fidelity_mp(a, b):
+    """F from the W_aux formula at 60 digits, the float inputs converted
+    exactly; w within 1e-9 of 1 counts as a unit pair, the engine's discard
+    rule (DEFAULT_PURE_TOL)."""
+    n = a.n
+    with mp.workdps(60):
+        om = mp.matrix(np.asarray(make_symplectic_form(n)).tolist())
+        va, vb = mp.matrix(a.V.tolist()), mp.matrix(b.V.tolist())
+        s_inv = mp.inverse(va + vb)
+        v_aux = om.T * s_inv * (om / 4 + vb * om * va)
+        w = [abs(mp.im(e)) for e in mp.eig(2 * v_aux * om, left=False, right=False)]
+        du = mp.matrix((b.u - a.u).tolist())
+        log_f = (mp.fsum(mp.acosh(x) for x in w if x - 1 > 1e-9) / 4
+                 - (du.T * s_inv * du)[0] / 4 - mp.log(mp.det(va + vb)) / 4)
+        return float(mp.exp(log_f))
+
+
+class TestPureMemberRoute:
+    """A pair with a pure member skips the W_aux eigenproblem: F is the root overlap."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
+    def test_eigvals_only_on_mixed_pairs(self, n, monkeypatch):
+        with_pure, mixed = _route_pairs(n)
+        calls = count_linalg_calls(monkeypatch, "eigvals")
+        for pairs, expected in ((with_pure, []), (mixed, [(2 * n, 2 * n)])):
+            for a, b in pairs:
+                del calls[:]
+                fidelity(a, b)
+                assert calls == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
+    def test_matches_spectrum_route(self, n):
+        for a, b in _route_pairs(n)[0]:
+            a, b = reorder_state(a, ModeOrdering.XXPP), reorder_state(b, ModeOrdering.XXPP)
+            rep = fidelity(a, b)
+            expected, spectrum = _spectrum_route(a, b)
+            for name, value in expected.items():
+                assert getattr(rep, name) == pytest.approx(value, rel=1e-14), name
+            assert rep.Ftot == 1.0
+            assert rep.discarded_pairs == spectrum.discarded_pairs == n
+            np.testing.assert_array_equal(rep.waux_spectrum, spectrum.retained)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_stiff_pure_states(self, n, monkeypatch):
+        # at max_squeeze=4 roundoff hides the purity of some states at the
+        # working-precision level: those take the spectrum route.  The rest
+        # take the root overlap, which stays accurate on pairs where the
+        # spectrum route is off by up to 1.7e-3 against mpmath
+        calls = count_linalg_calls(monkeypatch, "eigvals")
+        resolved_seen = set()
+        for seed in range(20):
+            p = random_state(n, 7000 + 10 * n + seed, pure=True, max_squeeze=4.0)
+            q = random_state(n, 7500 + 10 * n + seed)
+            resolved = abs(_purity_invariant(p.V) - 1.0) <= _PURITY_TOL
+            resolved_seen.add(resolved)
+            del calls[:]
+            try:
+                f = fidelity(p, q).F
+            except NumericalError:
+                assert not resolved, seed
+            assert len(calls) == (0 if resolved else 1), seed
+            if resolved and n <= 3:
+                assert f == pytest.approx(_fidelity_mp(p, q), rel=1e-10), seed
+        assert resolved_seen == {True, False}
+
+    def test_gray_zone_against_mpmath(self, monkeypatch):
+        # thermal cores of mean photon number eta straddle the purity test:
+        # t - 1 = 4 eta (1 + eta), so eta <= 1e-13 takes the root overlap
+        partners = [thermal([0.5]), thermal([10.0]), thermal([1000.0]),
+                    random_state(1, 3), random_state(1, 4, max_disp=0.0)]
+        calls = count_linalg_calls(monkeypatch, "eigvals")
+        for eta in (0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-7, 1e-6):
+            core = thermal([eta])
+            for partner in partners:
+                for a, b in ((core, partner), (partner, core)):
+                    del calls[:]
+                    f = fidelity(a, b).F
+                    assert len(calls) == (0 if eta <= 1e-13 else 1), eta
+                    assert f == pytest.approx(_fidelity_mp(a, b), rel=1e-12), eta
+
+    def test_lambda_check_runs_on_the_pure_member_route(self, monkeypatch):
+        calls = _record_calls(monkeypatch, "_checked_lambda")
+        pairs = [pair for n in (1, 2, 3) for pair in _route_pairs(n)[0]]
+        for a, b in pairs:
+            fidelity(a, b)
+        assert len(calls) == len(pairs)
+
+    def test_lambda_refusal_on_a_stiff_pure_pair(self):
+        p = random_state(1, 284, pure=True, max_squeeze=4.0)
+        q = random_state(1, 5284, max_squeeze=4.0)
+        with pytest.raises(NumericalError, match="Lambda has a non-vanishing imaginary part"):
+            fidelity(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,67 @@
+"""Fidelity properties over generated state pairs, pure and mixed members alike.
+
+States come from ``random_state`` in its default ranges (squeezing up to
+r = 1), so both the root-overlap route (a pure member) and the W_aux
+spectrum route (two mixed states) run.  The stiff regime is not covered here.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaussfid import apply_symplectic, fidelity, random_state, tensor
+from gaussfid.states import random_symplectic
+
+#: |F(a, b) - F(b, a)|.
+SYMMETRY_ATOL = 1e-12
+#: |F(S a S^T, S b S^T) - F(a, b)|.
+COVARIANCE_ATOL = 1e-9
+#: Relative distance of F(a x c, b x d) from F(a, b) F(c, d).
+PRODUCT_RTOL = 1e-9
+
+EXAMPLES = settings(max_examples=50)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@st.composite
+def states(draw, n):
+    return random_state(n, draw(seeds), pure=draw(st.booleans()))
+
+
+@st.composite
+def pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    return draw(states(n)), draw(states(n))
+
+
+@EXAMPLES
+@given(pairs())
+def test_symmetric(pair):
+    a, b = pair
+    assert abs(fidelity(a, b).F - fidelity(b, a).F) <= SYMMETRY_ATOL
+
+
+@EXAMPLES
+@given(pairs())
+def test_unit_interval(pair):
+    f = fidelity(*pair).F
+    assert 0.0 <= f <= 1.0
+
+
+@EXAMPLES
+@given(pairs(), seeds)
+def test_symplectic_covariance(pair, seed):
+    a, b = pair
+    S = random_symplectic(a.n, np.random.default_rng(seed))
+    moved = fidelity(apply_symplectic(a, S), apply_symplectic(b, S)).F
+    assert abs(moved - fidelity(a, b).F) <= COVARIANCE_ATOL
+
+
+@EXAMPLES
+@given(pairs(), pairs())
+def test_multiplicative_over_tensor_products(left, right):
+    (a, b), (c, d) = left, right
+    joint = fidelity(tensor(a, c), tensor(b, d)).F
+    product = fidelity(a, b).F * fidelity(c, d).F
+    assert abs(joint - product) <= PRODUCT_RTOL * product
