@@ -5,8 +5,8 @@ Uhlmann fidelity between arbitrary (mixed or pure, displaced) Gaussian
 states, symplectic invariants, the Bures distance and metric, quantum Fisher
 information and fidelity-based discrimination bounds — backed by an
 independent truncated Fock-space oracle for validation.  The cross-check
-routes that only validate the engine live in :mod:`gaussfid.reference`, which
-is not imported here (it is the only module that needs scipy).
+routes that only validate the engine, the Gibbs/W-operator algebra among
+them, live in :mod:`gaussfid.reference`, which is not imported here.
 """
 
 __version__ = "0.1.0"
@@ -22,24 +22,13 @@ from .errors import (
 )
 from .core import (
     GaussianState,
-    GibbsRepresentation,
     ModeOrdering,
     PhysicalityReport,
     WilliamsonDecomposition,
-    ComplexGaussianOperator,
-    cov_from_gibbs,
-    cov_from_w,
-    gibbs_from_cov,
     make_symplectic_form,
-    partition_function,
-    product_w,
-    purity,
     reorder_state,
-    square_root_cov,
-    symplectic_action_odd,
     symplectic_eigenvalues,
     validate_state,
-    w_matrix,
     williamson,
 )
 from .states import (
@@ -55,12 +44,8 @@ from .states import (
     vacuum,
 )
 from .fidelity import (
-    AuxMatrix,
-    AuxSpectrum,
     FidelityReport,
     InvariantSet,
-    aux_matrix,
-    aux_spectrum,
     closed_form_fidelity,
     fidelity,
     invariant_set,
@@ -89,18 +74,14 @@ from .fock import (
 __all__ = [
     "GaussfidError", "InvalidParameter", "InvalidState", "NumericalError",
     "PureStateError", "StateFileError", "TruncationError",
-    "GaussianState", "GibbsRepresentation", "ModeOrdering", "PhysicalityReport",
-    "WilliamsonDecomposition", "ComplexGaussianOperator",
-    "cov_from_gibbs", "cov_from_w", "gibbs_from_cov", "make_symplectic_form",
-    "partition_function", "product_w", "purity", "reorder_state",
-    "square_root_cov", "symplectic_action_odd", "symplectic_eigenvalues",
-    "validate_state", "w_matrix", "williamson",
+    "GaussianState", "ModeOrdering", "PhysicalityReport", "WilliamsonDecomposition",
+    "make_symplectic_form", "reorder_state", "symplectic_eigenvalues",
+    "validate_state", "williamson",
     "apply_symplectic", "coherent", "displace", "random_state",
     "random_symplectic", "squeezed", "tensor", "thermal", "two_mode_squeezed",
     "vacuum",
-    "AuxMatrix", "AuxSpectrum", "FidelityReport", "InvariantSet",
-    "aux_matrix", "aux_spectrum", "closed_form_fidelity",
-    "fidelity", "invariant_set",
+    "FidelityReport", "InvariantSet", "closed_form_fidelity", "fidelity",
+    "invariant_set",
     "ErrorBounds", "MetricEvaluation", "QfiMatrix", "bures_distance",
     "bures_metric", "bures_metric_delta", "error_bounds", "get_family",
     "qfi_matrix", "qfi_scalar",

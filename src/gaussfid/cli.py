@@ -49,7 +49,6 @@ from .errors import (
 from .fidelity import DEFAULT_PURE_TOL, fidelity, invariant_set
 from .metrology import (
     DEFAULT_METRIC_TOL,
-    bures_distance,
     bures_metric,
     error_bounds,
     get_family,
@@ -64,9 +63,6 @@ EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 
 ORACLE_CHECK_THRESHOLD = 1e-6
-
-COMMANDS = ("fidelity", "invariants", "bures", "metric", "qfi", "bounds",
-            "oracle-check", "williamson", "random")
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +190,12 @@ def _fidelity_warnings(rep) -> list:
     return warnings
 
 
+def _invariant_fields(inv) -> dict:
+    return {"I2k": inv.i2k, "Gamma": inv.gamma, "Lambda": inv.lam, "Delta": inv.delta,
+            "char_coeffs": inv.char_coeffs}
+
+
 def _fidelity_fields(rep) -> dict:
-    inv = rep.invariants
     return {
         "F": rep.F,
         "F0": rep.F0,
@@ -204,13 +204,7 @@ def _fidelity_fields(rep) -> dict:
         "disp_exponent": rep.disp_exponent,
         "waux_spectrum": rep.waux_spectrum,
         "discarded_pairs": rep.discarded_pairs,
-        "invariants": {
-            "I2k": inv.i2k,
-            "Gamma": inv.gamma,
-            "Lambda": inv.lam,
-            "Delta": inv.delta,
-            "char_coeffs": inv.char_coeffs,
-        },
+        "invariants": _invariant_fields(rep.invariants),
     }
 
 
@@ -241,11 +235,7 @@ def _cmd_invariants(args):
         "command": "invariants",
         "inputs": {"a": _input_entry(args.state_a), "b": _input_entry(args.state_b)},
         "modes": n,
-        "I2k": inv.i2k,
-        "Gamma": inv.gamma,
-        "Lambda": inv.lam,
-        "Delta": inv.delta,
-        "char_coeffs": inv.char_coeffs,
+        **_invariant_fields(inv),
         "chi0": inv.chi(0.0),
         "chi1": inv.chi(1.0),
         "chi0_identity_residual": inv.chi(0.0) * (-1.0) ** n * inv.delta - inv.gamma,
@@ -404,6 +394,8 @@ HANDLERS = {
     "williamson": _cmd_williamson,
     "random": _cmd_random,
 }
+
+COMMANDS = tuple(HANDLERS)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidState, NumericalError, PureStateError
+from .errors import InvalidParameter, InvalidState, NumericalError
 
 # Default tolerances; every routine that uses one accepts an override.
 DEFAULT_PHYS_TOL = 1e-9       # physicality of V + i*Omega/2
 DEFAULT_RECON_TOL = 1e-8      # Williamson residual checks
-DEFAULT_PURE_GAP = 1e-9       # minimum nu - 1/2 for Gibbs conversions
-
-VACUUM_VARIANCE = 0.5
 
 
 class ModeOrdering(str, Enum):
@@ -142,21 +138,6 @@ class WilliamsonDecomposition:
 
     S: np.ndarray
     nu: np.ndarray
-
-
-@dataclass(frozen=True)
-class GibbsRepresentation:
-    """Exponent matrix G and partition value Z of exp[-(Q-u)^T G (Q-u)/2]."""
-
-    G: np.ndarray
-    Z: float
-
-
-@dataclass(frozen=True)
-class ComplexGaussianOperator:
-    """W-matrix of an (unnormalized, generally non-Hermitian) Gaussian operator."""
-
-    W: np.ndarray
 
 
 def reorder_state(state: GaussianState, target: ModeOrdering) -> GaussianState:
@@ -293,10 +274,9 @@ def williamson(V: np.ndarray, tol: float = DEFAULT_RECON_TOL) -> WilliamsonDecom
         raise InvalidParameter("expected a square matrix of even dimension")
     n = n2 // 2
     omega = make_symplectic_form(n)
-    eigs = np.linalg.eigvalsh(0.5 * (V + V.T))
-    if eigs[0] <= 0:
+    root, inv_root = _sym_eig_sqrt(V)
+    if inv_root is None:  # the smallest eigenvalue of V is <= 0
         raise NumericalError("Williamson decomposition requires a positive definite matrix")
-    root, _ = _sym_eig_sqrt(V)
     herm = 1j * root @ omega @ root
     mu, psi = np.linalg.eigh(herm)
     nu = mu[n:]
@@ -317,159 +297,3 @@ def williamson(V: np.ndarray, tol: float = DEFAULT_RECON_TOL) -> WilliamsonDecom
     if np.max(np.abs((S * D[None, :]) @ S.T - V)) > tol * vscale:
         raise NumericalError("assembled decomposition fails to reconstruct V")
     return WilliamsonDecomposition(S=S, nu=nu)
-
-
-# ---------------------------------------------------------------------------
-# symplectic action of odd scalar functions
-# ---------------------------------------------------------------------------
-
-def gibbs_kernel(v):
-    """g(v) = 2 arccoth(2v); exponent spectrum of a thermal mode with nu = v."""
-    return 2.0 * np.arctanh(1.0 / (2.0 * np.asarray(v, dtype=float)))
-
-
-def cov_kernel(g):
-    """v(g) = coth(g/2)/2; inverse of :func:`gibbs_kernel`."""
-    return 0.5 / np.tanh(0.5 * np.asarray(g, dtype=float))
-
-
-def sqrt_kernel(v):
-    """Symplectic-eigenvalue map of the operator square root."""
-    v = np.asarray(v, dtype=float)
-    return (np.sqrt(1.0 - 1.0 / (4.0 * v * v)) + 1.0) * v
-
-
-def partition_kernel(g):
-    """z(g) = 1/(2 sinh(g/2)), the per-mode partition value."""
-    return 0.5 / np.sinh(0.5 * np.asarray(g, dtype=float))
-
-
-#: Odd scalar kernels safe to use with :func:`symplectic_action_odd`.
-ODD_KERNELS = {
-    "gibbs": gibbs_kernel,
-    "cov": cov_kernel,
-    "sqrt": sqrt_kernel,
-    "partition": partition_kernel,
-    "identity": lambda v: np.asarray(v, dtype=float),
-}
-
-
-def symplectic_action_odd(f: Callable[[np.ndarray], np.ndarray], V: np.ndarray,
-                          tol: float = DEFAULT_RECON_TOL) -> np.ndarray:
-    """Apply an odd scalar function to the symplectic spectrum of V.
-
-    Realized as S [f(D) + f(D)] S^T from the Williamson decomposition, which
-    for odd f coincides with the matrix function f(V i Omega) i Omega.  The
-    kernels in :data:`ODD_KERNELS` are the intended inputs; an even f silently
-    produces wrong results, so only odd functions may be passed.
-    """
-    dec = williamson(V, tol)
-    fd = np.asarray(f(dec.nu), dtype=float)
-    if not np.all(np.isfinite(fd)):
-        raise NumericalError(
-            f"kernel is undefined at a symplectic eigenvalue (nu = {dec.nu})")
-    D = np.concatenate([fd, fd])
-    return (dec.S * D[None, :]) @ dec.S.T
-
-
-# ---------------------------------------------------------------------------
-# Gibbs representation, partition function, purity
-# ---------------------------------------------------------------------------
-
-def gibbs_from_cov(V: np.ndarray, pure_gap: float = DEFAULT_PURE_GAP) -> GibbsRepresentation:
-    """Exponent matrix G of the state with covariance V, with its partition value.
-
-    Raises :class:`PureStateError` when any symplectic eigenvalue is within
-    ``pure_gap`` of 1/2: G diverges there and covariance-only code paths must
-    be used instead.
-    """
-    nu = symplectic_eigenvalues(V)
-    if np.any(nu < 0.5 + pure_gap):
-        raise PureStateError(
-            "state is pure or nearly pure (min nu = %.12g); the Gibbs matrix diverges"
-            % float(nu.min()))
-    n = V.shape[0] // 2
-    omega = make_symplectic_form(n)
-    G = -omega @ symplectic_action_odd(gibbs_kernel, V) @ omega
-    Z = float(np.prod(np.sqrt(nu * nu - 0.25)))
-    return GibbsRepresentation(G=G, Z=Z)
-
-
-def cov_from_gibbs(G: np.ndarray) -> np.ndarray:
-    """Covariance matrix of the Gaussian state with exponent matrix G."""
-    G = np.asarray(G, dtype=float)
-    n = G.shape[0] // 2
-    omega = make_symplectic_form(n)
-    Y = -omega @ G @ omega
-    return symplectic_action_odd(cov_kernel, Y)
-
-
-def partition_function(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> float:
-    """Z = prod_k sqrt(nu_k^2 - 1/4); zero exactly on pure states."""
-    nu = _checked_nu(V, tol)
-    gap = np.clip(nu * nu - 0.25, 0.0, None)
-    gap[gap < 1e-12] = 0.0  # the sqrt would amplify eigenvalue roundoff
-    return float(np.prod(np.sqrt(gap)))
-
-
-def purity(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> float:
-    """Tr(rho^2) = prod_k 1/(2 nu_k)."""
-    nu = _checked_nu(V, tol)
-    return float(np.prod(1.0 / (2.0 * nu)))
-
-
-def _require_physical_cov(V: np.ndarray, tol: float) -> np.ndarray:
-    V = np.asarray(V, dtype=float)
-    require_physical(GaussianState(V.shape[0] // 2, np.zeros(V.shape[0]), V), tol)
-    return V
-
-
-def _checked_nu(V: np.ndarray, tol: float) -> np.ndarray:
-    V = _require_physical_cov(V, tol)
-    # clamp roundoff below the vacuum bound
-    return np.clip(symplectic_eigenvalues(V), 0.5, None)
-
-
-def square_root_cov(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> np.ndarray:
-    """Covariance matrix of sqrt(rho) for the state with covariance V.
-
-    Pure states are fixed points; mixed symplectic eigenvalues map as
-    v -> (sqrt(1 - 1/(4 v^2)) + 1) v.
-    """
-    return symplectic_action_odd(sqrt_kernel, _require_physical_cov(V, tol))
-
-
-# ---------------------------------------------------------------------------
-# W-matrices and Gaussian-operator products
-# ---------------------------------------------------------------------------
-
-def w_matrix(V: np.ndarray) -> np.ndarray:
-    """W = -2 V i Omega, the modified covariance matrix (complex)."""
-    n = V.shape[0] // 2
-    omega = make_symplectic_form(n)
-    return -2.0j * np.asarray(V) @ omega
-
-
-def cov_from_w(W: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`w_matrix`; the result of a Hermitian product is real."""
-    n = W.shape[0] // 2
-    omega = make_symplectic_form(n)
-    return -0.5j * np.asarray(W) @ omega
-
-
-def product_w(W1: np.ndarray, W2: np.ndarray) -> ComplexGaussianOperator:
-    """W-matrix of the operator product rho1 * rho2 of two Gaussian operators.
-
-    Arguments are ordered left to right: the result satisfies
-    exp(-i Omega G'') = exp(-i Omega G1) exp(-i Omega G2).
-    """
-    W1 = np.asarray(W1, dtype=complex)
-    W2 = np.asarray(W2, dtype=complex)
-    if W1.shape != W2.shape:
-        raise InvalidParameter("operator dimensions do not match")
-    eye = np.eye(W1.shape[0])
-    try:
-        middle = np.linalg.solve(W2 + W1, W1 - eye)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("W1 + W2 is singular") from exc
-    return ComplexGaussianOperator(W=eye + (W2 - eye) @ middle)

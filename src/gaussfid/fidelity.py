@@ -51,18 +51,6 @@ _PURITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class AuxMatrix:
-    """The real auxiliary matrix V_aux; W_aux = -2 V_aux i Omega is implied."""
-
-    V_aux: np.ndarray
-
-    @property
-    def W_aux(self) -> np.ndarray:
-        n = self.V_aux.shape[0] // 2
-        return -2.0j * self.V_aux @ make_symplectic_form(n)
-
-
-@dataclass(frozen=True)
 class AuxSpectrum:
     """Positive spectrum {w >= 1} of W_aux after unit pairs are removed."""
 
@@ -138,13 +126,13 @@ def _solve_v_sum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
     return v_sum, omega.T @ x[:, :-1], x[:, -1]
 
 
-def aux_matrix(V1: np.ndarray, V2: np.ndarray) -> AuxMatrix:
+def aux_matrix(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     """V_aux of a covariance pair (xxpp layout)."""
     V1 = np.asarray(V1, dtype=float)
     V2 = np.asarray(V2, dtype=float)
     if V1.shape != V2.shape:
         raise InvalidParameter("covariance matrices have mismatched shapes")
-    return AuxMatrix(V_aux=_solve_v_sum(V1, V2, np.zeros(V1.shape[0]))[1])
+    return _solve_v_sum(V1, V2, np.zeros(V1.shape[0]))[1]
 
 
 def _paired_imag_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -157,16 +145,16 @@ def _paired_imag_eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(eigs.imag))[::-1][::2].copy()
 
 
-def aux_spectrum(aux: AuxMatrix, tol: float = DEFAULT_PURE_TOL) -> AuxSpectrum:
+def aux_spectrum(v_aux: np.ndarray, tol: float = DEFAULT_PURE_TOL) -> AuxSpectrum:
     """Eigenvalue pairs of W_aux from the real matrix A = 2 V_aux Omega.
 
     A has spectrum +-i w; pairs with |w - 1| <= tol come from pure modes,
     contribute a factor 1, and are dropped.  Retained values are clamped to
     w >= 1 so that downstream square roots stay real.
     """
-    n = aux.V_aux.shape[0] // 2
+    n = v_aux.shape[0] // 2
     omega = make_symplectic_form(n)
-    w = _paired_imag_eigenvalues(2.0 * aux.V_aux @ omega)
+    w = _paired_imag_eigenvalues(2.0 * v_aux @ omega)
     unit = np.abs(w - 1.0) <= tol
     retained = w[~unit]
     if retained.size and retained.min() < 1.0 - _W_BELOW_ONE_LIMIT:
@@ -229,8 +217,7 @@ def invariant_set(V1: np.ndarray, V2: np.ndarray,
     n = V1.shape[0] // 2
     omega = make_symplectic_form(n)
 
-    aux = aux_matrix(V1, V2)
-    A2 = np.linalg.matrix_power(2.0 * aux.V_aux @ omega, 2)
+    A2 = np.linalg.matrix_power(2.0 * aux_matrix(V1, V2) @ omega, 2)
     i2k = np.empty(n)
     power = np.eye(2 * n)
     for k in range(1, n + 1):
@@ -351,7 +338,7 @@ def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHY
         spectrum = AuxSpectrum(retained=np.empty(0), discarded_pairs=s1.n)
     else:
         v_sum, v_aux, solved_du = _solve_v_sum(s1.V, s2.V, du)
-        spectrum = aux_spectrum(AuxMatrix(V_aux=v_aux), pure_tol)
+        spectrum = aux_spectrum(v_aux, pure_tol)
     ftot = ftot_from_spectrum(spectrum.retained)
 
     sign, logdet = np.linalg.slogdet(v_sum)

@@ -2,27 +2,34 @@
 
 These exist to validate the production code in :mod:`gaussfid.fidelity` and
 :mod:`gaussfid.metrology` by other routes (the complex V12 determinant, the
-singular block reduction, an explicit superoperator pseudo-inverse); the
-engine never calls them.  The package does not import this module, and it is
-the only one that uses scipy.
+singular block reduction, an explicit superoperator pseudo-inverse, and the
+paper's Gaussian-operator algebra of Gibbs exponent matrices and W-matrices);
+the engine never calls them.  The package does not import this module.  It
+needs numpy only, apart from :func:`alt_ftot_v12`, which imports scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
+    DEFAULT_PHYS_TOL,
+    DEFAULT_RECON_TOL,
+    GaussianState,
     ModeOrdering,
     make_symplectic_form,
+    require_physical,
     symplectic_eigenvalues,
     williamson,
     xxpp_to_xpxp_indices,
 )
-from .errors import NumericalError
+from .errors import InvalidParameter, NumericalError, PureStateError
 from .fidelity import DEFAULT_PURE_TOL, _paired_imag_eigenvalues, aux_matrix
+
+DEFAULT_PURE_GAP = 1e-9       # minimum nu - 1/2 for Gibbs conversions
 
 
 def alt_ftot_v12(V1: np.ndarray, V2: np.ndarray, resid_tol: float = 1e-7) -> float:
@@ -32,6 +39,8 @@ def alt_ftot_v12(V1: np.ndarray, V2: np.ndarray, resid_tol: float = 1e-7) -> flo
     must agree with the eigenvalue route; it is kept as a cross-check.
     Swapping the arguments evaluates the Hermitian-conjugate variant.
     """
+    import scipy.linalg
+
     V1 = np.asarray(V1, dtype=float)
     V2 = np.asarray(V2, dtype=float)
     n = V1.shape[0] // 2
@@ -92,7 +101,7 @@ def singular_reduction(V1: np.ndarray, V2: np.ndarray,
     v1d = v1d[np.ix_(idx, idx)]
     v2d = v2d[np.ix_(idx, idx)]
 
-    vaux = aux_matrix(v1d, v2d).V_aux
+    vaux = aux_matrix(v1d, v2d)
     perm = xxpp_to_xpxp_indices(n)
     vaux = vaux[np.ix_(perm, perm)]
 
@@ -123,3 +132,167 @@ def bures_metric_delta_superop(V: np.ndarray, dV: np.ndarray) -> float:
     superop = 4.0 * np.kron(V, V) - np.kron(omega, omega)
     vec = dV.reshape(-1)
     return float(4.0 * vec @ (np.linalg.pinv(superop, rcond=1e-10) @ vec))
+
+
+# ---------------------------------------------------------------------------
+# symplectic action of odd scalar functions
+# ---------------------------------------------------------------------------
+
+def gibbs_kernel(v):
+    """g(v) = 2 arccoth(2v); exponent spectrum of a thermal mode with nu = v."""
+    return 2.0 * np.arctanh(1.0 / (2.0 * np.asarray(v, dtype=float)))
+
+
+def cov_kernel(g):
+    """v(g) = coth(g/2)/2; inverse of :func:`gibbs_kernel`."""
+    return 0.5 / np.tanh(0.5 * np.asarray(g, dtype=float))
+
+
+def sqrt_kernel(v):
+    """Symplectic-eigenvalue map of the operator square root."""
+    v = np.asarray(v, dtype=float)
+    return (np.sqrt(1.0 - 1.0 / (4.0 * v * v)) + 1.0) * v
+
+
+def partition_kernel(g):
+    """z(g) = 1/(2 sinh(g/2)), the per-mode partition value."""
+    return 0.5 / np.sinh(0.5 * np.asarray(g, dtype=float))
+
+
+#: Odd scalar kernels safe to use with :func:`symplectic_action_odd`.
+ODD_KERNELS = {
+    "gibbs": gibbs_kernel,
+    "cov": cov_kernel,
+    "sqrt": sqrt_kernel,
+    "partition": partition_kernel,
+    "identity": lambda v: np.asarray(v, dtype=float),
+}
+
+
+def symplectic_action_odd(f: Callable[[np.ndarray], np.ndarray], V: np.ndarray,
+                          tol: float = DEFAULT_RECON_TOL) -> np.ndarray:
+    """Apply an odd scalar function to the symplectic spectrum of V.
+
+    Realized as S [f(D) + f(D)] S^T from the Williamson decomposition, which
+    for odd f coincides with the matrix function f(V i Omega) i Omega.  The
+    kernels in :data:`ODD_KERNELS` are the intended inputs; an even f silently
+    produces wrong results, so only odd functions may be passed.
+    """
+    dec = williamson(V, tol)
+    fd = np.asarray(f(dec.nu), dtype=float)
+    if not np.all(np.isfinite(fd)):
+        raise NumericalError(
+            f"kernel is undefined at a symplectic eigenvalue (nu = {dec.nu})")
+    D = np.concatenate([fd, fd])
+    return (dec.S * D[None, :]) @ dec.S.T
+
+
+# ---------------------------------------------------------------------------
+# Gibbs representation, partition function, purity
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GibbsRepresentation:
+    """Exponent matrix G and partition value Z of exp[-(Q-u)^T G (Q-u)/2]."""
+
+    G: np.ndarray
+    Z: float
+
+
+def gibbs_from_cov(V: np.ndarray, pure_gap: float = DEFAULT_PURE_GAP) -> GibbsRepresentation:
+    """Exponent matrix G of the state with covariance V, with its partition value.
+
+    Raises :class:`PureStateError` when any symplectic eigenvalue is within
+    ``pure_gap`` of 1/2: G diverges there and covariance-only code paths must
+    be used instead.
+    """
+    nu = symplectic_eigenvalues(V)
+    if np.any(nu < 0.5 + pure_gap):
+        raise PureStateError(
+            "state is pure or nearly pure (min nu = %.12g); the Gibbs matrix diverges"
+            % float(nu.min()))
+    n = V.shape[0] // 2
+    omega = make_symplectic_form(n)
+    G = -omega @ symplectic_action_odd(gibbs_kernel, V) @ omega
+    Z = float(np.prod(np.sqrt(nu * nu - 0.25)))
+    return GibbsRepresentation(G=G, Z=Z)
+
+
+def cov_from_gibbs(G: np.ndarray) -> np.ndarray:
+    """Covariance matrix of the Gaussian state with exponent matrix G."""
+    G = np.asarray(G, dtype=float)
+    n = G.shape[0] // 2
+    omega = make_symplectic_form(n)
+    Y = -omega @ G @ omega
+    return symplectic_action_odd(cov_kernel, Y)
+
+
+def partition_function(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> float:
+    """Z = prod_k sqrt(nu_k^2 - 1/4); zero exactly on pure states."""
+    nu = _checked_nu(V, tol)
+    gap = np.clip(nu * nu - 0.25, 0.0, None)
+    gap[gap < 1e-12] = 0.0  # the sqrt would amplify eigenvalue roundoff
+    return float(np.prod(np.sqrt(gap)))
+
+
+def purity(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> float:
+    """Tr(rho^2) = prod_k 1/(2 nu_k)."""
+    nu = _checked_nu(V, tol)
+    return float(np.prod(1.0 / (2.0 * nu)))
+
+
+def _require_physical_cov(V: np.ndarray, tol: float) -> np.ndarray:
+    V = np.asarray(V, dtype=float)
+    require_physical(GaussianState(V.shape[0] // 2, np.zeros(V.shape[0]), V), tol)
+    return V
+
+
+def _checked_nu(V: np.ndarray, tol: float) -> np.ndarray:
+    V = _require_physical_cov(V, tol)
+    # clamp roundoff below the vacuum bound
+    return np.clip(symplectic_eigenvalues(V), 0.5, None)
+
+
+def square_root_cov(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> np.ndarray:
+    """Covariance matrix of sqrt(rho) for the state with covariance V.
+
+    Pure states are fixed points; mixed symplectic eigenvalues map as
+    v -> (sqrt(1 - 1/(4 v^2)) + 1) v.
+    """
+    return symplectic_action_odd(sqrt_kernel, _require_physical_cov(V, tol))
+
+
+# ---------------------------------------------------------------------------
+# W-matrices and Gaussian-operator products
+# ---------------------------------------------------------------------------
+
+def w_matrix(V: np.ndarray) -> np.ndarray:
+    """W = -2 V i Omega, the modified covariance matrix (complex)."""
+    n = V.shape[0] // 2
+    omega = make_symplectic_form(n)
+    return -2.0j * np.asarray(V) @ omega
+
+
+def cov_from_w(W: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`w_matrix`; the result of a Hermitian product is real."""
+    n = W.shape[0] // 2
+    omega = make_symplectic_form(n)
+    return -0.5j * np.asarray(W) @ omega
+
+
+def product_w(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
+    """W-matrix of the operator product rho1 * rho2 of two Gaussian operators.
+
+    Arguments are ordered left to right: the result satisfies
+    exp(-i Omega G'') = exp(-i Omega G1) exp(-i Omega G2).
+    """
+    W1 = np.asarray(W1, dtype=complex)
+    W2 = np.asarray(W2, dtype=complex)
+    if W1.shape != W2.shape:
+        raise InvalidParameter("operator dimensions do not match")
+    eye = np.eye(W1.shape[0])
+    try:
+        middle = np.linalg.solve(W2 + W1, W1 - eye)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("W1 + W2 is singular") from exc
+    return eye + (W2 - eye) @ middle

@@ -15,8 +15,6 @@ from .core import (
     ModeOrdering,
     make_symplectic_form,
     reorder_state,
-    xpxp_to_xxpp_indices,
-    permute_quadratures,
 )
 from .errors import InvalidParameter
 

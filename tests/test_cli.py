@@ -294,14 +294,64 @@ class TestSchemaStability:
         assert report["tolerances"]["pure"] == 1e-8
 
 
-def test_import_does_not_load_scipy():
-    # scipy serves only the cross-check routes in gaussfid.reference; keeping
-    # it off the import path keeps every CLI call about 200 ms faster
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter on this gaussfid."""
     import gaussfid
     src = str(Path(gaussfid.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, gaussfid; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return done.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only one cross-check route in gaussfid.reference; keeping
+    # it off the import path keeps every CLI call about 200 ms faster
+    assert _fresh_python(
+        "import sys, gaussfid; "
+        "print('scipy' in sys.modules, 'gaussfid.reference' in sys.modules)") == "False False"
+
+
+def test_reference_algebra_runs_without_scipy():
+    # the Gibbs/W-operator algebra needs numpy only; alt_ftot_v12 imports
+    # scipy when it is called
+    assert _fresh_python(
+        "import sys, numpy as np\n"
+        "from gaussfid import reference as r\n"
+        "V = np.diag([1.0, 2.0, 1.5, 1.0])\n"
+        "r.cov_from_gibbs(r.gibbs_from_cov(V).G); r.partition_function(V); r.purity(V)\n"
+        "W = r.w_matrix(r.square_root_cov(V))\n"
+        "r.cov_from_w(r.product_w(W, W))\n"
+        "r.singular_reduction(0.5 * np.eye(4), V)\n"
+        "print('scipy' in sys.modules)\n") == "False"
+
+
+PUBLIC_NAMES = (
+    # errors
+    "GaussfidError", "InvalidParameter", "InvalidState", "NumericalError",
+    "PureStateError", "StateFileError", "TruncationError",
+    # core
+    "GaussianState", "ModeOrdering", "PhysicalityReport", "WilliamsonDecomposition",
+    "make_symplectic_form", "reorder_state", "symplectic_eigenvalues",
+    "validate_state", "williamson",
+    # states
+    "apply_symplectic", "coherent", "displace", "random_state", "random_symplectic",
+    "squeezed", "tensor", "thermal", "two_mode_squeezed", "vacuum",
+    # fidelity
+    "FidelityReport", "InvariantSet", "closed_form_fidelity", "fidelity", "invariant_set",
+    # metrology
+    "ErrorBounds", "MetricEvaluation", "QfiMatrix", "bures_distance", "bures_metric",
+    "bures_metric_delta", "error_bounds", "get_family", "qfi_matrix", "qfi_scalar",
+    # fock
+    "CircuitSpec", "FockDensityMatrix", "build_circuit_state", "moments_from_fock",
+    "random_circuit", "uhlmann_fidelity_matrix",
+)
+
+
+def test_public_names():
+    import gaussfid
+    assert len(PUBLIC_NAMES) == 47
+    assert sorted(gaussfid.__all__) == sorted(PUBLIC_NAMES)
+    for name in gaussfid.__all__:
+        assert getattr(gaussfid, name) is not None

@@ -1,4 +1,5 @@
-"""Core symplectic machinery: forms, Williamson, Gibbs conversions, products."""
+"""Core symplectic machinery (forms, Williamson) and the Gibbs/W-operator
+algebra of :mod:`gaussfid.reference` (Gibbs conversions, products)."""
 
 import numpy as np
 import pytest
@@ -10,31 +11,29 @@ from gaussfid import (
     ModeOrdering,
     NumericalError,
     PureStateError,
-    cov_from_gibbs,
-    cov_from_w,
     fidelity,
-    gibbs_from_cov,
     make_symplectic_form,
-    partition_function,
-    product_w,
-    purity,
     random_state,
     reorder_state,
-    square_root_cov,
-    symplectic_action_odd,
     symplectic_eigenvalues,
     thermal,
     vacuum,
     validate_state,
-    w_matrix,
     williamson,
 )
-from gaussfid.core import (
-    DEFAULT_PHYS_TOL,
+from gaussfid.core import DEFAULT_PHYS_TOL, require_physical, symmetric_sqrt
+from gaussfid.reference import (
     ODD_KERNELS,
+    cov_from_gibbs,
+    cov_from_w,
+    gibbs_from_cov,
     gibbs_kernel,
-    require_physical,
-    symmetric_sqrt,
+    partition_function,
+    product_w,
+    purity,
+    square_root_cov,
+    symplectic_action_odd,
+    w_matrix,
 )
 from gaussfid.states import random_symplectic
 
@@ -382,6 +381,25 @@ class TestWilliamson:
         with pytest.raises(NumericalError):
             williamson(np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("V", [np.diag([1.0, -0.5]), -np.eye(2), np.diag([1.0, 0.0])])
+    def test_non_positive_definite_raises_without_eigvalsh(self, V, monkeypatch):
+        # the positive-definite test reads the eigenvalues of the one eigh
+        # that forms V^{1/2}; no separate eigvalsh call is made
+        calls = count_linalg_calls(monkeypatch, "eigvalsh")
+        with pytest.raises(NumericalError):
+            williamson(V)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_one_symmetric_eigendecomposition(self, n, monkeypatch):
+        V = random_state(n, 80 + n).V
+        eigvalsh_calls = count_linalg_calls(monkeypatch, "eigvalsh")
+        eigh_calls = count_linalg_calls(monkeypatch, "eigh")
+        williamson(V)
+        assert eigvalsh_calls == []
+        # one real symmetric eigh (V) and one Hermitian (i V^{1/2} Omega V^{1/2})
+        assert eigh_calls == [(2 * n, 2 * n)] * 2
+
 
 # ---------------------------------------------------------------------------
 # symplectic action of odd functions
@@ -530,7 +548,7 @@ class TestSquareRootCov:
 class TestProductW:
     def test_square_of_unit_thermal(self):
         W = w_matrix(np.eye(2))  # eigenvalues +-2
-        Wsq = product_w(W, W).W
+        Wsq = product_w(W, W)
         eigs = np.sort(np.linalg.eigvals(Wsq).real)
         np.testing.assert_allclose(eigs, [-1.25, 1.25], atol=1e-12)
 
@@ -545,7 +563,7 @@ class TestProductW:
         V = random_state(1, 70 + seed).V
         omega = make_symplectic_form(1)
         expected = 0.5 * (V - omega @ np.linalg.inv(V) @ omega / 4.0)
-        Wsq = product_w(w_matrix(V), w_matrix(V)).W
+        Wsq = product_w(w_matrix(V), w_matrix(V))
         got = cov_from_w(Wsq)
         assert np.max(np.abs(got.imag)) < 1e-10
         np.testing.assert_allclose(got.real, expected, atol=1e-10)

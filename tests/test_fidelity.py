@@ -9,8 +9,6 @@ import pytest
 from gaussfid import (
     NumericalError,
     apply_symplectic,
-    aux_matrix,
-    aux_spectrum,
     closed_form_fidelity,
     coherent,
     displace,
@@ -22,17 +20,17 @@ from gaussfid import (
     tensor,
     thermal,
     vacuum,
-    w_matrix,
 )
 from gaussfid.core import ModeOrdering, reorder_state
 from gaussfid.fidelity import (
     _PURITY_TOL,
-    AuxMatrix,
     _purity_invariant,
     _solve_v_sum,
+    aux_matrix,
+    aux_spectrum,
     ftot_from_spectrum,
 )
-from gaussfid.reference import alt_ftot_v12, singular_reduction
+from gaussfid.reference import alt_ftot_v12, singular_reduction, w_matrix
 from gaussfid.states import random_symplectic
 
 from conftest import count_linalg_calls, mixed_pair
@@ -45,12 +43,12 @@ from conftest import count_linalg_calls, mixed_pair
 class TestAuxMatrix:
     def test_identical_vacua(self):
         V = 0.5 * np.eye(2)
-        np.testing.assert_allclose(aux_matrix(V, V).V_aux, V, atol=1e-14)
+        np.testing.assert_allclose(aux_matrix(V, V), V, atol=1e-14)
 
     def test_pure_first_argument_gives_half_identity(self):
         # whenever V1 = I/2 the auxiliary matrix collapses to I/2
         V2 = random_state(2, 5).V
-        np.testing.assert_allclose(aux_matrix(0.5 * np.eye(4), V2).V_aux,
+        np.testing.assert_allclose(aux_matrix(0.5 * np.eye(4), V2),
                                    0.5 * np.eye(4), atol=1e-12)
 
     def test_identical_thermal_spectrum(self):
@@ -68,8 +66,8 @@ class TestAuxMatrix:
         a, b = mixed_pair(n, 400 + seed)
         W1, W2 = w_matrix(a.V), w_matrix(b.V)
         direct = np.linalg.solve(W1 + W2, np.eye(2 * n) + W2 @ W1)
-        aux = aux_matrix(a.V, b.V)
-        assert np.max(np.abs(aux.W_aux - direct)) < 1e-10 * max(1.0, np.max(np.abs(direct)))
+        w_aux = -2.0j * aux_matrix(a.V, b.V) @ make_symplectic_form(n)
+        assert np.max(np.abs(w_aux - direct)) < 1e-10 * max(1.0, np.max(np.abs(direct)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_spectrum_exchange_invariance(self, seed):
@@ -98,8 +96,7 @@ class TestAuxSpectrumEdgeCases:
 
     def test_real_spectrum_rejected(self):
         # 2 V_aux Omega with real eigenvalues cannot come from physical states
-        from gaussfid.fidelity import AuxMatrix
-        bogus = AuxMatrix(V_aux=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        bogus = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NumericalError):
             aux_spectrum(bogus)
 
@@ -194,7 +191,7 @@ def _separate_solves(a, b):
     omega = make_symplectic_form(n)
     v_sum = a.V + b.V
     v_aux = omega.T @ np.linalg.solve(v_sum, omega / 4.0 + b.V @ omega @ a.V)
-    ftot = ftot_from_spectrum(aux_spectrum(AuxMatrix(V_aux=v_aux)).retained)
+    ftot = ftot_from_spectrum(aux_spectrum(v_aux).retained)
     sign, logdet = np.linalg.slogdet(v_sum)
     du = b.u - a.u
     disp = float(-0.25 * du @ np.linalg.solve(v_sum, du))
@@ -297,7 +294,7 @@ def _spectrum_route(a, b):
     """The report fields of the W_aux spectrum route, evaluated directly."""
     du = b.u - a.u
     v_sum, v_aux, solved_du = _solve_v_sum(a.V, b.V, du)
-    spectrum = aux_spectrum(AuxMatrix(V_aux=v_aux))
+    spectrum = aux_spectrum(v_aux)
     sign, logdet = np.linalg.slogdet(v_sum)
     f0 = float(ftot_from_spectrum(spectrum.retained) * np.exp(-0.25 * logdet))
     disp = float(-0.25 * du @ solved_du)

@@ -16,7 +16,6 @@ from gaussfid import (
     uhlmann_fidelity_matrix,
     vacuum,
 )
-from gaussfid.core import cov_from_w, w_matrix, square_root_cov, product_w
 from gaussfid.fidelity import aux_matrix, aux_spectrum, ftot_from_spectrum
 from gaussfid.fock import (
     DEFAULT_CUTOFFS,
@@ -29,6 +28,7 @@ from gaussfid.fock import (
     quadrature_operators,
     thermal_fock,
 )
+from gaussfid.reference import cov_from_w, product_w, square_root_cov, w_matrix
 
 
 def one_mode_circuit(nbar=0.0, r=0.0, phi=0.0, alpha=0.0):
@@ -410,8 +410,8 @@ class TestOperatorComposition:
 
         # moment side: compose W matrices of sqrt(rho1), rho2, sqrt(rho1)
         w_sq1 = w_matrix(square_root_cov(a.gaussian.V))
-        w_mid = product_w(w_sq1, w_matrix(b.gaussian.V)).W
-        w_tot = product_w(w_mid, w_sq1).W
+        w_mid = product_w(w_sq1, w_matrix(b.gaussian.V))
+        w_tot = product_w(w_mid, w_sq1)
         v_tot = cov_from_w(w_tot)
         assert np.max(np.abs(v_tot.imag)) < 1e-9
         np.testing.assert_allclose(measured.V, v_tot.real, atol=1e-6)

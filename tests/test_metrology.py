@@ -19,10 +19,9 @@ from gaussfid import (
     squeezed,
     thermal,
     vacuum,
-    w_matrix,
 )
 from gaussfid.metrology import FAMILIES
-from gaussfid.reference import bures_metric_delta_superop
+from gaussfid.reference import bures_metric_delta_superop, w_matrix
 
 from conftest import mixed_pair
 
