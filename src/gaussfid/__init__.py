@@ -22,11 +22,9 @@ from .errors import (
 )
 from .core import (
     GaussianState,
-    ModeOrdering,
     PhysicalityReport,
     WilliamsonDecomposition,
     make_symplectic_form,
-    reorder_state,
     symplectic_eigenvalues,
     validate_state,
     williamson,
@@ -74,9 +72,8 @@ from .fock import (
 __all__ = [
     "GaussfidError", "InvalidParameter", "InvalidState", "NumericalError",
     "PureStateError", "StateFileError", "TruncationError",
-    "GaussianState", "ModeOrdering", "PhysicalityReport", "WilliamsonDecomposition",
-    "make_symplectic_form", "reorder_state", "symplectic_eigenvalues",
-    "validate_state", "williamson",
+    "GaussianState", "PhysicalityReport", "WilliamsonDecomposition",
+    "make_symplectic_form", "symplectic_eigenvalues", "validate_state", "williamson",
     "apply_symplectic", "coherent", "displace", "random_state",
     "random_symplectic", "squeezed", "tensor", "thermal", "two_mode_squeezed",
     "vacuum",

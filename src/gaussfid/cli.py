@@ -11,9 +11,7 @@ decimals, up to 17 significant digits).
 
 Exit codes: 0 success, 2 input or physicality error, 3 numerical failure,
 64 unknown command.  ``--json`` emits a machine-readable report with a fixed
-field set per command; the default output is aligned plain text.  The
-environment variable GAUSSFID_TOL_PURE overrides the pure-pair discard
-tolerance when --tol-pure is not given.
+field set per command; the default output is aligned plain text.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,9 +28,6 @@ from . import __version__
 from .core import (
     DEFAULT_PHYS_TOL,
     GaussianState,
-    ModeOrdering,
-    as_xxpp,
-    make_symplectic_form,
     validate_state,
     williamson,
 )
@@ -85,17 +79,22 @@ def parse_state_file(path: str | Path, phys_tol: float = DEFAULT_PHYS_TOL) -> Ga
             raise StateFileError(f"{path}: missing required field {key!r}")
     try:
         n = int(payload["modes"])
-        ordering = ModeOrdering(payload["ordering"])
         mean = np.asarray(payload["mean"], dtype=float)
         cov = np.asarray(payload["cov"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"{path}: {exc}") from exc
+    ordering = payload["ordering"]
+    if ordering not in ("xxpp", "xpxp"):
+        raise StateFileError(f"{path}: ordering must be 'xxpp' or 'xpxp', got {ordering!r}")
     if mean.shape != (2 * n,) or cov.shape != (2 * n, 2 * n):
         raise StateFileError(
             f"{path}: mean/cov shapes {mean.shape}/{cov.shape} do not match modes={n}")
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise InvalidState(f"{path}: mean/cov has a non-finite entry")
-    state = GaussianState(n, mean, cov, ordering)
+    if ordering == "xpxp":
+        state = GaussianState.from_xpxp(mean, cov)
+    else:
+        state = GaussianState(n, mean, cov)
     report = validate_state(state, max(phys_tol, 1e-8))
     if not report.symmetric:
         raise InvalidState(f"{path}: covariance matrix is not symmetric within 1e-8")
@@ -103,14 +102,13 @@ def parse_state_file(path: str | Path, phys_tol: float = DEFAULT_PHYS_TOL) -> Ga
         raise InvalidState(
             f"{path}: covariance matrix is unphysical "
             f"(min_eig_shifted = {report.min_eig_shifted:.6e} < 0)")
-    return as_xxpp(state)
+    return state
 
 
 def write_state_file(path: str | Path, state: GaussianState) -> None:
-    state = as_xxpp(state)
     payload = {
         "modes": state.n,
-        "ordering": state.ordering.value,
+        "ordering": "xxpp",
         "mean": state.u.tolist(),
         "cov": state.V.tolist(),
     }
@@ -175,10 +173,6 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"{key.ljust(width)}  {rendered}")
 
 
-def _tolerances(args) -> dict:
-    return {"phys": args.tol_phys, "pure": args.tol_pure, "metric": args.tol_metric}
-
-
 def _fidelity_warnings(rep) -> list:
     warnings = []
     if rep.discarded_pairs:
@@ -209,21 +203,19 @@ def _fidelity_fields(rep) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (report dict, exit code)
+# command handlers; each returns (its own fields, warnings, exit code), and
+# main adds the command name before and the tolerances and warnings after
 # ---------------------------------------------------------------------------
 
 def _cmd_fidelity(args):
     s1 = parse_state_file(args.state_a, args.tol_phys)
     s2 = parse_state_file(args.state_b, args.tol_phys)
     rep = fidelity(s1, s2, phys_tol=args.tol_phys, pure_tol=args.tol_pure)
-    report = {
-        "command": "fidelity",
+    fields = {
         "inputs": {"a": _input_entry(args.state_a), "b": _input_entry(args.state_b)},
         **_fidelity_fields(rep),
-        "tolerances": _tolerances(args),
-        "warnings": _fidelity_warnings(rep),
     }
-    return report, EXIT_OK
+    return fields, _fidelity_warnings(rep), EXIT_OK
 
 
 def _cmd_invariants(args):
@@ -231,8 +223,7 @@ def _cmd_invariants(args):
     s2 = parse_state_file(args.state_b, args.tol_phys)
     inv = invariant_set(s1.V, s2.V)
     n = inv.n
-    report = {
-        "command": "invariants",
+    fields = {
         "inputs": {"a": _input_entry(args.state_a), "b": _input_entry(args.state_b)},
         "modes": n,
         **_invariant_fields(inv),
@@ -240,26 +231,21 @@ def _cmd_invariants(args):
         "chi1": inv.chi(1.0),
         "chi0_identity_residual": inv.chi(0.0) * (-1.0) ** n * inv.delta - inv.gamma,
         "chi1_identity_residual": inv.chi(1.0) * (-1.0) ** n * inv.delta - inv.lam,
-        "tolerances": _tolerances(args),
-        "warnings": [],
     }
-    return report, EXIT_OK
+    return fields, [], EXIT_OK
 
 
 def _cmd_bures(args):
     s1 = parse_state_file(args.state_a, args.tol_phys)
     s2 = parse_state_file(args.state_b, args.tol_phys)
     rep = fidelity(s1, s2, phys_tol=args.tol_phys, pure_tol=args.tol_pure)
-    report = {
-        "command": "bures",
+    fields = {
         "inputs": {"a": _input_entry(args.state_a), "b": _input_entry(args.state_b)},
         "bures_distance": 2.0 * (1.0 - rep.F),
         "F": rep.F,
         "convention": "D_B = 2(1 - F); squared-distance normalization",
-        "tolerances": _tolerances(args),
-        "warnings": _fidelity_warnings(rep),
     }
-    return report, EXIT_OK
+    return fields, _fidelity_warnings(rep), EXIT_OK
 
 
 def _cmd_metric(args):
@@ -271,48 +257,39 @@ def _cmd_metric(args):
     if ev.skipped_terms:
         warnings.append(
             f"skipped {ev.skipped_terms} metric term(s) with w_i w_j = 1 (pseudo-inverse rule)")
-    report = {
-        "command": "metric",
+    fields = {
         "inputs": {"a": _input_entry(args.state_a)},
         "ds2": ev.ds2,
         "mean_part": ev.mean_part,
         "cov_part": ev.cov_part,
         "skipped_terms": ev.skipped_terms,
-        "tolerances": _tolerances(args),
-        "warnings": warnings,
     }
-    return report, EXIT_OK
+    return fields, warnings, EXIT_OK
 
 
 def _cmd_qfi(args):
     family = get_family(args.family)
     value = qfi_scalar(family, args.theta, mode=args.mode, h=args.h,
                        metric_tol=args.tol_metric)
-    report = {
-        "command": "qfi",
+    fields = {
         "family": args.family,
         "theta": args.theta,
         "mode": args.mode,
         "h": args.h,
         "qfi": value,
-        "tolerances": _tolerances(args),
-        "warnings": [],
     }
-    return report, EXIT_OK
+    return fields, [], EXIT_OK
 
 
 def _cmd_bounds(args):
     b = error_bounds(args.fidelity, args.copies)
-    report = {
-        "command": "bounds",
+    fields = {
         "fidelity_used": b.fidelity_used,
         "copies": b.copies,
         "lower": b.lower,
         "upper": b.upper,
-        "tolerances": _tolerances(args),
-        "warnings": [],
     }
-    return report, EXIT_OK
+    return fields, [], EXIT_OK
 
 
 def _cmd_oracle_check(args):
@@ -331,8 +308,7 @@ def _cmd_oracle_check(args):
         if built.fock.trace_deficit > fock.TRACE_DEFICIT_ROUNDOFF:
             warnings.append(
                 f"state {name}: truncation trace deficit {built.fock.trace_deficit:.3e}")
-    report = {
-        "command": "oracle-check",
+    fields = {
         "seed": args.seed,
         "modes": args.modes,
         "cutoff": args.cutoff or fock.DEFAULT_CUTOFFS[args.modes],
@@ -341,46 +317,34 @@ def _cmd_oracle_check(args):
         "abs_diff": diff,
         "threshold": ORACLE_CHECK_THRESHOLD,
         "passed": passed,
-        "tolerances": _tolerances(args),
-        "warnings": warnings,
     }
-    return report, EXIT_OK if passed else EXIT_NUMERICAL
+    return fields, warnings, EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def _cmd_williamson(args):
     s = parse_state_file(args.state_a, args.tol_phys)
     dec = williamson(s.V)
-    omega = make_symplectic_form(s.n)
-    omega_resid = dec.S @ omega @ dec.S.T - omega
-    D = np.diag(np.concatenate([dec.nu, dec.nu]))
-    recon_resid = dec.S @ D @ dec.S.T - s.V
-    report = {
-        "command": "williamson",
+    fields = {
         "inputs": {"a": _input_entry(args.state_a)},
         "nu": dec.nu,
         "S": dec.S,
-        "residual_symplectic": float(np.max(np.abs(omega_resid))),
-        "residual_reconstruction": float(np.max(np.abs(recon_resid))),
-        "tolerances": _tolerances(args),
-        "warnings": [],
+        "residual_symplectic": dec.residual_symplectic,
+        "residual_reconstruction": dec.residual_reconstruction,
     }
-    return report, EXIT_OK
+    return fields, [], EXIT_OK
 
 
 def _cmd_random(args):
     state = random_state(args.modes, args.seed, max_squeeze=args.max_squeeze,
                          max_thermal=args.max_thermal, max_disp=args.max_disp)
     write_state_file(args.output, state)
-    report = {
-        "command": "random",
+    fields = {
         "modes": args.modes,
         "seed": args.seed,
         "output": str(args.output),
         "sha256": _digest(args.output),
-        "tolerances": _tolerances(args),
-        "warnings": [],
     }
-    return report, EXIT_OK
+    return fields, [], EXIT_OK
 
 
 HANDLERS = {
@@ -402,23 +366,13 @@ COMMANDS = tuple(HANDLERS)
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _default_pure_tol() -> float:
-    env = os.environ.get("GAUSSFID_TOL_PURE")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise InvalidParameter(f"GAUSSFID_TOL_PURE={env!r} is not a number") from None
-    return DEFAULT_PURE_TOL
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--tol-phys", type=float, default=DEFAULT_PHYS_TOL,
                         help="physicality tolerance")
-    common.add_argument("--tol-pure", type=float, default=None,
-                        help="pure-pair discard tolerance (env GAUSSFID_TOL_PURE)")
+    common.add_argument("--tol-pure", type=float, default=DEFAULT_PURE_TOL,
+                        help="pure-pair discard tolerance")
     common.add_argument("--tol-metric", type=float, default=DEFAULT_METRIC_TOL,
                         help="metric term-skipping tolerance")
 
@@ -485,14 +439,8 @@ def main(argv=None) -> int:
         print(f"gaussfid: unknown command {argv[0]!r}", file=sys.stderr)
         return EXIT_USAGE
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol_pure", None) is None and hasattr(args, "tol_pure"):
-        try:
-            args.tol_pure = _default_pure_tol()
-        except InvalidParameter as exc:
-            print(f"gaussfid: {exc}", file=sys.stderr)
-            return EXIT_INPUT
     try:
-        report, code = HANDLERS[args.command](args)
+        fields, warnings, code = HANDLERS[args.command](args)
     except (StateFileError, InvalidState, InvalidParameter) as exc:
         print(f"gaussfid: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -502,6 +450,8 @@ def main(argv=None) -> int:
     except GaussfidError as exc:
         print(f"gaussfid: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    tolerances = {"phys": args.tol_phys, "pure": args.tol_pure, "metric": args.tol_metric}
+    report = {"command": args.command, **fields, "tolerances": tolerances, "warnings": warnings}
     _emit(report, args.json)
     return code
 

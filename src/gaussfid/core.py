@@ -2,16 +2,15 @@
 
 Conventions used throughout the package: hbar = 1, annihilation operator
 a = (x + ip)/sqrt(2), vacuum covariance matrix = identity/2, symplectic
-eigenvalues >= 1/2.  The canonical internal quadrature layout is "xxpp",
+eigenvalues >= 1/2.  Every array is in the "xxpp" quadrature layout,
 Q = (x_1..x_n, p_1..p_n); the interleaved "xpxp" layout is accepted at the
-boundary only (see :func:`reorder_state`).
+boundary only (see :meth:`GaussianState.from_xpxp`).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,38 +21,23 @@ DEFAULT_PHYS_TOL = 1e-9       # physicality of V + i*Omega/2
 DEFAULT_RECON_TOL = 1e-8      # Williamson residual checks
 
 
-class ModeOrdering(str, Enum):
-    """Quadrature layout of mean vectors and covariance matrices."""
-
-    XXPP = "xxpp"
-    XPXP = "xpxp"
-
-
 # ---------------------------------------------------------------------------
-# symplectic form and ordering permutations
+# symplectic form and the interleaving permutation
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def make_symplectic_form(n: int, ordering: ModeOrdering = ModeOrdering.XXPP) -> np.ndarray:
-    """Return the 2n x 2n symplectic form Omega encoding [Q, Q^T] = i*Omega.
+def make_symplectic_form(n: int) -> np.ndarray:
+    """Return the 2n x 2n symplectic form Omega = [[0, I], [-I, 0]] encoding
+    [Q, Q^T] = i*Omega.
 
-    In xxpp ordering Omega = [[0, I], [-I, 0]]; in xpxp ordering it is the
-    direct sum of n blocks [[0, 1], [-1, 0]].  The array is built once per
-    (n, ordering), cached and read-only: writing to it, or re-enabling writes
-    with ``setflags``, raises ``ValueError``.
+    The array is built once per n, cached and read-only: writing to it, or
+    re-enabling writes with ``setflags``, raises ``ValueError``.
     """
     if n < 1:
         raise InvalidParameter(f"mode count must be >= 1, got {n}")
-    if ordering == ModeOrdering.XXPP:
-        eye = np.eye(n)
-        zero = np.zeros((n, n))
-        out = np.block([[zero, eye], [-eye, zero]])
-    else:
-        out = np.zeros((2 * n, 2 * n))
-        for k in range(n):
-            out[2 * k, 2 * k + 1] = 1.0
-            out[2 * k + 1, 2 * k] = -1.0
-    return _frozen_view(out)
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    return _frozen_view(np.block([[zero, eye], [-eye, zero]]))
 
 
 def xxpp_to_xpxp_indices(n: int) -> np.ndarray:
@@ -62,14 +46,6 @@ def xxpp_to_xpxp_indices(n: int) -> np.ndarray:
     perm[0::2] = np.arange(n)
     perm[1::2] = np.arange(n) + n
     return perm
-
-
-def xpxp_to_xxpp_indices(n: int) -> np.ndarray:
-    return np.argsort(xxpp_to_xpxp_indices(n))
-
-
-def permute_quadratures(u: np.ndarray, V: np.ndarray, perm: np.ndarray):
-    return u[perm], V[np.ix_(perm, perm)]
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +67,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class GaussianState:
     """An n-mode Gaussian state given by its mean vector and covariance matrix.
 
-    Arrays are copied and frozen at construction; instances are immutable and
-    safe to share across threads.  Two states are equal when their mode count,
-    ordering and arrays are equal entry by entry; equal states hash alike, so
-    states can be set members and dict keys.
+    ``u`` and ``V`` are in the xxpp layout; :meth:`from_xpxp` converts
+    interleaved arrays.  Arrays are copied and frozen at construction;
+    instances are immutable and safe to share across threads.  Two states are
+    equal when their mode count and arrays are equal entry by entry; equal
+    states hash alike, so states can be set members and dict keys.
     """
 
     n: int
     u: np.ndarray
     V: np.ndarray
-    ordering: ModeOrdering = ModeOrdering.XXPP
 
     def __post_init__(self):
         u = _readonly(self.u)
@@ -112,17 +88,29 @@ class GaussianState:
                 f"covariance matrix has shape {V.shape}, expected {(2 * self.n,) * 2}")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "ordering", ModeOrdering(self.ordering))
+
+    @classmethod
+    def from_xpxp(cls, u, V) -> "GaussianState":
+        """The state whose mean and covariance in the interleaved layout
+        (x_1, p_1, .., x_n, p_n) are ``u`` and ``V``."""
+        u = np.asarray(u, dtype=float)
+        V = np.asarray(V, dtype=float)
+        n = u.size // 2
+        if n < 1 or u.shape != (2 * n,) or V.shape != (2 * n, 2 * n):
+            raise InvalidParameter(
+                f"mean/cov shapes {u.shape}/{V.shape} do not describe an xpxp state")
+        perm = np.argsort(xxpp_to_xpxp_indices(n))
+        return cls(n, u[perm], V[np.ix_(perm, perm)])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n == other.n and self.ordering == other.ordering
+        return (self.n == other.n
                 and np.array_equal(self.u, other.u) and np.array_equal(self.V, other.V))
 
     def __hash__(self):
         # adding 0.0 turns -0.0 into 0.0, which array_equal counts as equal
-        return hash((self.n, self.ordering, (self.u + 0.0).tobytes(), (self.V + 0.0).tobytes()))
+        return hash((self.n, (self.u + 0.0).tobytes(), (self.V + 0.0).tobytes()))
 
 
 @dataclass(frozen=True)
@@ -134,27 +122,16 @@ class PhysicalityReport:
 
 @dataclass(frozen=True)
 class WilliamsonDecomposition:
-    """V = S (D + D) S^T with S symplectic and D = diag(nu), nu descending."""
+    """V = S (D + D) S^T with S symplectic and D = diag(nu), nu descending.
+
+    The residuals are max|S Omega S^T - Omega| and max|S (D + D) S^T - V|, the
+    values :func:`williamson` checked before returning.
+    """
 
     S: np.ndarray
     nu: np.ndarray
-
-
-def reorder_state(state: GaussianState, target: ModeOrdering) -> GaussianState:
-    """Permute a state between the xxpp and xpxp quadrature layouts."""
-    target = ModeOrdering(target)
-    if state.ordering == target:
-        return state
-    if target == ModeOrdering.XPXP:
-        perm = xxpp_to_xpxp_indices(state.n)
-    else:
-        perm = xpxp_to_xxpp_indices(state.n)
-    u, V = permute_quadratures(state.u, state.V, perm)
-    return GaussianState(state.n, u, V, target)
-
-
-def as_xxpp(state: GaussianState) -> GaussianState:
-    return reorder_state(state, ModeOrdering.XXPP)
+    residual_symplectic: float
+    residual_reconstruction: float
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +155,7 @@ def validate_state(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> Physi
                                  physical=False)
     scale = max(1.0, float(np.max(np.abs(V))))
     symmetric = bool(np.max(np.abs(V - V.T)) <= tol * scale)
-    omega = make_symplectic_form(state.n, state.ordering)
+    omega = make_symplectic_form(state.n)
     herm = V + 0.5j * omega
     min_eig = float(np.linalg.eigvalsh(herm)[0])
     return PhysicalityReport(
@@ -205,7 +182,7 @@ def require_physical(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> Non
     V = state.V
     bound = tol * max(1.0, float(np.max(np.abs(V))))
     if 0 < bound < np.inf and np.max(np.abs(V - V.T)) <= bound:
-        shifted = V + 0.5j * make_symplectic_form(state.n, state.ordering)
+        shifted = V + 0.5j * make_symplectic_form(state.n)
         shifted.flat[::V.shape[0] + 1] += 0.5 * bound
         try:
             np.linalg.cholesky(shifted)
@@ -291,9 +268,12 @@ def williamson(V: np.ndarray, tol: float = DEFAULT_RECON_TOL) -> WilliamsonDecom
     S = (root @ ortho) * scale[None, :]
 
     vscale = max(1.0, float(np.max(np.abs(V))))
-    if np.max(np.abs(S @ omega @ S.T - omega)) > tol * vscale:
+    resid_symp = float(np.max(np.abs(S @ omega @ S.T - omega)))
+    if resid_symp > tol * vscale:
         raise NumericalError("assembled matrix fails S Omega S^T = Omega")
     D = np.concatenate([nu, nu])
-    if np.max(np.abs((S * D[None, :]) @ S.T - V)) > tol * vscale:
+    resid_recon = float(np.max(np.abs((S * D[None, :]) @ S.T - V)))
+    if resid_recon > tol * vscale:
         raise NumericalError("assembled decomposition fails to reconstruct V")
-    return WilliamsonDecomposition(S=S, nu=nu)
+    return WilliamsonDecomposition(S=S, nu=nu, residual_symplectic=resid_symp,
+                                   residual_reconstruction=resid_recon)

@@ -28,7 +28,6 @@ import numpy as np
 from .core import (
     DEFAULT_PHYS_TOL,
     GaussianState,
-    as_xxpp,
     make_symplectic_form,
     require_physical,
 )
@@ -321,8 +320,6 @@ def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHY
     sqrt(Tr rho1 rho2) = det(V1+V2)^{-1/4} exp[-du^T (V1+V2)^{-1} du / 4].
     ``pure_tol`` applies to the spectrum of mixed-mixed pairs only.
     """
-    s1 = as_xxpp(s1)
-    s2 = as_xxpp(s2)
     if s1.n != s2.n:
         raise InvalidParameter(f"mode counts differ: {s1.n} vs {s2.n}")
     require_physical(s1, phys_tol)

@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     DEFAULT_PHYS_TOL,
     GaussianState,
-    as_xxpp,
     make_symplectic_form,
     _sym_eig_sqrt,
 )
@@ -118,7 +117,6 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray,
 def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray,
                  tol: float = DEFAULT_METRIC_TOL) -> MetricEvaluation:
     """ds^2 = du^T V^{-1} du / 4 + delta / 8 for a state perturbed by (du, dV)."""
-    s = as_xxpp(s)
     du = np.asarray(du, dtype=float)
     if du.shape != s.u.shape:
         raise InvalidParameter("du length does not match the state")
@@ -135,7 +133,7 @@ def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray,
 
 def _moment_derivatives(family: Callable[[float], GaussianState], theta0: float, h: float):
     """4th-order central differences of the family's mean and covariance."""
-    stencil = {k: as_xxpp(family(theta0 + k * h)) for k in (-2, -1, 1, 2)}
+    stencil = {k: family(theta0 + k * h) for k in (-2, -1, 1, 2)}
     du = (stencil[-2].u - 8.0 * stencil[-1].u + 8.0 * stencil[1].u - stencil[2].u) / (12.0 * h)
     dV = (stencil[-2].V - 8.0 * stencil[-1].V + 8.0 * stencil[1].V - stencil[2].V) / (12.0 * h)
     return du, dV
@@ -153,7 +151,7 @@ def qfi_scalar(family: Callable[[float], GaussianState], theta0: float,
     if mode == "analytic":
         step = DEFAULT_MOMENT_STEP if h is None else h
         du, dV = _moment_derivatives(family, theta0, step)
-        base = as_xxpp(family(theta0))
+        base = family(theta0)
         metric = bures_metric(base, du, dV, metric_tol)
         return 4.0 * metric.ds2
     if mode == "finite_difference":
@@ -175,7 +173,7 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     """
     theta0 = np.asarray(theta0, dtype=float)
     m = len(theta0)
-    base = as_xxpp(family(theta0))
+    base = family(theta0)
 
     def direction_form(direction: np.ndarray) -> float:
         line = lambda t: family(theta0 + t * direction)

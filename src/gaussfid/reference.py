@@ -19,7 +19,6 @@ from .core import (
     DEFAULT_PHYS_TOL,
     DEFAULT_RECON_TOL,
     GaussianState,
-    ModeOrdering,
     make_symplectic_form,
     require_physical,
     symplectic_eigenvalues,
@@ -109,7 +108,9 @@ def singular_reduction(V1: np.ndarray, V2: np.ndarray,
     lower = float(np.max(np.abs(vaux[2 * r:, :2 * r]))) if 0 < r < n else 0.0
     block = vaux[2 * r:, 2 * r:]
     if n > r:
-        omega_t = make_symplectic_form(n - r, ModeOrdering.XPXP)
+        # the interleaved form, exact: permuting entries 0 and +-1 rounds nothing
+        p = xxpp_to_xpxp_indices(n - r)
+        omega_t = make_symplectic_form(n - r)[np.ix_(p, p)]
         w = _paired_imag_eigenvalues(2.0 * block @ omega_t)
         w = np.clip(w, 1.0, None)
     else:

@@ -10,12 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    GaussianState,
-    ModeOrdering,
-    make_symplectic_form,
-    reorder_state,
-)
+from .core import GaussianState, make_symplectic_form
 from .errors import InvalidParameter
 
 # ---------------------------------------------------------------------------
@@ -133,11 +128,11 @@ def two_mode_squeezed(r: float, n: int = 2, modes: Sequence[int] = (0, 1)) -> Ga
 
 
 def displace(state: GaussianState, d: Sequence[float]) -> GaussianState:
-    """Shift the mean vector by d (given in the state's own ordering)."""
+    """Shift the mean vector by d."""
     d = np.asarray(d, dtype=float)
     if d.shape != state.u.shape:
         raise InvalidParameter("displacement length does not match the state")
-    return GaussianState(state.n, state.u + d, state.V, state.ordering)
+    return GaussianState(state.n, state.u + d, state.V)
 
 
 def apply_symplectic(state: GaussianState, S: np.ndarray, tol: float = 1e-8) -> GaussianState:
@@ -147,15 +142,11 @@ def apply_symplectic(state: GaussianState, S: np.ndarray, tol: float = 1e-8) -> 
         raise InvalidParameter("symplectic matrix shape does not match the state")
     if not is_symplectic(S, tol):
         raise InvalidParameter("matrix is not symplectic (S Omega S^T != Omega)")
-    if state.ordering != ModeOrdering.XXPP:
-        state = reorder_state(state, ModeOrdering.XXPP)
     return GaussianState(state.n, S @ state.u, S @ state.V @ S.T)
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Tensor product of two states, realized as a direct sum of moments."""
-    a = reorder_state(a, ModeOrdering.XXPP)
-    b = reorder_state(b, ModeOrdering.XXPP)
     n = a.n + b.n
     u = np.zeros(2 * n)
     V = np.zeros((2 * n, 2 * n))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import configuration, settings
 
-from gaussfid import random_state
+from gaussfid import GaussianState, random_state
+from gaussfid.core import xxpp_to_xpxp_indices
 from gaussfid.states import random_symplectic
 
 # The same examples on every run, and no example database on disk.
@@ -38,6 +39,12 @@ def count_linalg_calls(monkeypatch, name):
 
     monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+def via_xpxp(state):
+    """``state`` rebuilt by GaussianState.from_xpxp from its interleaved arrays."""
+    p = xxpp_to_xpxp_indices(state.n)
+    return GaussianState.from_xpxp(state.u[p], state.V[np.ix_(p, p)])
 
 
 def mixed_pair(n, seed, **kwargs):

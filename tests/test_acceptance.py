@@ -9,13 +9,11 @@ brute force is the external ground truth.
 import time
 
 import numpy as np
-import pytest
 
 from gaussfid import (
     CircuitSpec,
     build_circuit_state,
     closed_form_fidelity,
-    coherent,
     displace,
     error_bounds,
     fidelity,
@@ -24,7 +22,6 @@ from gaussfid import (
     qfi_scalar,
     random_circuit,
     random_state,
-    squeezed,
     tensor,
     thermal,
     uhlmann_fidelity_matrix,
@@ -32,7 +29,6 @@ from gaussfid import (
 )
 from gaussfid.core import GaussianState
 from gaussfid.fidelity import aux_matrix, aux_spectrum
-from gaussfid.fock import fidelity_of_matrices
 from gaussfid.metrology import bures_metric
 from gaussfid.reference import singular_reduction
 

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from gaussfid import (
-    InvalidState,
     StateFileError,
     build_circuit_state,
     random_circuit,
     random_state,
+    williamson,
 )
 from gaussfid.cli import main, parse_state_file, write_state_file
 from gaussfid.fock import TRACE_DEFICIT_ROUNDOFF
@@ -71,9 +71,26 @@ class TestStateFiles:
             "cov": np.diag([0.5, 0.5, 1.5, 1.5]).tolist(),
         })
         s = parse_state_file(path)
-        assert s.ordering.value == "xxpp"
-        np.testing.assert_allclose(s.u, [1.0, 3.0, 2.0, 4.0])
-        np.testing.assert_allclose(np.diag(s.V), [0.5, 1.5, 0.5, 1.5])
+        np.testing.assert_array_equal(s.u, [1.0, 3.0, 2.0, 4.0])
+        np.testing.assert_array_equal(s.V, np.diag([0.5, 1.5, 0.5, 1.5]))
+
+    def test_xpxp_file_matches_its_xxpp_twin(self, tmp_path, capsys):
+        a, b = random_state(3, 131), random_state(3, 132, pure=True)
+        order = [0, 3, 1, 4, 2, 5]  # (x1, p1, x2, p2, x3, p3)
+        xpxp = make_state_file(tmp_path, "a_xpxp.json", {
+            "modes": 3, "ordering": "xpxp", "mean": a.u[order].tolist(),
+            "cov": a.V[np.ix_(order, order)].tolist()})
+        xxpp = make_state_file(tmp_path, "a_xxpp.json", {
+            "modes": 3, "ordering": "xxpp", "mean": a.u.tolist(), "cov": a.V.tolist()})
+        other = tmp_path / "b.json"
+        write_state_file(other, b)
+        outputs = []
+        for path in (xpxp, xxpp):
+            code, out, _ = run(capsys, ["fidelity", path, str(other), "--json"])
+            assert code == 0
+            outputs.append([line for line in out.splitlines()
+                            if '"path"' not in line and '"sha256"' not in line])
+        assert outputs[0] == outputs[1]
 
     def test_unphysical_cov_names_the_eigenvalue(self, tmp_path, capsys):
         path = make_state_file(tmp_path, "bad.json", {
@@ -192,6 +209,17 @@ class TestCommands:
         np.testing.assert_allclose(report["nu"], [0.5], atol=1e-12)
         assert report["residual_symplectic"] < 1e-10
 
+    def test_williamson_residuals_are_the_accept_checks(self, capsys, tmp_path):
+        state = random_state(3, 141)
+        path = tmp_path / "state.json"
+        write_state_file(path, state)
+        code, report, _ = run_json(capsys, ["williamson", str(path)])
+        assert code == 0
+        dec = williamson(state.V)
+        assert report["residual_symplectic"] == dec.residual_symplectic
+        assert report["residual_reconstruction"] == dec.residual_reconstruction
+        assert max(dec.residual_symplectic, dec.residual_reconstruction) <= 1e-8
+
     def test_random_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "rand.json"
         code, report, _ = run_json(capsys, [
@@ -282,16 +310,16 @@ class TestSchemaStability:
             "fidelity", vacuum_file, vacuum_file, "--tol-pure", "1e-7"])
         assert report["tolerances"]["pure"] == 1e-7
 
-    def test_env_override_for_pure_tolerance(self, capsys, vacuum_file, monkeypatch):
-        monkeypatch.setenv("GAUSSFID_TOL_PURE", "1e-6")
-        _, report, _ = run_json(capsys, ["fidelity", vacuum_file, vacuum_file])
-        assert report["tolerances"]["pure"] == 1e-6
-
-    def test_flag_beats_env(self, capsys, vacuum_file, monkeypatch):
-        monkeypatch.setenv("GAUSSFID_TOL_PURE", "1e-6")
-        _, report, _ = run_json(capsys, [
-            "fidelity", vacuum_file, vacuum_file, "--tol-pure", "1e-8"])
-        assert report["tolerances"]["pure"] == 1e-8
+    def test_environment_does_not_set_the_pure_tolerance(self, capsys, vacuum_file,
+                                                          coherent_file, monkeypatch):
+        commands = (["fidelity", vacuum_file, coherent_file, "--json"],
+                    ["bounds", "--fidelity", "0.5", "--copies", "2", "--json"])
+        monkeypatch.delenv("GAUSSFID_TOL_PURE", raising=False)
+        expected = [run(capsys, argv)[:2] for argv in commands]
+        assert expected[0][0] == expected[1][0] == 0
+        for value in ("1e-6", "abc"):
+            monkeypatch.setenv("GAUSSFID_TOL_PURE", value)
+            assert [run(capsys, argv)[:2] for argv in commands] == expected
 
 
 def _fresh_python(code: str) -> str:
@@ -332,9 +360,8 @@ PUBLIC_NAMES = (
     "GaussfidError", "InvalidParameter", "InvalidState", "NumericalError",
     "PureStateError", "StateFileError", "TruncationError",
     # core
-    "GaussianState", "ModeOrdering", "PhysicalityReport", "WilliamsonDecomposition",
-    "make_symplectic_form", "reorder_state", "symplectic_eigenvalues",
-    "validate_state", "williamson",
+    "GaussianState", "PhysicalityReport", "WilliamsonDecomposition",
+    "make_symplectic_form", "symplectic_eigenvalues", "validate_state", "williamson",
     # states
     "apply_symplectic", "coherent", "displace", "random_state", "random_symplectic",
     "squeezed", "tensor", "thermal", "two_mode_squeezed", "vacuum",
@@ -351,7 +378,7 @@ PUBLIC_NAMES = (
 
 def test_public_names():
     import gaussfid
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 45
     assert sorted(gaussfid.__all__) == sorted(PUBLIC_NAMES)
     for name in gaussfid.__all__:
         assert getattr(gaussfid, name) is not None

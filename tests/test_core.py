@@ -8,20 +8,23 @@ from gaussfid import (
     GaussianState,
     InvalidParameter,
     InvalidState,
-    ModeOrdering,
     NumericalError,
     PureStateError,
     fidelity,
     make_symplectic_form,
     random_state,
-    reorder_state,
     symplectic_eigenvalues,
     thermal,
     vacuum,
     validate_state,
     williamson,
 )
-from gaussfid.core import DEFAULT_PHYS_TOL, require_physical, symmetric_sqrt
+from gaussfid.core import (
+    DEFAULT_PHYS_TOL,
+    require_physical,
+    symmetric_sqrt,
+    xxpp_to_xpxp_indices,
+)
 from gaussfid.reference import (
     ODD_KERNELS,
     cov_from_gibbs,
@@ -37,7 +40,7 @@ from gaussfid.reference import (
 )
 from gaussfid.states import random_symplectic
 
-from conftest import count_linalg_calls, mixed_pair
+from conftest import count_linalg_calls, mixed_pair, via_xpxp
 
 LN3 = 1.0986122886681098  # 2 arccoth(2)
 
@@ -45,6 +48,13 @@ LN3 = 1.0986122886681098  # 2 arccoth(2)
 # ---------------------------------------------------------------------------
 # symplectic form
 # ---------------------------------------------------------------------------
+
+def _interleaved_form(n):
+    """Omega in the xpxp layout, permuted from the xxpp form as
+    gaussfid.reference.singular_reduction builds it."""
+    p = xxpp_to_xpxp_indices(n)
+    return make_symplectic_form(n)[np.ix_(p, p)]
+
 
 class TestSymplecticForm:
     def test_single_mode(self):
@@ -58,16 +68,16 @@ class TestSymplecticForm:
         np.testing.assert_array_equal(omega[2:, :2], -eye)
 
     def test_xpxp_block_diagonal(self):
-        omega = make_symplectic_form(2, ModeOrdering.XPXP)
+        omega = _interleaved_form(2)
         block = np.array([[0.0, 1.0], [-1.0, 0.0]])
         np.testing.assert_array_equal(omega[:2, :2], block)
         np.testing.assert_array_equal(omega[2:, 2:], block)
         assert np.all(omega[:2, 2:] == 0)
 
-    @pytest.mark.parametrize("ordering", list(ModeOrdering))
+    @pytest.mark.parametrize("layout", ["xxpp", "xpxp"])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_defining_identities(self, n, ordering):
-        omega = make_symplectic_form(n, ordering)
+    def test_defining_identities(self, n, layout):
+        omega = make_symplectic_form(n) if layout == "xxpp" else _interleaved_form(n)
         np.testing.assert_allclose(omega @ omega, -np.eye(2 * n), atol=1e-15)
         np.testing.assert_allclose(omega.T, -omega, atol=1e-15)
 
@@ -75,27 +85,24 @@ class TestSymplecticForm:
         with pytest.raises(InvalidParameter):
             make_symplectic_form(0)
 
-    @pytest.mark.parametrize("ordering", list(ModeOrdering))
-    def test_cached_and_read_only(self, ordering):
-        omega = make_symplectic_form(3, ordering)
-        assert make_symplectic_form(3, ordering) is omega
+    def test_cached_and_read_only(self):
+        omega = make_symplectic_form(3)
+        assert make_symplectic_form(3) is omega
         before = omega.copy()
         with pytest.raises(ValueError):
             omega[0, 1] = 2.0
         with pytest.raises(ValueError):
             omega *= 2.0
-        np.testing.assert_array_equal(make_symplectic_form(3, ordering), before)
+        np.testing.assert_array_equal(make_symplectic_form(3), before)
 
-    @pytest.mark.parametrize("ordering", list(ModeOrdering))
-    def test_writes_cannot_be_reenabled(self, ordering):
-        omega = make_symplectic_form(1, ordering)
+    def test_writes_cannot_be_reenabled(self):
+        omega = make_symplectic_form(1)
         with pytest.raises(ValueError):
             omega.setflags(write=True)
         assert not omega.flags.writeable
         # the shared cache is intact: a corrupted one made every later
         # random_state and fidelity call raise
-        np.testing.assert_array_equal(make_symplectic_form(1, ordering),
-                                      [[0.0, 1.0], [-1.0, 0.0]])
+        np.testing.assert_array_equal(make_symplectic_form(1), [[0.0, 1.0], [-1.0, 0.0]])
         random_state(1, 3)
 
 
@@ -138,14 +145,6 @@ class TestStateEquality:
         assert vacuum(1) != vacuum(2)
         assert vacuum(1) != "vacuum"
 
-    def test_ordering_is_compared(self):
-        # at one mode both orderings lay out the same arrays
-        u, V = np.zeros(2), np.diag([0.7, 0.9])
-        assert GaussianState(1, u, V) != GaussianState(1, u, V, ModeOrdering.XPXP)
-        s = random_state(2, 44)
-        assert reorder_state(s, ModeOrdering.XPXP) != s
-        assert reorder_state(reorder_state(s, ModeOrdering.XPXP), ModeOrdering.XXPP) == s
-
     def test_set_members_and_dict_keys(self):
         states = {vacuum(1), vacuum(1), thermal([0.5]), random_state(2, 45), random_state(2, 45)}
         assert len(states) == 3
@@ -183,21 +182,21 @@ class TestValidateState:
         assert not validate_state(GaussianState(1, np.zeros(2), V)).symmetric
 
 
-def _shifted_eigh(V, ordering):
-    omega = make_symplectic_form(V.shape[0] // 2, ordering)
+def _shifted_eigh(V):
+    omega = make_symplectic_form(V.shape[0] // 2)
     return np.linalg.eigh(V + 0.5j * omega)
 
 
 def _pushed(state, k, tol=DEFAULT_PHYS_TOL):
     """``state`` with V moved until the smallest eigenvalue of V + i*Omega/2
     is k * tol * scale: first along its eigenvector, then by a multiple of I."""
-    lam, psi = _shifted_eigh(state.V, state.ordering)
+    lam, psi = _shifted_eigh(state.V)
     direction = np.real(np.outer(psi[:, 0], psi[:, 0].conj()))
     V = state.V + 2.0 * (k * tol * max(1.0, np.max(np.abs(state.V))) - lam[0]) * direction
     V = 0.5 * (V + V.T)
     target = k * tol * max(1.0, np.max(np.abs(V)))
-    V = V + (target - _shifted_eigh(V, state.ordering)[0][0]) * np.eye(len(V))
-    return GaussianState(state.n, state.u, V, state.ordering)
+    V = V + (target - _shifted_eigh(V)[0][0]) * np.eye(len(V))
+    return GaussianState(state.n, state.u, V)
 
 
 def _refusal(check, state):
@@ -222,8 +221,7 @@ def _sweep_states(n, kind):
         return [random_state(n, 5000 + 10 * n + s, pure=True) for s in seeds]
     if kind == "squeezed":
         return [random_state(n, 5100 + 10 * n + s, max_squeeze=4) for s in seeds]
-    return [reorder_state(random_state(n, 5200 + 10 * n + s, pure=bool(s % 2)),
-                          ModeOrdering.XPXP) for s in seeds]
+    return [via_xpxp(random_state(n, 5200 + 10 * n + s, pure=bool(s % 2))) for s in seeds]
 
 
 PUSHES = (None, 0.0, -0.25, -0.5, -0.75, -1.0, -2.0, -1000.0)
@@ -308,7 +306,7 @@ class TestRequirePhysical:
             a, b = mixed_pair(n, 5500 + n)
             p = random_state(n, 5600 + n, pure=True)
             pairs += [(a, b), (a, a), (p, b), (p, p)]
-        pairs.append((reorder_state(pairs[0][0], ModeOrdering.XPXP), pairs[0][1]))
+        pairs.append((via_xpxp(pairs[0][0]), pairs[0][1]))
         calls = count_linalg_calls(monkeypatch, "eigvalsh")
         for a, b in pairs:
             assert 0.0 <= fidelity(a, b).F <= 1.0

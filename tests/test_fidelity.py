@@ -21,7 +21,6 @@ from gaussfid import (
     thermal,
     vacuum,
 )
-from gaussfid.core import ModeOrdering, reorder_state
 from gaussfid.fidelity import (
     _PURITY_TOL,
     _purity_invariant,
@@ -33,7 +32,7 @@ from gaussfid.fidelity import (
 from gaussfid.reference import alt_ftot_v12, singular_reduction, w_matrix
 from gaussfid.states import random_symplectic
 
-from conftest import count_linalg_calls, mixed_pair
+from conftest import count_linalg_calls, mixed_pair, via_xpxp
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def _route_pairs(n):
     a, b = mixed_pair(n, 6100 + n)
     p = random_state(n, 6200 + n, pure=True)
     q = random_state(n, 6300 + n, pure=True, max_disp=0.0)
-    with_pure = [(p, b), (a, p), (p, q), (p, p), (reorder_state(p, ModeOrdering.XPXP), a)]
+    with_pure = [(p, b), (a, p), (p, q), (p, p), (via_xpxp(p), a)]
     return with_pure, [(a, b), (a, a)]
 
 
@@ -336,7 +335,6 @@ class TestPureMemberRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
     def test_matches_spectrum_route(self, n):
         for a, b in _route_pairs(n)[0]:
-            a, b = reorder_state(a, ModeOrdering.XXPP), reorder_state(b, ModeOrdering.XXPP)
             rep = fidelity(a, b)
             expected, spectrum = _spectrum_route(a, b)
             for name, value in expected.items():
@@ -442,7 +440,7 @@ class TestInvariants:
         inv = invariant_set(V1, V2)
         red = singular_reduction(V1, V2)
         assert red.r == 1
-        omega_t = make_symplectic_form(1, "xpxp")
+        omega_t = make_symplectic_form(1)  # one mode: the xpxp form is the xxpp form
         A = 2.0 * red.reduced_block @ omega_t
         for k in (1, 2):
             trace_k = (-1.0) ** k * np.trace(np.linalg.matrix_power(A @ A, k))

@@ -8,13 +8,11 @@ from gaussfid import (
     InvalidParameter,
     TruncationError,
     build_circuit_state,
-    coherent,
     fidelity,
     moments_from_fock,
     random_circuit,
     thermal,
     uhlmann_fidelity_matrix,
-    vacuum,
 )
 from gaussfid.fidelity import aux_matrix, aux_spectrum, ftot_from_spectrum
 from gaussfid.fock import (

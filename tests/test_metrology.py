@@ -16,14 +16,11 @@ from gaussfid import (
     qfi_matrix,
     qfi_scalar,
     random_state,
-    squeezed,
     thermal,
     vacuum,
 )
 from gaussfid.metrology import FAMILIES
 from gaussfid.reference import bures_metric_delta_superop, w_matrix
-
-from conftest import mixed_pair
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 States come from ``random_state`` in its default ranges (squeezing up to
 r = 1), so both the root-overlap route (a pure member) and the W_aux
 spectrum route (two mixed states) run.  The stiff regime is not covered here.
+The derandomized examples do not reach pure loss with a transmissivity within
+~1e-6 of 1 on a pure pair, where the pure-pair discard rule (``pure_tol``)
+lowers F by up to ~1e-6, below F(a, b) (ROADMAP item 1).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussfid import apply_symplectic, fidelity, random_state, tensor
+from gaussfid import GaussianState, apply_symplectic, fidelity, random_state, tensor
 from gaussfid.states import random_symplectic
 
 #: |F(a, b) - F(b, a)|.
@@ -18,6 +21,8 @@ SYMMETRY_ATOL = 1e-12
 COVARIANCE_ATOL = 1e-9
 #: Relative distance of F(a x c, b x d) from F(a, b) F(c, d).
 PRODUCT_RTOL = 1e-9
+#: How far F(E(a), E(b)) may fall below F(a, b) under a pure-loss channel E.
+MONOTONICITY_ATOL = 1e-9
 
 EXAMPLES = settings(max_examples=50)
 
@@ -65,3 +70,18 @@ def test_multiplicative_over_tensor_products(left, right):
     joint = fidelity(tensor(a, c), tensor(b, d)).F
     product = fidelity(a, b).F * fidelity(c, d).F
     assert abs(joint - product) <= PRODUCT_RTOL * product
+
+
+def pure_loss(state, eta):
+    """The state after a pure-loss channel of transmissivity eta on every mode:
+    u -> sqrt(eta) u, V -> eta V + (1 - eta) I / 2."""
+    V = eta * state.V + 0.5 * (1.0 - eta) * np.eye(2 * state.n)
+    return GaussianState(state.n, np.sqrt(eta) * state.u, V)
+
+
+@EXAMPLES
+@given(pairs(), st.floats(min_value=0.0, max_value=1.0))
+def test_monotone_under_pure_loss(pair, eta):
+    a, b = pair
+    lossy = fidelity(pure_loss(a, eta), pure_loss(b, eta)).F
+    assert lossy >= fidelity(a, b).F - MONOTONICITY_ATOL

@@ -1,18 +1,17 @@
-"""Builders, elementary symplectics, tensor products and reordering."""
+"""Builders, elementary symplectics, tensor products and the xpxp boundary constructor."""
 
 import numpy as np
 import pytest
 
 from gaussfid import (
+    GaussianState,
     InvalidParameter,
-    ModeOrdering,
     apply_symplectic,
     coherent,
     displace,
     fidelity,
     make_symplectic_form,
     random_state,
-    reorder_state,
     squeezed,
     symplectic_eigenvalues,
     tensor,
@@ -30,7 +29,7 @@ from gaussfid.states import (
     two_mode_squeeze_block,
 )
 
-from conftest import mixed_pair
+from conftest import mixed_pair, via_xpxp
 
 
 class TestBuilders:
@@ -148,25 +147,38 @@ class TestTensor:
 
 
 class TestReorder:
+    """GaussianState.from_xpxp, the one conversion from the interleaved layout."""
+
     def test_round_trip(self):
         s = random_state(3, 77)
-        back = reorder_state(reorder_state(s, ModeOrdering.XPXP), ModeOrdering.XXPP)
-        np.testing.assert_array_equal(back.u, s.u)
-        np.testing.assert_array_equal(back.V, s.V)
+        # (x1, p1, x2, p2, x3, p3) written out by hand
+        order = [0, 3, 1, 4, 2, 5]
+        u = np.array([s.u[i] for i in order])
+        V = np.array([[s.V[i, j] for j in order] for i in order])
+        back = GaussianState.from_xpxp(u, V)
+        assert back == s
+        assert via_xpxp(s) == s
 
     def test_vacuum_invariant(self):
-        s = reorder_state(vacuum(2), ModeOrdering.XPXP)
-        np.testing.assert_array_equal(s.V, 0.5 * np.eye(4))
+        assert GaussianState.from_xpxp(np.zeros(4), 0.5 * np.eye(4)) == vacuum(2)
 
     def test_interleaving(self):
-        s = thermal([0.0, 1.0])  # nu = (1/2, 3/2)
-        x = reorder_state(s, ModeOrdering.XPXP)
-        np.testing.assert_allclose(np.diag(x.V), [0.5, 0.5, 1.5, 1.5])
+        # mode 1 vacuum, mode 2 thermal with nu = 3/2
+        s = GaussianState.from_xpxp([1.0, 2.0, 3.0, 4.0], np.diag([0.5, 0.5, 1.5, 1.5]))
+        np.testing.assert_array_equal(s.u, [1.0, 3.0, 2.0, 4.0])
+        assert s == displace(thermal([0.0, 1.0]), [1.0, 3.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("u, V", [
+        (np.zeros(4), 0.5 * np.eye(2)),
+        (np.zeros(3), 0.5 * np.eye(3)),
+        (np.zeros((2, 2)), 0.5 * np.eye(4)),
+        (np.zeros(0), np.zeros((0, 0))),
+    ])
+    def test_shape_mismatch_raises(self, u, V):
+        with pytest.raises(InvalidParameter):
+            GaussianState.from_xpxp(u, V)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fidelity_invariant_under_reordering(self, seed):
         a, b = mixed_pair(2, 300 + seed)
-        f_canonical = fidelity(a, b).F
-        f_reordered = fidelity(reorder_state(a, ModeOrdering.XPXP),
-                               reorder_state(b, ModeOrdering.XPXP)).F
-        assert abs(f_canonical - f_reordered) < 1e-12
+        assert fidelity(via_xpxp(a), via_xpxp(b)).F == fidelity(a, b).F
