@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameter, InvalidState, NumericalError
 
-# Default tolerances; every routine that uses one accepts an override.
+# Default tolerances; the physicality checks accept an override.
 DEFAULT_PHYS_TOL = 1e-9       # physicality of V + i*Omega/2
 DEFAULT_RECON_TOL = 1e-8      # Williamson residual checks
 
@@ -199,7 +199,7 @@ def require_physical(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> Non
 
 
 # ---------------------------------------------------------------------------
-# Williamson decomposition
+# symplectic frame and Williamson decomposition
 # ---------------------------------------------------------------------------
 
 def _sym_eig_sqrt(V: np.ndarray):
@@ -218,9 +218,20 @@ def _sym_eig_sqrt(V: np.ndarray):
     return root, inv_root
 
 
-def symmetric_sqrt(V: np.ndarray) -> np.ndarray:
-    """Principal square root of a symmetric positive semidefinite matrix."""
-    return _sym_eig_sqrt(V)[0]
+def symplectic_frame(V: np.ndarray):
+    """The frame (V^{1/2}, V^{-1/2}, mu, psi) of a symmetric positive-definite V,
+    in which :func:`williamson` and the Bures metric both work.
+
+    mu (ascending, the pairs +-nu_k) and psi are the eigenvalues and vectors of
+    i V^{1/2} Omega V^{1/2} from one ``eigh``.  Raises :class:`NumericalError`
+    unless V is positive definite.
+    """
+    root, inv_root = _sym_eig_sqrt(V)
+    if inv_root is None:  # the smallest eigenvalue of V is <= 0
+        raise NumericalError("matrix is not positive definite")
+    omega = make_symplectic_form(V.shape[0] // 2)
+    mu, psi = np.linalg.eigh(1j * root @ omega @ root)
+    return root, inv_root, mu, psi
 
 
 def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
@@ -230,20 +241,21 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     """
     n = V.shape[0] // 2
     omega = make_symplectic_form(n)
-    root = symmetric_sqrt(V)
+    root = _sym_eig_sqrt(V)[0]
     herm = 1j * root @ omega @ root
     eig = np.linalg.eigvalsh(herm)
     return eig[n:][::-1].copy()
 
 
-def williamson(V: np.ndarray, tol: float = DEFAULT_RECON_TOL) -> WilliamsonDecomposition:
+def williamson(V: np.ndarray) -> WilliamsonDecomposition:
     """Williamson normal form of a symmetric positive-definite matrix.
 
     The symplectic matrix is assembled from the eigenvectors of the Hermitian
-    matrix i V^{1/2} Omega V^{1/2}: an eigenvector psi = (a + ib)/sqrt(2) for
-    eigenvalue nu_k > 0 supplies two orthonormal real columns, and
-    S = V^{1/2} [b | a] (D + D)^{-1/2}.  Both defining identities
-    (S Omega S^T = Omega and S (D+D) S^T = V) are verified before returning.
+    matrix i V^{1/2} Omega V^{1/2} (see :func:`symplectic_frame`): an
+    eigenvector psi = (a + ib)/sqrt(2) for eigenvalue nu_k > 0 supplies two
+    orthonormal real columns, and S = V^{1/2} [b | a] (D + D)^{-1/2}.  Both
+    defining identities (S Omega S^T = Omega and S (D+D) S^T = V) are
+    verified to DEFAULT_RECON_TOL before returning.
     """
     V = np.asarray(V, dtype=float)
     n2 = V.shape[0]
@@ -251,11 +263,7 @@ def williamson(V: np.ndarray, tol: float = DEFAULT_RECON_TOL) -> WilliamsonDecom
         raise InvalidParameter("expected a square matrix of even dimension")
     n = n2 // 2
     omega = make_symplectic_form(n)
-    root, inv_root = _sym_eig_sqrt(V)
-    if inv_root is None:  # the smallest eigenvalue of V is <= 0
-        raise NumericalError("Williamson decomposition requires a positive definite matrix")
-    herm = 1j * root @ omega @ root
-    mu, psi = np.linalg.eigh(herm)
+    root, _, mu, psi = symplectic_frame(V)
     nu = mu[n:]
     vecs = psi[:, n:]
     order = np.argsort(nu)[::-1]
@@ -269,11 +277,11 @@ def williamson(V: np.ndarray, tol: float = DEFAULT_RECON_TOL) -> WilliamsonDecom
 
     vscale = max(1.0, float(np.max(np.abs(V))))
     resid_symp = float(np.max(np.abs(S @ omega @ S.T - omega)))
-    if resid_symp > tol * vscale:
+    if resid_symp > DEFAULT_RECON_TOL * vscale:
         raise NumericalError("assembled matrix fails S Omega S^T = Omega")
     D = np.concatenate([nu, nu])
     resid_recon = float(np.max(np.abs((S * D[None, :]) @ S.T - V)))
-    if resid_recon > tol * vscale:
+    if resid_recon > DEFAULT_RECON_TOL * vscale:
         raise NumericalError("assembled decomposition fails to reconstruct V")
     return WilliamsonDecomposition(S=S, nu=nu, residual_symplectic=resid_symp,
                                    residual_reconstruction=resid_recon)

@@ -208,8 +208,7 @@ def _char_coeffs_from_traces(i2k: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def invariant_set(V1: np.ndarray, V2: np.ndarray,
-                  resid_tol: float = LAMBDA_RESID_TOL) -> InvariantSet:
+def invariant_set(V1: np.ndarray, V2: np.ndarray) -> InvariantSet:
     """Trace and determinant invariants of a covariance pair."""
     V1 = np.asarray(V1, dtype=float)
     V2 = np.asarray(V2, dtype=float)
@@ -228,7 +227,7 @@ def invariant_set(V1: np.ndarray, V2: np.ndarray,
         raise NumericalError("det(V1 + V2) is not positive")
     delta = float(sign * np.exp(logdet))
     gamma = _gamma(V1, V2)
-    lam = _checked_lambda(V1, V2, resid_tol, gamma)
+    lam = _checked_lambda(V1, V2, LAMBDA_RESID_TOL, gamma)
     return InvariantSet(i2k=i2k, gamma=gamma, lam=lam, delta=delta,
                         char_coeffs=_char_coeffs_from_traces(i2k))
 

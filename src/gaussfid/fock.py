@@ -82,16 +82,15 @@ class FockDensityMatrix:
                     other.top_level_population)
                 and np.array_equal(self.rho, other.rho))
 
-    def validate(self, herm_tol: float = 1e-12, eig_tol: float = 1e-10,
-                 deficit_budget: float = TRACE_DEFICIT_BUDGET) -> None:
+    def validate(self) -> None:
         rho = self.rho
-        if np.max(np.abs(rho - rho.conj().T)) > herm_tol * max(1.0, np.max(np.abs(rho))):
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(rho))):
             raise NumericalError("density matrix is not Hermitian")
         eigs = np.linalg.eigvalsh(rho)
-        if eigs[0] < -eig_tol:
+        if eigs[0] < -1e-10:
             raise NumericalError(f"density matrix has eigenvalue {eigs[0]:.3e} < 0")
         tr = float(np.trace(rho).real)
-        if not (1.0 - deficit_budget <= tr <= 1.0 + 1e-12):
+        if not (1.0 - TRACE_DEFICIT_BUDGET <= tr <= 1.0 + 1e-12):
             raise TruncationError(f"trace {tr} is outside [1 - budget, 1]")
 
 
@@ -431,13 +430,12 @@ def moments_from_fock(r: FockDensityMatrix) -> GaussianState:
 # random circuits for oracle cross-checks
 # ---------------------------------------------------------------------------
 
-def random_circuit(n_modes: int, rng: np.random.Generator,
-                   ranges: tuple | None = None) -> CircuitSpec:
+def random_circuit(n_modes: int, rng: np.random.Generator) -> CircuitSpec:
     """Random circuit within the sampling ranges: thermal input, per-mode
     squeeze and phase, beam splitter between neighbours, per-mode displacement."""
     if n_modes not in SAMPLING_RANGES:
         raise InvalidParameter("random circuits support 1 or 2 modes")
-    max_nb, max_r, max_al = SAMPLING_RANGES[n_modes] if ranges is None else ranges
+    max_nb, max_r, max_al = SAMPLING_RANGES[n_modes]
     nbar = tuple(rng.uniform(0.0, max_nb, n_modes))
     ops = []
     for m in range(n_modes):

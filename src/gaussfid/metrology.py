@@ -19,12 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    DEFAULT_PHYS_TOL,
-    GaussianState,
-    make_symplectic_form,
-    _sym_eig_sqrt,
-)
+from .core import DEFAULT_PHYS_TOL, GaussianState, make_symplectic_form, symplectic_frame
 from .errors import InvalidParameter, NumericalError
 from .fidelity import fidelity
 from . import states
@@ -80,6 +75,27 @@ def bures_distance(s1: GaussianState, s2: GaussianState,
     return 2.0 * (1.0 - fidelity(s1, s2, phys_tol=phys_tol).F)
 
 
+def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray], tol: float):
+    """The Bures metric's bilinear form delta(dV_i, dV_j) on every pair of ``dVs``,
+    each summed as in :func:`bures_metric_delta` in the one :func:`symplectic_frame`
+    of V, with the number of entries skipped per pair."""
+    omega = make_symplectic_form(V.shape[0] // 2)
+    root, inv_root, halves, U = symplectic_frame(V)
+    # W = V^{1/2} U diag(w) U^+ V^{-1/2} with i V^{1/2} Omega V^{1/2} = U diag(w/2) U^+
+    w = 2.0 * halves
+    dWts = [U.conj().T @ inv_root @ (-2.0j * dV @ omega) @ root @ U for dV in dVs]
+    denom = np.outer(w, w) - 1.0
+    keep = np.abs(denom) > tol
+    form = np.empty((len(dVs), len(dVs)))
+    for i, dWt in enumerate(dWts):
+        for j in range(i, len(dVs)):
+            total = complex(np.sum((dWt * dWts[j].T)[keep] / denom[keep]))
+            if abs(total.imag) > 1e-7 * max(1.0, abs(total.real)):
+                raise NumericalError("metric sum has imaginary residue %.3e" % total.imag)
+            form[i, j] = form[j, i] = total.real
+    return form, int(keep.size - keep.sum())
+
+
 def bures_metric_delta(V: np.ndarray, dV: np.ndarray,
                        tol: float = DEFAULT_METRIC_TOL) -> DeltaResult:
     """Covariance contribution delta of the Bures metric.
@@ -95,23 +111,8 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray,
     scale = max(1.0, float(np.max(np.abs(dV))))
     if np.max(np.abs(dV - dV.T)) > 1e-8 * scale:
         raise InvalidParameter("dV must be symmetric")
-    n = V.shape[0] // 2
-    omega = make_symplectic_form(n)
-    root, inv_root = _sym_eig_sqrt(V)
-    if inv_root is None:
-        raise NumericalError("V must be positive definite")
-    # W = V^{1/2} U diag(w) U^+ V^{-1/2} with i V^{1/2} Omega V^{1/2} = U diag(w/2) U^+
-    herm = 1j * root @ omega @ root
-    halves, U = np.linalg.eigh(herm)
-    w = 2.0 * halves
-    dW = -2.0j * dV @ omega
-    dWt = U.conj().T @ inv_root @ dW @ root @ U
-    denom = np.outer(w, w) - 1.0
-    keep = np.abs(denom) > tol
-    total = complex(np.sum((dWt * dWt.T)[keep] / denom[keep]))
-    if abs(total.imag) > 1e-7 * max(1.0, abs(total.real)):
-        raise NumericalError("metric sum has imaginary residue %.3e" % total.imag)
-    return DeltaResult(delta=float(total.real), skipped=int(keep.size - keep.sum()))
+    form, skipped = _metric_form(V, [dV], tol)
+    return DeltaResult(delta=float(form[0, 0]), skipped=skipped)
 
 
 def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray,
@@ -167,26 +168,21 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
                metric_tol: float = DEFAULT_METRIC_TOL) -> QfiMatrix:
     """QFI matrix H_ij = 4 g_ij of a vector-parametrized Gaussian family.
 
-    Diagonal entries come from the metric along each axis; off-diagonal
-    entries use the polarization identity on axis-sum directions, which reuses
-    the exact metric formula instead of mixed finite differences of F.
+    g is the metric's bilinear form on the axis moment derivatives,
+    g_ij = du_i^T V^{-1} du_j / 4 + delta(dV_i, dV_j) / 8, from one solve and
+    one symplectic frame of V; a one-parameter family gives qfi_scalar's value.
     """
     theta0 = np.asarray(theta0, dtype=float)
     m = len(theta0)
     base = family(theta0)
-
-    def direction_form(direction: np.ndarray) -> float:
-        line = lambda t: family(theta0 + t * direction)
-        du, dV = _moment_derivatives(line, 0.0, h)
-        return bures_metric(base, du, dV, metric_tol).ds2
-
-    q_axis = np.array([direction_form(np.eye(m)[i]) for i in range(m)])
-    H = np.zeros((m, m))
+    dus, dVs = zip(*(_moment_derivatives(lambda t: family(theta0 + t * axis), 0.0, h)
+                     for axis in np.eye(m)))
+    X = np.linalg.solve(base.V, np.column_stack(dus))
+    delta, _ = _metric_form(base.V, dVs, metric_tol)
+    H = np.empty((m, m))
     for i in range(m):
-        H[i, i] = 4.0 * q_axis[i]
-        for j in range(i + 1, m):
-            q_sum = direction_form(np.eye(m)[i] + np.eye(m)[j])
-            H[i, j] = H[j, i] = 2.0 * (q_sum - q_axis[i] - q_axis[j])
+        for j in range(i, m):
+            H[i, j] = H[j, i] = 4.0 * (0.25 * dus[i] @ X[:, j] + delta[i, j] / 8.0)
     label_tuple = tuple(labels) if labels is not None else tuple(
         f"theta_{i}" for i in range(m))
     return QfiMatrix(H=H, labels=label_tuple)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_PHYS_TOL,
-    DEFAULT_RECON_TOL,
     GaussianState,
     make_symplectic_form,
     require_physical,
@@ -170,8 +169,7 @@ ODD_KERNELS = {
 }
 
 
-def symplectic_action_odd(f: Callable[[np.ndarray], np.ndarray], V: np.ndarray,
-                          tol: float = DEFAULT_RECON_TOL) -> np.ndarray:
+def symplectic_action_odd(f: Callable[[np.ndarray], np.ndarray], V: np.ndarray) -> np.ndarray:
     """Apply an odd scalar function to the symplectic spectrum of V.
 
     Realized as S [f(D) + f(D)] S^T from the Williamson decomposition, which
@@ -179,7 +177,7 @@ def symplectic_action_odd(f: Callable[[np.ndarray], np.ndarray], V: np.ndarray,
     kernels in :data:`ODD_KERNELS` are the intended inputs; an even f silently
     produces wrong results, so only odd functions may be passed.
     """
-    dec = williamson(V, tol)
+    dec = williamson(V)
     fd = np.asarray(f(dec.nu), dtype=float)
     if not np.all(np.isfinite(fd)):
         raise NumericalError(

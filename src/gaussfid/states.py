@@ -74,12 +74,6 @@ def embed_symplectic(block: np.ndarray, modes: Sequence[int], n: int) -> np.ndar
     return out
 
 
-def is_symplectic(S: np.ndarray, tol: float = 1e-8) -> bool:
-    n = S.shape[0] // 2
-    omega = make_symplectic_form(n)
-    return bool(np.max(np.abs(S @ omega @ S.T - omega)) <= tol * max(1.0, np.max(np.abs(S)) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -135,12 +129,13 @@ def displace(state: GaussianState, d: Sequence[float]) -> GaussianState:
     return GaussianState(state.n, state.u + d, state.V)
 
 
-def apply_symplectic(state: GaussianState, S: np.ndarray, tol: float = 1e-8) -> GaussianState:
+def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
     """Conjugate the state by a symplectic matrix: u -> S u, V -> S V S^T."""
     S = np.asarray(S, dtype=float)
     if S.shape != (2 * state.n,) * 2:
         raise InvalidParameter("symplectic matrix shape does not match the state")
-    if not is_symplectic(S, tol):
+    omega = make_symplectic_form(state.n)
+    if not np.max(np.abs(S @ omega @ S.T - omega)) <= 1e-8 * max(1.0, np.max(np.abs(S)) ** 2):
         raise InvalidParameter("matrix is not symplectic (S Omega S^T != Omega)")
     return GaussianState(state.n, S @ state.u, S @ state.V @ S.T)
 
@@ -163,11 +158,11 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 # random sampling
 # ---------------------------------------------------------------------------
 
-def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 1.0,
-                      layers: int = 2) -> np.ndarray:
-    """Random symplectic built from rotations, squeezers and beam splitters."""
+def random_symplectic(n: int, rng: np.random.Generator,
+                      max_squeeze: float = 1.0) -> np.ndarray:
+    """Random symplectic from two layers of rotations, squeezers and beam splitters."""
     S = np.eye(2 * n)
-    for _ in range(layers):
+    for _ in range(2):
         for k in range(n):
             S = embed_symplectic(rotation_block(rng.uniform(0, 2 * np.pi)), [k], n) @ S
             S = embed_symplectic(

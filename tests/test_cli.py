@@ -18,6 +18,7 @@ from gaussfid import (
 )
 from gaussfid.cli import main, parse_state_file, write_state_file
 from gaussfid.fock import TRACE_DEFICIT_ROUNDOFF
+from gaussfid.metrology import FAMILIES
 
 DATA = Path(__file__).parent / "data"
 
@@ -116,6 +117,28 @@ class TestStateFiles:
         assert report is None
         assert "non-finite" in err and "NaN" not in err
 
+    @pytest.mark.parametrize("command", ["fidelity", "bures", "invariants", "metric",
+                                         "williamson"])
+    def test_every_command_checks_at_tol_phys(self, tmp_path, capsys, vacuum_file, command):
+        # min eig of V + i Omega/2 is -2.5e-9: unphysical at the default 1e-9,
+        # physical at 1e-8, and refused at any --tol-phys below 5e-9
+        path = make_state_file(tmp_path, "edge.json", {
+            "modes": 1, "ordering": "xxpp",
+            "mean": [0.0, 0.0], "cov": [[0.5 - 5e-9, 0.0], [0.0, 0.5]],
+        })
+        argv = {"fidelity": [path, vacuum_file], "bures": [vacuum_file, path],
+                "invariants": [path, vacuum_file], "williamson": [path],
+                "metric": [path, "--du", "[0, 0]", "--dv", "[[0, 0], [0, 0]]"]}[command]
+        # at 1e-8, F against the vacuum comes out 1 + 1.25e-9 and fidelity
+        # refuses it, so only the commands that do not evaluate F run through
+        accepted = () if command in ("fidelity", "bures") else (("1e-8", 0),)
+        for tol, expected in ((None, 2), ("1e-12", 2), *accepted):
+            flags = [] if tol is None else ["--tol-phys", tol]
+            code, out, err = run(capsys, [command, *argv, *flags])
+            assert code == expected, (tol, err)
+            if expected == 2:
+                assert err.startswith(f"gaussfid: {path}: ") and "min_eig_shifted" in err
+
     def test_missing_ordering_rejected(self, tmp_path):
         path = make_state_file(tmp_path, "no_ord.json", {
             "modes": 1, "mean": [0.0, 0.0], "cov": [[0.5, 0.0], [0.0, 0.5]],
@@ -191,6 +214,14 @@ class TestCommands:
             "qfi", "--family", "coherent-displacement", "--theta", "0.0"])
         assert code == 0
         assert report["qfi"] == pytest.approx(2.0, abs=1e-7)
+
+    def test_qfi_help_lists_every_family(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "500")  # no line breaks inside a name
+        with pytest.raises(SystemExit) as exit_info:
+            main(["qfi", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in FAMILIES)
 
     def test_bounds(self, capsys):
         code, report, _ = run_json(capsys, ["bounds", "--fidelity", "0.5", "--copies", "1"])

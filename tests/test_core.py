@@ -22,7 +22,7 @@ from gaussfid import (
 from gaussfid.core import (
     DEFAULT_PHYS_TOL,
     require_physical,
-    symmetric_sqrt,
+    symplectic_frame,
     xxpp_to_xpxp_indices,
 )
 from gaussfid.reference import (
@@ -370,7 +370,8 @@ class TestWilliamson:
     def test_nu_matches_hermitian_route(self, n):
         # independent route: positive eigenvalues of i V^{1/2} Omega V^{1/2}
         V = random_state(n, 55 + n).V
-        root = symmetric_sqrt(V)
+        w, U = np.linalg.eigh(V)
+        root = (U * np.sqrt(w)) @ U.T
         herm = 1j * root @ make_symplectic_form(n) @ root
         reference = np.sort(np.linalg.eigvalsh(herm))[n:]
         np.testing.assert_allclose(np.sort(williamson(V).nu), reference, atol=1e-10)
@@ -397,6 +398,32 @@ class TestWilliamson:
         assert eigvalsh_calls == []
         # one real symmetric eigh (V) and one Hermitian (i V^{1/2} Omega V^{1/2})
         assert eigh_calls == [(2 * n, 2 * n)] * 2
+
+
+class TestSymplecticFrame:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_defining_identities(self, n):
+        V = random_state(n, 90 + n).V
+        root, inv_root, mu, psi = symplectic_frame(V)
+        np.testing.assert_allclose(root @ root, V, atol=1e-10)
+        np.testing.assert_allclose(root @ inv_root, np.eye(2 * n), atol=1e-10)
+        herm = 1j * root @ make_symplectic_form(n) @ root
+        np.testing.assert_allclose((psi * mu) @ psi.conj().T, herm, atol=1e-10)
+        # mu ascending, the pairs -nu_k and +nu_k
+        np.testing.assert_allclose(mu[n:], symplectic_eigenvalues(V)[::-1], atol=1e-10)
+        np.testing.assert_allclose(mu[:n], -mu[n:][::-1], atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_williamson_reads_the_frame(self, n):
+        # nu is the frame's positive half, descending, to the last bit
+        V = random_state(n, 70 + n).V
+        mu = symplectic_frame(V)[2]
+        np.testing.assert_array_equal(williamson(V).nu, mu[n:][::-1])
+
+    @pytest.mark.parametrize("V", [np.diag([1.0, -0.5]), -np.eye(2), np.diag([1.0, 0.0])])
+    def test_refuses_a_matrix_that_is_not_positive_definite(self, V):
+        with pytest.raises(NumericalError):
+            symplectic_frame(V)
 
 
 # ---------------------------------------------------------------------------

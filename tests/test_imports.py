@@ -1,7 +1,10 @@
-"""Every name a module under src/ or tests/ imports is referenced in it.
+"""Every name a module under src/ or tests/ imports is referenced in it, and
+no package module imports another one's private names.
 
-Package ``__init__`` modules are exempt, since their imports are the
-re-exports, and so is ``from __future__``.
+Package ``__init__`` modules are exempt from the first check, since their
+imports are the re-exports, and so is ``from __future__``.  The second check
+exempts dunders and ``reference.py``, whose cross-check routes exist to reach
+into the engine.
 """
 
 import ast
@@ -12,6 +15,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")
+PACKAGE = ROOT / "src" / "gaussfid"
+ENGINE_MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "reference.py")
 
 
 def unused_imports(source: str) -> list:
@@ -36,3 +41,25 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of every single-underscore name imported from the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "gaussfid"):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+def test_scan_finds_a_private_import():
+    source = ("from .core import _a, b, __version__\nfrom numpy import _c\n"
+              "from gaussfid.fidelity import _d\nfrom . import _e\n")
+    assert private_imports(source) == [(1, "_a"), (3, "_d"), (4, "_e")]
+
+
+@pytest.mark.parametrize("path", ENGINE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_cross_module_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -5,6 +5,7 @@ import pytest
 
 from gaussfid import (
     InvalidParameter,
+    apply_symplectic,
     bures_distance,
     bures_metric,
     bures_metric_delta,
@@ -21,6 +22,9 @@ from gaussfid import (
 )
 from gaussfid.metrology import FAMILIES
 from gaussfid.reference import bures_metric_delta_superop, w_matrix
+from gaussfid.states import embed_symplectic, two_mode_squeeze_block
+
+from conftest import count_linalg_calls
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +216,42 @@ class TestQfiMatrix:
         assert np.max(np.abs(result.H - result.H.T)) < 1e-10
         eigs = np.linalg.eigvalsh(result.H)
         assert eigs[0] >= -1e-8 * max(np.abs(eigs).max(), 1.0)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_frame_and_4m_plus_1_family_calls(self, m, monkeypatch):
+        base = random_state(2, 31, max_squeeze=0.5)
+        evaluations = []
+
+        def family(theta):
+            evaluations.append(tuple(theta))
+            S = embed_symplectic(two_mode_squeeze_block(theta[1]), [0, 1], 2)
+            shift = np.zeros(4)
+            shift[0] = theta[0]
+            shift[3] = theta[2] if m == 3 else 0.0
+            return displace(apply_symplectic(base, S), shift)
+
+        eigh_calls = count_linalg_calls(monkeypatch, "eigh")
+        qfi_matrix(family, [0.1, 0.2, -0.3][:m])
+        # V's symmetric eigh and the one Hermitian eigh of its symplectic frame
+        assert eigh_calls == [(4, 4)] * 2
+        assert len(evaluations) == 4 * m + 1
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("theta", [0.2, 0.7, 1.5])
+    def test_scalar_is_the_one_parameter_case(self, name, theta):
+        family = FAMILIES[name]
+        H = qfi_matrix(lambda t: family(t[0]), [theta]).H
+        assert H.shape == (1, 1)
+        assert H[0, 0] == qfi_scalar(family, theta)
+
+    def test_off_diagonal_matches_polarization(self):
+        # g(e_i + e_j) = g_ii + 2 g_ij + g_jj for the bilinear form
+        def family(theta):
+            s = thermal([0.4 + theta[1] ** 2])
+            return displace(s, [theta[0] + theta[1], -0.5 * theta[1]])
+        H = qfi_matrix(family, [0.1, 0.3]).H
+        along = qfi_scalar(lambda t: family([0.1 + t, 0.3 + t]), 0.0)
+        assert along == pytest.approx(H[0, 0] + 2.0 * H[0, 1] + H[1, 1], rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,10 @@ class TestBuilders:
         np.testing.assert_allclose(symplectic_eigenvalues(s.V), 0.5, atol=1e-10)
 
     def test_apply_symplectic_rejects_non_symplectic(self):
-        with pytest.raises(InvalidParameter):
-            apply_symplectic(vacuum(1), 2.0 * np.eye(2))
+        # a NaN entry makes the residual NaN, which must not pass the test
+        for S in (2.0 * np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+            with pytest.raises(InvalidParameter):
+                apply_symplectic(vacuum(1), S)
 
     def test_displace_shifts_mean_only(self):
         s = displace(vacuum(1), [0.3, -0.4])
