@@ -37,7 +37,9 @@ def make_symplectic_form(n: int) -> np.ndarray:
         raise InvalidParameter(f"mode count must be >= 1, got {n}")
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    return _frozen_view(np.block([[zero, eye], [-eye, zero]]))
+    omega = np.block([[zero, eye], [-eye, zero]])
+    omega.setflags(write=False)
+    return omega.view()
 
 
 def xxpp_to_xpxp_indices(n: int) -> np.ndarray:
@@ -51,17 +53,6 @@ def xxpp_to_xpxp_indices(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # state container
 # ---------------------------------------------------------------------------
-
-def _frozen_view(out: np.ndarray) -> np.ndarray:
-    """A read-only view of ``out``, which must own its data.  numpy lets the
-    owner of the data re-enable writes, but not a view of a read-only base."""
-    out.setflags(write=False)
-    return out.view()
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    return _frozen_view(np.array(a, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
@@ -79,15 +70,18 @@ class GaussianState:
     V: np.ndarray
 
     def __post_init__(self):
-        u = _readonly(self.u)
-        V = _readonly(self.V)
+        u = np.array(self.u, dtype=float)
+        V = np.array(self.V, dtype=float)
         if u.shape != (2 * self.n,):
             raise InvalidParameter(f"mean vector has shape {u.shape}, expected {(2 * self.n,)}")
         if V.shape != (2 * self.n, 2 * self.n):
             raise InvalidParameter(
                 f"covariance matrix has shape {V.shape}, expected {(2 * self.n,) * 2}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "V", V)
+        # a view of a read-only base cannot be made writable
+        u.setflags(write=False)
+        V.setflags(write=False)
+        object.__setattr__(self, "u", u.view())
+        object.__setattr__(self, "V", V.view())
 
     @classmethod
     def from_xpxp(cls, u, V) -> "GaussianState":
@@ -100,7 +94,7 @@ class GaussianState:
             raise InvalidParameter(
                 f"mean/cov shapes {u.shape}/{V.shape} do not describe an xpxp state")
         perm = np.argsort(xxpp_to_xpxp_indices(n))
-        return cls(n, u[perm], V[np.ix_(perm, perm)])
+        return cls(n, u[perm], V[perm[:, None], perm])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -147,8 +141,6 @@ def validate_state(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> Physi
     with a NaN or infinite entry is unphysical, with ``min_eig_shifted`` NaN.
     """
     V = state.V
-    if V.shape[0] != 2 * state.n:
-        raise InvalidParameter("covariance matrix shape does not match mode count")
     if not np.isfinite(V).all():
         # eigvalsh reads one triangle only and fails to converge on a NaN
         return PhysicalityReport(symmetric=False, min_eig_shifted=float("nan"),
@@ -240,10 +232,8 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     Returned in descending order.
     """
     n = V.shape[0] // 2
-    omega = make_symplectic_form(n)
     root = _sym_eig_sqrt(V)[0]
-    herm = 1j * root @ omega @ root
-    eig = np.linalg.eigvalsh(herm)
+    eig = np.linalg.eigvalsh(1j * root @ make_symplectic_form(n) @ root)
     return eig[n:][::-1].copy()
 
 
@@ -269,18 +259,15 @@ def williamson(V: np.ndarray) -> WilliamsonDecomposition:
     order = np.argsort(nu)[::-1]
     nu = nu[order]
     vecs = vecs[:, order]
-    a = np.sqrt(2.0) * vecs.real
-    b = np.sqrt(2.0) * vecs.imag
-    ortho = np.hstack([b, a])
-    scale = np.concatenate([nu, nu]) ** -0.5
-    S = (root @ ortho) * scale[None, :]
+    ortho = np.sqrt(2.0) * np.hstack([vecs.imag, vecs.real])
+    D = np.concatenate([nu, nu])
+    S = (root @ ortho) * D ** -0.5
 
     vscale = max(1.0, float(np.max(np.abs(V))))
     resid_symp = float(np.max(np.abs(S @ omega @ S.T - omega)))
     if resid_symp > DEFAULT_RECON_TOL * vscale:
         raise NumericalError("assembled matrix fails S Omega S^T = Omega")
-    D = np.concatenate([nu, nu])
-    resid_recon = float(np.max(np.abs((S * D[None, :]) @ S.T - V)))
+    resid_recon = float(np.max(np.abs((S * D) @ S.T - V)))
     if resid_recon > DEFAULT_RECON_TOL * vscale:
         raise NumericalError("assembled decomposition fails to reconstruct V")
     return WilliamsonDecomposition(S=S, nu=nu, residual_symplectic=resid_symp,

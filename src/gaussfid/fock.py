@@ -134,12 +134,15 @@ def mode_operators(cutoffs: Sequence[int]) -> list:
     return [_embed(destroy(c), k, cutoffs) for k, c in enumerate(cutoffs)]
 
 
+def _quadratures(a_ops: list) -> list:
+    """(x_1..x_n, p_1..p_n) with x = (a + a')/sqrt(2) from the a_k."""
+    return ([(a + a.conj().T) / np.sqrt(2.0) for a in a_ops]
+            + [-1j * (a - a.conj().T) / np.sqrt(2.0) for a in a_ops])
+
+
 def quadrature_operators(cutoffs: Sequence[int]) -> list:
-    """Quadratures (x_1..x_n, p_1..p_n) with x = (a + a')/sqrt(2)."""
-    a_ops = mode_operators(cutoffs)
-    xs = [(a + a.conj().T) / np.sqrt(2.0) for a in a_ops]
-    ps = [-1j * (a - a.conj().T) / np.sqrt(2.0) for a in a_ops]
-    return xs + ps
+    """Quadratures (x_1..x_n, p_1..p_n) on the full tensor-product space."""
+    return _quadratures(mode_operators(cutoffs))
 
 
 def _unitary_from_generator(K: np.ndarray) -> np.ndarray:
@@ -154,11 +157,7 @@ def thermal_fock(nbar: float, cutoff: int) -> np.ndarray:
     if nbar < 0:
         raise InvalidParameter("thermal occupation must be >= 0")
     k = np.arange(cutoff)
-    if nbar == 0:
-        p = np.zeros(cutoff)
-        p[0] = 1.0
-    else:
-        p = nbar ** k / (1.0 + nbar) ** (k + 1)
+    p = nbar ** k / (1.0 + nbar) ** (k + 1)  # 0.0 ** 0 = 1: the vacuum for nbar = 0
     return np.diag(p).astype(complex)
 
 
@@ -277,13 +276,12 @@ def _op_moment_action(op, n: int):
         d[n + mode] = np.sqrt(2.0) * np.imag(alpha)
         return np.eye(2 * n), d
     if kind == "squeeze":
-        _, mode, r, phi = op
-        return st.embed_symplectic(st.squeeze_block(r, phi), [mode], n), np.zeros(2 * n)
-    if kind == "phase":
-        _, mode, phi = op
-        return st.embed_symplectic(st.rotation_block(phi), [mode], n), np.zeros(2 * n)
-    _, modes, theta, phi = op
-    return st.embed_symplectic(st.beamsplitter_block(theta, phi), list(modes), n), np.zeros(2 * n)
+        block, modes = st.squeeze_block(*op[2:]), [op[1]]
+    elif kind == "phase":
+        block, modes = st.rotation_block(op[2]), [op[1]]
+    else:
+        block, modes = st.beamsplitter_block(*op[2:]), list(op[1])
+    return st.embed_symplectic(block, modes, n), np.zeros(2 * n)
 
 
 def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
@@ -413,10 +411,7 @@ def moments_from_fock(r: FockDensityMatrix) -> GaussianState:
     """
     n = r.n_modes
     rho_t = (r.rho / np.trace(r.rho)).reshape(tuple(r.cutoffs) * 2)
-    a = [destroy(c) for c in r.cutoffs]
-    xs = [(ak + ak.conj().T) / np.sqrt(2.0) for ak in a]
-    ps = [-1j * (ak - ak.conj().T) / np.sqrt(2.0) for ak in a]
-    Q = list(enumerate(xs)) + list(enumerate(ps))
+    Q = list(zip(list(range(n)) * 2, _quadratures([destroy(c) for c in r.cutoffs])))
     u = np.array([_expectation(rho_t, {k: q}).real for k, q in Q])
     M = np.empty((2 * n, 2 * n))
     for i, (k, qi) in enumerate(Q):

@@ -132,6 +132,14 @@ def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray,
 # quantum Fisher information
 # ---------------------------------------------------------------------------
 
+def _step(h: float | None, default: float) -> float:
+    """h (``default`` if None), refused unless finite and > 0."""
+    step = default if h is None else h
+    if not 0.0 < step < np.inf:
+        raise InvalidParameter(f"QFI step h must be finite and > 0, got {step}")
+    return step
+
+
 def _moment_derivatives(family: Callable[[float], GaussianState], theta0: float, h: float):
     """4th-order central differences of the family's mean and covariance."""
     stencil = {k: family(theta0 + k * h) for k in (-2, -1, 1, 2)}
@@ -150,13 +158,10 @@ def qfi_scalar(family: Callable[[float], GaussianState], theta0: float,
     The two agree in the h -> 0 limit.
     """
     if mode == "analytic":
-        step = DEFAULT_MOMENT_STEP if h is None else h
-        du, dV = _moment_derivatives(family, theta0, step)
-        base = family(theta0)
-        metric = bures_metric(base, du, dV, metric_tol)
-        return 4.0 * metric.ds2
+        du, dV = _moment_derivatives(family, theta0, _step(h, DEFAULT_MOMENT_STEP))
+        return 4.0 * bures_metric(family(theta0), du, dV, metric_tol).ds2
     if mode == "finite_difference":
-        step = DEFAULT_FD_STEP if h is None else h
+        step = _step(h, DEFAULT_FD_STEP)
         f = fidelity(family(theta0), family(theta0 + step)).F
         return 8.0 * (1.0 - f) / step ** 2
     raise InvalidParameter(f"unknown QFI mode {mode!r}")
@@ -174,6 +179,7 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     """
     theta0 = np.asarray(theta0, dtype=float)
     m = len(theta0)
+    h = _step(h, DEFAULT_MOMENT_STEP)
     base = family(theta0)
     dus, dVs = zip(*(_moment_derivatives(lambda t: family(theta0 + t * axis), 0.0, h)
                      for axis in np.eye(m)))
@@ -183,9 +189,8 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     for i in range(m):
         for j in range(i, m):
             H[i, j] = H[j, i] = 4.0 * (0.25 * dus[i] @ X[:, j] + delta[i, j] / 8.0)
-    label_tuple = tuple(labels) if labels is not None else tuple(
-        f"theta_{i}" for i in range(m))
-    return QfiMatrix(H=H, labels=label_tuple)
+    labels = tuple(f"theta_{i}" for i in range(m)) if labels is None else tuple(labels)
+    return QfiMatrix(H=H, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +236,7 @@ def squeeze_r_family(theta: float) -> GaussianState:
 
 def phase_theta_family(theta: float) -> GaussianState:
     """Squeezed vacuum (r = 1) rotated by theta; phase estimation benchmark."""
-    rot = states.embed_symplectic(states.rotation_block(theta), [0], 1)
-    return states.apply_symplectic(states.squeezed([1.0]), rot)
+    return states.apply_symplectic(states.squeezed([1.0]), states.rotation_block(theta))
 
 
 FAMILIES = {

@@ -77,15 +77,10 @@ def singular_reduction(V1: np.ndarray, V2: np.ndarray,
     V1 = np.asarray(V1, dtype=float)
     V2 = np.asarray(V2, dtype=float)
     n = V1.shape[0] // 2
-    nu1 = symplectic_eigenvalues(V1)
-    nu2 = symplectic_eigenvalues(V2)
-    r1 = int(np.sum(nu1 - 0.5 <= tol))
-    r2 = int(np.sum(nu2 - 0.5 <= tol))
+    r1, r2 = (int(np.sum(symplectic_eigenvalues(V) - 0.5 <= tol)) for V in (V1, V2))
+    r = max(r1, r2)
     if r2 > r1:
         V1, V2 = V2, V1
-        r, nu = r2, nu2
-    else:
-        r, nu = r1, nu1
 
     omega = make_symplectic_form(n)
     dec = williamson(V1)

@@ -63,14 +63,13 @@ def embed_symplectic(block: np.ndarray, modes: Sequence[int], n: int) -> np.ndar
     The block must use the sub-layout (x_{m1}..x_{mk}, p_{m1}..p_{mk}).
     """
     modes = list(modes)
-    if len(set(modes)) != len(modes) or any(m < 0 or m >= n for m in modes):
+    if len(set(modes)) != len(modes) or any(not 0 <= m < n for m in modes):
         raise InvalidParameter(f"invalid mode indices {modes} for n = {n}")
-    k = len(modes)
-    if block.shape != (2 * k, 2 * k):
+    if block.shape != (2 * len(modes),) * 2:
         raise InvalidParameter("block shape does not match number of modes")
     idx = np.array(modes + [m + n for m in modes])
     out = np.eye(2 * n)
-    out[np.ix_(idx, idx)] = block
+    out[idx[:, None], idx] = block
     return out
 
 
@@ -87,38 +86,42 @@ def vacuum(n: int) -> GaussianState:
 def thermal(nbar: Sequence[float]) -> GaussianState:
     """Thermal state with mean occupation nbar_k per mode; V = diag(nbar + 1/2)."""
     nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
-    if np.any(nbar < 0):
-        raise InvalidParameter("thermal occupation numbers must be >= 0")
-    v = np.concatenate([nbar + 0.5, nbar + 0.5])
+    if not ((nbar >= 0) & (nbar < np.inf)).all():
+        raise InvalidParameter(f"thermal occupations must be finite and >= 0, got {nbar}")
+    v = np.concatenate([nbar, nbar]) + 0.5
     return GaussianState(len(nbar), np.zeros(2 * len(nbar)), np.diag(v))
 
 
 def coherent(alpha: Sequence[complex]) -> GaussianState:
     """Coherent state |alpha_1 .. alpha_n>: vacuum CM, mean sqrt(2)(Re a, Im a)."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    n = len(alpha)
-    u = np.sqrt(2.0) * np.concatenate([alpha.real, alpha.imag])
-    return GaussianState(n, u, 0.5 * np.eye(2 * n))
+    return displace(vacuum(len(alpha)), np.sqrt(2.0) * np.concatenate([alpha.real, alpha.imag]))
+
+
+def _vacuum_through(S: np.ndarray, **params) -> GaussianState:
+    """The vacuum conjugated by an S that is symplectic by construction."""
+    V = S @ (0.5 * np.eye(len(S))) @ S.T
+    if not np.isfinite(V).all():
+        raise InvalidParameter(f"{params}: non-finite or overflowing covariance")
+    return GaussianState(len(S) // 2, np.zeros(len(S)), V)
 
 
 def squeezed(r: Sequence[float], phi: Sequence[float] | None = None) -> GaussianState:
     """Product of single-mode squeezed vacua with parameters (r_k, phi_k)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     phi = np.zeros_like(r) if phi is None else np.atleast_1d(np.asarray(phi, dtype=float))
-    if phi.shape != r.shape:
-        raise InvalidParameter("r and phi must have matching lengths")
     n = len(r)
-    state = vacuum(n)
+    if r.ndim != 1 or phi.shape != r.shape or n < 1:
+        raise InvalidParameter("r and phi must be non-empty 1-D of matching lengths")
     S = np.eye(2 * n)
-    for k in range(n):
-        S = embed_symplectic(squeeze_block(r[k], phi[k]), [k], n) @ S
-    return apply_symplectic(state, S)
+    for k in range(n):  # squeezer k acts on rows and columns k, k + n alone
+        S[k::n, k::n] = squeeze_block(r[k], phi[k])
+    return _vacuum_through(S, r=r, phi=phi)
 
 
 def two_mode_squeezed(r: float, n: int = 2, modes: Sequence[int] = (0, 1)) -> GaussianState:
     """Two-mode squeezed vacuum on the given mode pair of an n-mode register."""
-    S = embed_symplectic(two_mode_squeeze_block(r), list(modes), n)
-    return apply_symplectic(vacuum(n), S)
+    return _vacuum_through(embed_symplectic(two_mode_squeeze_block(r), list(modes), n), r=r)
 
 
 def displace(state: GaussianState, d: Sequence[float]) -> GaussianState:
@@ -126,7 +129,10 @@ def displace(state: GaussianState, d: Sequence[float]) -> GaussianState:
     d = np.asarray(d, dtype=float)
     if d.shape != state.u.shape:
         raise InvalidParameter("displacement length does not match the state")
-    return GaussianState(state.n, state.u + d, state.V)
+    u = state.u + d
+    if not np.isfinite(u).all():
+        raise InvalidParameter(f"displacement {d}: non-finite mean vector")
+    return GaussianState(state.n, u, state.V)
 
 
 def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
@@ -135,22 +141,20 @@ def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
     if S.shape != (2 * state.n,) * 2:
         raise InvalidParameter("symplectic matrix shape does not match the state")
     omega = make_symplectic_form(state.n)
-    if not np.max(np.abs(S @ omega @ S.T - omega)) <= 1e-8 * max(1.0, np.max(np.abs(S)) ** 2):
+    St = S.T
+    if not np.abs(S @ omega @ St - omega).max() <= 1e-8 * max(1.0, np.abs(S).max() ** 2):
         raise InvalidParameter("matrix is not symplectic (S Omega S^T != Omega)")
-    return GaussianState(state.n, S @ state.u, S @ state.V @ S.T)
+    return GaussianState(state.n, S @ state.u, S @ state.V @ St)
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Tensor product of two states, realized as a direct sum of moments."""
     n = a.n + b.n
-    u = np.zeros(2 * n)
-    V = np.zeros((2 * n, 2 * n))
-    ia = np.concatenate([np.arange(a.n), np.arange(a.n) + n])
-    ib = np.concatenate([np.arange(b.n) + a.n, np.arange(b.n) + n + a.n])
-    u[ia] = a.u
-    u[ib] = b.u
-    V[np.ix_(ia, ia)] = a.V
-    V[np.ix_(ib, ib)] = b.V
+    u, V = np.zeros(2 * n), np.zeros((2 * n, 2 * n))
+    for s, first in ((a, 0), (b, a.n)):
+        idx = np.r_[first:first + s.n, n + first:n + first + s.n]
+        u[idx] = s.u
+        V[idx[:, None], idx] = s.V
     return GaussianState(n, u, V)
 
 
@@ -188,7 +192,5 @@ def random_state(n: int, seed: int, max_squeeze: float = 1.0, max_thermal: float
         raise InvalidParameter("sampling bounds must be non-negative")
     rng = np.random.default_rng(seed)
     nbar = np.zeros(n) if pure else rng.uniform(0.0, max_thermal, n)
-    state = thermal(nbar)
-    S = random_symplectic(n, rng, max_squeeze)
-    state = apply_symplectic(state, S)
+    state = apply_symplectic(thermal(nbar), random_symplectic(n, rng, max_squeeze))
     return displace(state, rng.uniform(-max_disp, max_disp, 2 * n))

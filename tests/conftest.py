@@ -28,6 +28,23 @@ def pytest_unconfigure(config):
     config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
+def record_calls(monkeypatch, owner, name):
+    """The positional arguments of every call of ``owner.<name>`` from here on.
+
+    ``owner`` is a module, whose binding the module's own callers look up, or
+    a class, whose methods receive the instance as the first argument.
+    """
+    original = getattr(owner, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 def count_linalg_calls(monkeypatch, name):
     """The argument shape of every ``numpy.linalg.<name>`` call from here on."""
     original = getattr(np.linalg, name)

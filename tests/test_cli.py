@@ -215,6 +215,16 @@ class TestCommands:
         assert code == 0
         assert report["qfi"] == pytest.approx(2.0, abs=1e-7)
 
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    @pytest.mark.parametrize("h", ["0", "-1e-3", "nan", "inf"])
+    def test_qfi_step_must_be_finite_and_positive(self, capsys, mode, h):
+        # h = 0 was a ZeroDivisionError traceback (finite differences) or
+        # '"qfi": NaN', which is not JSON, with exit 0 (analytic)
+        code, out, err = run(capsys, ["qfi", "--family", "squeeze-r", "--theta", "0.3",
+                                      "--mode", mode, f"--h={h}", "--json"])
+        assert (code, out) == (2, "")
+        assert "finite and > 0" in err
+
     def test_qfi_help_lists_every_family(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "500")  # no line breaks inside a name
         with pytest.raises(SystemExit) as exit_info:

@@ -32,7 +32,7 @@ from gaussfid.fidelity import (
 from gaussfid.reference import alt_ftot_v12, singular_reduction, w_matrix
 from gaussfid.states import random_symplectic
 
-from conftest import count_linalg_calls, mixed_pair, via_xpxp
+from conftest import count_linalg_calls, mixed_pair, record_calls, via_xpxp
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +211,7 @@ def _ensemble():
 
 def _record_calls(monkeypatch, name):
     """The arguments of every call of ``gaussfid.fidelity.<name>`` from here on."""
-    module = importlib.import_module("gaussfid.fidelity")
-    original = getattr(module, name)
-    calls = []
-
-    def recording(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, recording)
-    return calls
+    return record_calls(monkeypatch, importlib.import_module("gaussfid.fidelity"), name)
 
 
 class TestLeanHotPath:

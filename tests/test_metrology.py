@@ -177,6 +177,13 @@ class TestQfiScalar:
         with pytest.raises(InvalidParameter):
             get_family("nope")
 
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    @pytest.mark.parametrize("h", [0.0, -0.0, -1e-3, np.nan, np.inf, -np.inf])
+    def test_step_must_be_finite_and_positive(self, mode, h):
+        # h = 0 divided by zero (finite differences) or returned NaN (analytic)
+        with pytest.raises(InvalidParameter, match="finite and > 0"):
+            qfi_scalar(get_family("squeeze-r"), 0.3, mode=mode, h=h)
+
     def test_phase_family_runs(self):
         value = qfi_scalar(get_family("phase-theta"), 0.2)
         fd = qfi_scalar(get_family("phase-theta"), 0.2, mode="finite_difference", h=1e-4)
@@ -243,6 +250,12 @@ class TestQfiMatrix:
         H = qfi_matrix(lambda t: family(t[0]), [theta]).H
         assert H.shape == (1, 1)
         assert H[0, 0] == qfi_scalar(family, theta)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        # h = 0 used to give an H full of NaN
+        with pytest.raises(InvalidParameter, match="finite and > 0"):
+            qfi_matrix(lambda t: displace(thermal([0.4]), [t[0], t[1]]), [0.1, 0.2], h=h)
 
     def test_off_diagonal_matches_polarization(self):
         # g(e_i + e_j) = g_ii + 2 g_ij + g_jj for the bilinear form

@@ -20,6 +20,8 @@ from gaussfid import (
     vacuum,
     validate_state,
 )
+from gaussfid import states
+from gaussfid.metrology import FAMILIES
 from gaussfid.states import (
     beamsplitter_block,
     embed_symplectic,
@@ -29,7 +31,7 @@ from gaussfid.states import (
     two_mode_squeeze_block,
 )
 
-from conftest import mixed_pair, via_xpxp
+from conftest import mixed_pair, record_calls, via_xpxp
 
 
 class TestBuilders:
@@ -184,3 +186,257 @@ class TestReorder:
     def test_fidelity_invariant_under_reordering(self, seed):
         a, b = mixed_pair(2, 300 + seed)
         assert fidelity(via_xpxp(a), via_xpxp(b)).F == fidelity(a, b).F
+
+
+class TestNonFiniteParameters:
+    """Builders refuse a NaN or infinite parameter, and an overflowing result,
+    with InvalidParameter."""
+
+    @pytest.mark.parametrize("nbar", [[np.nan], [np.inf], [0.5, -np.inf]])
+    def test_thermal(self, nbar):
+        with pytest.raises(InvalidParameter, match="finite and >= 0"):
+            thermal(nbar)
+
+    @pytest.mark.parametrize("alpha", [[np.nan], [complex(0.0, np.inf)], [0.3, np.nan * 1j]])
+    def test_coherent(self, alpha):
+        with pytest.raises(InvalidParameter, match="non-finite mean vector"):
+            coherent(alpha)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("d", [[np.nan, 0.0], [0.0, -np.inf], [1e308, 0.0]])
+    def test_displace(self, d):
+        # the last one overflows the mean vector of an already displaced state
+        with pytest.raises(InvalidParameter, match="non-finite mean vector"):
+            displace(displace(vacuum(1), [1e308, 0.0]), d)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("r, phi", [
+        ([400.0], None),           # cosh(400) is finite, the covariance overflows
+        ([0.2, -400.0], [0.0, 1.0]),
+        ([np.nan], None),
+        ([np.inf], None),
+        ([0.2], [np.nan]),
+        ([0.2, 0.1], [0.0, np.inf]),
+    ])
+    def test_squeezed(self, r, phi):
+        with pytest.raises(InvalidParameter, match="non-finite or overflowing covariance"):
+            squeezed(r, phi)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("r", [400.0, -400.0, np.nan, np.inf])
+    def test_two_mode_squeezed(self, r):
+        with pytest.raises(InvalidParameter, match="non-finite or overflowing covariance"):
+            two_mode_squeezed(r, 3, (2, 0))
+
+    def test_large_finite_parameters_are_kept(self):
+        assert np.isfinite(squeezed([300.0]).V).all()
+        assert displace(vacuum(1), [1e308, -1e308]).u[1] == -1e308
+        assert thermal([1e300]).V[0, 0] == 1e300
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the composition the builders replaced
+# ---------------------------------------------------------------------------
+
+def _product_embed(block, modes, n):
+    """embed_symplectic as it was: np.ix_ assignment into an identity."""
+    modes = list(modes)
+    if len(set(modes)) != len(modes) or any(m < 0 or m >= n for m in modes):
+        raise InvalidParameter(f"invalid mode indices {modes} for n = {n}")
+    k = len(modes)
+    if block.shape != (2 * k, 2 * k):
+        raise InvalidParameter("block shape does not match number of modes")
+    idx = np.array(modes + [m + n for m in modes])
+    out = np.eye(2 * n)
+    out[np.ix_(idx, idx)] = block
+    return out
+
+
+def _product_apply(state, S):
+    """apply_symplectic as it was."""
+    S = np.asarray(S, dtype=float)
+    if S.shape != (2 * state.n,) * 2:
+        raise InvalidParameter("symplectic matrix shape does not match the state")
+    omega = make_symplectic_form(state.n)
+    if not np.max(np.abs(S @ omega @ S.T - omega)) <= 1e-8 * max(1.0, np.max(np.abs(S)) ** 2):
+        raise InvalidParameter("matrix is not symplectic (S Omega S^T != Omega)")
+    return GaussianState(state.n, S @ state.u, S @ state.V @ S.T)
+
+
+def _product_squeezed(r, phi=None):
+    """squeezed as it was: vacuum, a chain of embedded products, then the check."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    phi = np.zeros_like(r) if phi is None else np.atleast_1d(np.asarray(phi, dtype=float))
+    if phi.shape != r.shape:
+        raise InvalidParameter("r and phi must have matching lengths")
+    n = len(r)
+    state = vacuum(n)
+    S = np.eye(2 * n)
+    for k in range(n):
+        S = _product_embed(squeeze_block(r[k], phi[k]), [k], n) @ S
+    return _product_apply(state, S)
+
+
+def _product_random_state(n, seed, max_squeeze=1.0, max_thermal=2.0, max_disp=1.0,
+                          pure=False):
+    """random_state as it was, its symplectic built from _product_embed."""
+    rng = np.random.default_rng(seed)
+    nbar = np.zeros(n) if pure else rng.uniform(0.0, max_thermal, n)
+    state = GaussianState(n, np.zeros(2 * n), np.diag(np.concatenate([nbar + 0.5] * 2)))
+    S = np.eye(2 * n)
+    for _ in range(2):
+        for k in range(n):
+            S = _product_embed(rotation_block(rng.uniform(0, 2 * np.pi)), [k], n) @ S
+            S = _product_embed(squeeze_block(rng.uniform(-max_squeeze, max_squeeze),
+                                             rng.uniform(0, 2 * np.pi)), [k], n) @ S
+        for k in range(n - 1):
+            S = _product_embed(beamsplitter_block(rng.uniform(0, 2 * np.pi),
+                                                  rng.uniform(0, 2 * np.pi)), [k, k + 1], n) @ S
+    state = _product_apply(state, S)
+    d = rng.uniform(-max_disp, max_disp, 2 * n)
+    return GaussianState(n, state.u + d, state.V)
+
+
+_PRODUCT_FAMILIES = {
+    "coherent-displacement": lambda t: GaussianState(1, np.array([t, 0.0]), 0.5 * np.eye(2)),
+    "thermal-nbar": lambda t: GaussianState(1, np.zeros(2), np.diag([t + 0.5] * 2)),
+    "squeeze-r": lambda t: _product_squeezed([t]),
+    "phase-theta": lambda t: _product_apply(_product_squeezed([1.0]),
+                                            _product_embed(rotation_block(t), [0], 1)),
+}
+
+
+def _assert_same(state, expected):
+    assert state.n == expected.n
+    assert np.array_equal(state.u, expected.u)
+    assert np.array_equal(state.V, expected.V)
+
+
+class TestBitIdentity:
+    """The builders give the arrays of the composition they replaced, bit for
+    bit (np.array_equal), and refuse what it refused with the same type."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("with_phi", [False, True])
+    def test_squeezed(self, n, with_phi):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            r = rng.uniform(-3.0, 3.0, n)
+            phi = rng.uniform(0.0, 2 * np.pi, n) if with_phi else None
+            _assert_same(squeezed(r, phi), _product_squeezed(r, phi))
+
+    @pytest.mark.parametrize("r", [0.0, 0.4, -1.3, 5.0])
+    @pytest.mark.parametrize("n, modes", [(2, (0, 1)), (3, (2, 0)), (5, (1, 4))])
+    def test_two_mode_squeezed_and_embedding(self, r, n, modes):
+        block = two_mode_squeeze_block(r)
+        assert np.array_equal(embed_symplectic(block, modes, n),
+                              _product_embed(block, modes, n))
+        _assert_same(two_mode_squeezed(r, n, modes),
+                     _product_apply(vacuum(n), _product_embed(block, modes, n)))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_embedding_of_random_blocks(self, n):
+        rng = np.random.default_rng(7 * n)
+        for k in range(n):
+            block = rng.normal(size=(2, 2))
+            assert np.array_equal(embed_symplectic(block, [k], n), _product_embed(block, [k], n))
+        if n > 1:
+            block = rng.normal(size=(4, 4))
+            assert np.array_equal(embed_symplectic(block, [n - 1, 0], n),
+                                  _product_embed(block, [n - 1, 0], n))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_families(self, name):
+        for theta in (0.0, 0.3, 0.95, 1.7, 2.6):
+            _assert_same(FAMILIES[name](theta), _PRODUCT_FAMILIES[name](theta))
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_random_state(self, n):
+        for seed, kwargs in ((n, {}), (n + 1, {"pure": True}), (n + 2, {"max_squeeze": 4.0})):
+            _assert_same(random_state(n, seed, **kwargs), _product_random_state(n, seed, **kwargs))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("r, phi", [
+        ([], None),
+        ([[0.1, 0.2]], None),
+        ([0.1, 0.2], [0.3]),
+        ([0.1], [[0.3]]),
+        ([np.nan], None),
+        ([np.inf], None),
+        ([-np.inf, 0.2], None),
+        ([0.2], [np.nan]),
+        ([0.2], [np.inf]),
+        (["x"], None),
+    ])
+    def test_squeezed_refuses_what_the_product_refused(self, r, phi):
+        with pytest.raises(Exception) as old:
+            _product_squeezed(r, phi)
+        with pytest.raises(Exception) as new:
+            squeezed(r, phi)
+        assert new.type is old.type
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("r, n, modes", [
+        (np.nan, 2, (0, 1)),
+        (-np.inf, 2, (0, 1)),
+        (0.3, 2, (0, 0)),
+        (0.3, 2, (0, 2)),
+        (0.3, 1, (0, 1)),
+        (0.3, 3, (0,)),
+    ])
+    def test_two_mode_squeezed_refuses_what_the_product_refused(self, r, n, modes):
+        with pytest.raises(InvalidParameter):
+            _product_apply(vacuum(n), _product_embed(two_mode_squeeze_block(r), modes, n))
+        with pytest.raises(InvalidParameter):
+            two_mode_squeezed(r, n, modes)
+
+    @pytest.mark.parametrize("block, modes, n", [
+        (np.eye(2), [0, 0], 2),
+        (np.eye(2), [2], 2),
+        (np.eye(2), [-1], 2),
+        (np.eye(4), [0], 2),
+        (np.eye(2), [0, 1], 2),
+    ])
+    def test_embedding_refuses_what_the_product_refused(self, block, modes, n):
+        with pytest.raises(InvalidParameter):
+            _product_embed(block, modes, n)
+        with pytest.raises(InvalidParameter):
+            embed_symplectic(block, modes, n)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("S", [
+        2.0 * np.eye(2),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 0.0]]),
+        np.eye(4),
+    ])
+    def test_apply_symplectic_refuses_what_the_product_refused(self, S):
+        with pytest.raises(InvalidParameter):
+            _product_apply(vacuum(1), S)
+        with pytest.raises(InvalidParameter):
+            apply_symplectic(vacuum(1), S)
+
+
+class TestConstructionBudget:
+    """Each builder makes the states its result needs and no embedded products."""
+
+    def test_squeezed_places_its_blocks(self, monkeypatch):
+        embeds = record_calls(monkeypatch, states, "embed_symplectic")
+        applies = record_calls(monkeypatch, states, "apply_symplectic")
+        built = record_calls(monkeypatch, GaussianState, "__post_init__")
+        squeezed([0.3, -0.2, 1.1], [0.1, 0.0, 2.0])
+        assert (embeds, applies, len(built)) == ([], [], 1)
+
+    #: GaussianState constructions per family call
+    FAMILY_STATES = {
+        "coherent-displacement": 2,  # the vacuum, then its displacement
+        "thermal-nbar": 1,
+        "squeeze-r": 1,
+        "phase-theta": 2,            # the squeezed vacuum, then its rotation
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_states(self, name, monkeypatch):
+        built = record_calls(monkeypatch, GaussianState, "__post_init__")
+        FAMILIES[name](0.7)
+        assert len(built) == self.FAMILY_STATES[name]
