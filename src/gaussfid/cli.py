@@ -46,14 +46,17 @@ EXIT_USAGE = 64
 
 ORACLE_CHECK_THRESHOLD = 1e-6
 
+#: The fixed tolerances every report echoes.
+TOLERANCES = {"phys": DEFAULT_PHYS_TOL, "pure": DEFAULT_PURE_TOL, "metric": DEFAULT_METRIC_TOL}
+
 
 # ---------------------------------------------------------------------------
 # state files
 # ---------------------------------------------------------------------------
 
-def parse_state_file(path: str | Path, phys_tol: float = DEFAULT_PHYS_TOL) -> GaussianState:
+def parse_state_file(path: str | Path) -> GaussianState:
     """Load a state file, converting to the canonical xxpp layout, and refuse
-    it as :func:`require_physical` does at ``phys_tol``."""
+    it as :func:`require_physical` does."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -83,7 +86,7 @@ def parse_state_file(path: str | Path, phys_tol: float = DEFAULT_PHYS_TOL) -> Ga
     else:
         state = GaussianState(n, mean, cov)
     try:
-        require_physical(state, phys_tol)
+        require_physical(state)
     except InvalidState as exc:
         raise InvalidState(f"{path}: {exc}") from None
     return state
@@ -188,13 +191,13 @@ def _fidelity_fields(rep) -> dict:
 
 # ---------------------------------------------------------------------------
 # command handlers; each returns (its own fields, warnings, exit code), and
-# main adds the command name before and the tolerances and warnings after
+# main adds the command name before and TOLERANCES and the warnings after
 # ---------------------------------------------------------------------------
 
 def _cmd_fidelity(args):
-    s1 = parse_state_file(args.state_a, args.tol_phys)
-    s2 = parse_state_file(args.state_b, args.tol_phys)
-    rep = fidelity(s1, s2, phys_tol=args.tol_phys, pure_tol=args.tol_pure)
+    s1 = parse_state_file(args.state_a)
+    s2 = parse_state_file(args.state_b)
+    rep = fidelity(s1, s2)
     fields = {
         "inputs": {"a": _input_entry(args.state_a), "b": _input_entry(args.state_b)},
         **_fidelity_fields(rep),
@@ -203,8 +206,8 @@ def _cmd_fidelity(args):
 
 
 def _cmd_invariants(args):
-    s1 = parse_state_file(args.state_a, args.tol_phys)
-    s2 = parse_state_file(args.state_b, args.tol_phys)
+    s1 = parse_state_file(args.state_a)
+    s2 = parse_state_file(args.state_b)
     inv = invariant_set(s1.V, s2.V)
     n = inv.n
     fields = {
@@ -220,9 +223,9 @@ def _cmd_invariants(args):
 
 
 def _cmd_bures(args):
-    s1 = parse_state_file(args.state_a, args.tol_phys)
-    s2 = parse_state_file(args.state_b, args.tol_phys)
-    rep = fidelity(s1, s2, phys_tol=args.tol_phys, pure_tol=args.tol_pure)
+    s1 = parse_state_file(args.state_a)
+    s2 = parse_state_file(args.state_b)
+    rep = fidelity(s1, s2)
     fields = {
         "inputs": {"a": _input_entry(args.state_a), "b": _input_entry(args.state_b)},
         "bures_distance": 2.0 * (1.0 - rep.F),
@@ -233,10 +236,10 @@ def _cmd_bures(args):
 
 
 def _cmd_metric(args):
-    s = parse_state_file(args.state_a, args.tol_phys)
+    s = parse_state_file(args.state_a)
     du = _parse_array_arg(args.du, "--du")
     dV = _parse_array_arg(args.dv, "--dv")
-    ev = bures_metric(s, du, dV, tol=args.tol_metric)
+    ev = bures_metric(s, du, dV)
     warnings = []
     if ev.skipped_terms:
         warnings.append(
@@ -253,8 +256,7 @@ def _cmd_metric(args):
 
 def _cmd_qfi(args):
     family = get_family(args.family)
-    value = qfi_scalar(family, args.theta, mode=args.mode, h=args.h,
-                       metric_tol=args.tol_metric)
+    value = qfi_scalar(family, args.theta, mode=args.mode, h=args.h)
     fields = {
         "family": args.family,
         "theta": args.theta,
@@ -282,8 +284,7 @@ def _cmd_oracle_check(args):
     circuit_b = fock.random_circuit(args.modes, rng)
     built_a = fock.build_circuit_state(circuit_a, args.cutoff)
     built_b = fock.build_circuit_state(circuit_b, args.cutoff)
-    f_engine = fidelity(built_a.gaussian, built_b.gaussian,
-                        phys_tol=args.tol_phys, pure_tol=args.tol_pure).F
+    f_engine = fidelity(built_a.gaussian, built_b.gaussian).F
     f_oracle = fock.uhlmann_fidelity_matrix(built_a.fock, built_b.fock)
     diff = abs(f_engine - f_oracle)
     passed = diff < ORACLE_CHECK_THRESHOLD
@@ -306,7 +307,7 @@ def _cmd_oracle_check(args):
 
 
 def _cmd_williamson(args):
-    s = parse_state_file(args.state_a, args.tol_phys)
+    s = parse_state_file(args.state_a)
     dec = williamson(s.V)
     fields = {
         "inputs": {"a": _input_entry(args.state_a)},
@@ -353,12 +354,6 @@ COMMANDS = tuple(HANDLERS)
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--tol-phys", type=float, default=DEFAULT_PHYS_TOL,
-                        help="physicality tolerance")
-    common.add_argument("--tol-pure", type=float, default=DEFAULT_PURE_TOL,
-                        help="pure-pair discard tolerance")
-    common.add_argument("--tol-metric", type=float, default=DEFAULT_METRIC_TOL,
-                        help="metric term-skipping tolerance")
 
     parser = argparse.ArgumentParser(
         prog="gaussfid",
@@ -430,8 +425,7 @@ def main(argv=None) -> int:
     except GaussfidError as exc:
         print(f"gaussfid: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    tolerances = {"phys": args.tol_phys, "pure": args.tol_pure, "metric": args.tol_metric}
-    report = {"command": args.command, **fields, "tolerances": tolerances, "warnings": warnings}
+    report = {"command": args.command, **fields, "tolerances": TOLERANCES, "warnings": warnings}
     _emit(report, args.json)
     return code
 

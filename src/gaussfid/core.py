@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameter, InvalidState, NumericalError
 
-# Default tolerances; the physicality checks accept an override.
+# The package's fixed tolerances.
 DEFAULT_PHYS_TOL = 1e-9       # physicality of V + i*Omega/2
 DEFAULT_RECON_TOL = 1e-8      # Williamson residual checks
 
@@ -132,12 +132,12 @@ class WilliamsonDecomposition:
 # physicality
 # ---------------------------------------------------------------------------
 
-def validate_state(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> PhysicalityReport:
+def validate_state(state: GaussianState) -> PhysicalityReport:
     """Check symmetry of V and the uncertainty relation V + i*Omega/2 >= 0.
 
     ``min_eig_shifted`` is the smallest eigenvalue of the Hermitian matrix
-    V + i*Omega/2; the state is physical iff it is >= -tol (equivalently all
-    symplectic eigenvalues >= 1/2 - tol) and V is symmetric within tol.  A V
+    V + i*Omega/2; the state is physical iff it is >= -tol*scale and V is
+    symmetric within tol*scale (tol = DEFAULT_PHYS_TOL, scale = max(1, max|V|)).  A V
     with a NaN or infinite entry is unphysical, with ``min_eig_shifted`` NaN.
     """
     V = state.V
@@ -146,34 +146,35 @@ def validate_state(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> Physi
         return PhysicalityReport(symmetric=False, min_eig_shifted=float("nan"),
                                  physical=False)
     scale = max(1.0, float(np.max(np.abs(V))))
-    symmetric = bool(np.max(np.abs(V - V.T)) <= tol * scale)
+    symmetric = bool(np.max(np.abs(V - V.T)) <= DEFAULT_PHYS_TOL * scale)
     omega = make_symplectic_form(state.n)
     herm = V + 0.5j * omega
     min_eig = float(np.linalg.eigvalsh(herm)[0])
     return PhysicalityReport(
         symmetric=symmetric,
         min_eig_shifted=min_eig,
-        physical=symmetric and min_eig >= -tol * scale,
+        physical=symmetric and min_eig >= -DEFAULT_PHYS_TOL * scale,
     )
 
 
-def require_physical(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> None:
+def require_physical(state: GaussianState) -> None:
     """Raise :class:`InvalidState` exactly when :func:`validate_state` reports
     the state unphysical.
 
-    A Cholesky factorisation of V + i*Omega/2 + (tol*scale/2)*I is the accept
-    test: it succeeds only if the smallest eigenvalue of V + i*Omega/2 lies
-    above -tol*scale/2 up to roundoff, which the eigenvalue test accepts too.
+    With tol = DEFAULT_PHYS_TOL and scale = max(1, max|V|), a Cholesky
+    factorisation of V + i*Omega/2 + (tol*scale/2)*I is the accept test: it
+    succeeds only if the smallest eigenvalue of V + i*Omega/2 lies above
+    -tol*scale/2 up to roundoff, which the eigenvalue test accepts too.
     Everything else goes to :func:`validate_state`, which alone decides: a
-    failed factorisation, an asymmetric V, tol <= 0 and a V with a non-finite
-    entry (an inf makes the bound infinite, a NaN fails the symmetry test).
+    failed factorisation, an asymmetric V and a V with a non-finite entry
+    (an inf makes the bound infinite, a NaN fails the symmetry test).
     A mean vector with a NaN or infinite entry is refused as well.
     """
     if not np.isfinite(state.u).all():
         raise InvalidState("state is not physical: the mean vector has a non-finite entry")
     V = state.V
-    bound = tol * max(1.0, float(np.max(np.abs(V))))
-    if 0 < bound < np.inf and np.max(np.abs(V - V.T)) <= bound:
+    bound = DEFAULT_PHYS_TOL * max(1.0, float(np.max(np.abs(V))))
+    if bound < np.inf and np.max(np.abs(V - V.T)) <= bound:
         shifted = V + 0.5j * make_symplectic_form(state.n)
         shifted.flat[::V.shape[0] + 1] += 0.5 * bound
         try:
@@ -183,7 +184,7 @@ def require_physical(state: GaussianState, tol: float = DEFAULT_PHYS_TOL) -> Non
             pass
     if not np.isfinite(V).all():
         raise InvalidState("state is not physical: the covariance matrix has a non-finite entry")
-    report = validate_state(state, tol)
+    report = validate_state(state)
     if not report.physical:
         raise InvalidState(
             "state is not physical: symmetric=%s, min_eig_shifted=%.3e"

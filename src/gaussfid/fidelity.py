@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    DEFAULT_PHYS_TOL,
-    GaussianState,
-    make_symplectic_form,
-    require_physical,
-)
+from .core import GaussianState, make_symplectic_form, require_physical
 from .errors import InvalidParameter, NumericalError
 
 #: Pairs with |w - 1| below this are treated as pure-mode pairs and discarded.
@@ -44,7 +39,7 @@ LAMBDA_RESID_TOL = 1e-8
 
 #: |t(V) - 1| at or below this marks a covariance as pure (see
 #: :func:`_purity_invariant`).  It sits at working precision, apart from
-#: ``pure_tol``: a state whose t cannot be resolved this finely (strong
+#: DEFAULT_PURE_TOL: a state whose t cannot be resolved this finely (strong
 #: squeezing) fails the test and takes the W_aux spectrum route.
 _PURITY_TOL = 1e-12
 
@@ -144,17 +139,17 @@ def _paired_imag_eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(eigs.imag))[::-1][::2].copy()
 
 
-def aux_spectrum(v_aux: np.ndarray, tol: float = DEFAULT_PURE_TOL) -> AuxSpectrum:
+def aux_spectrum(v_aux: np.ndarray) -> AuxSpectrum:
     """Eigenvalue pairs of W_aux from the real matrix A = 2 V_aux Omega.
 
-    A has spectrum +-i w; pairs with |w - 1| <= tol come from pure modes,
-    contribute a factor 1, and are dropped.  Retained values are clamped to
-    w >= 1 so that downstream square roots stay real.
+    A has spectrum +-i w; pairs with |w - 1| <= DEFAULT_PURE_TOL come from pure
+    modes, contribute a factor 1, and are dropped.  Retained values are clamped
+    to w >= 1 so that downstream square roots stay real.
     """
     n = v_aux.shape[0] // 2
     omega = make_symplectic_form(n)
     w = _paired_imag_eigenvalues(2.0 * v_aux @ omega)
-    unit = np.abs(w - 1.0) <= tol
+    unit = np.abs(w - 1.0) <= DEFAULT_PURE_TOL
     retained = w[~unit]
     if retained.size and retained.min() < 1.0 - _W_BELOW_ONE_LIMIT:
         raise NumericalError(
@@ -227,7 +222,7 @@ def invariant_set(V1: np.ndarray, V2: np.ndarray) -> InvariantSet:
         raise NumericalError("det(V1 + V2) is not positive")
     delta = float(sign * np.exp(logdet))
     gamma = _gamma(V1, V2)
-    lam = _checked_lambda(V1, V2, LAMBDA_RESID_TOL, gamma)
+    lam = _checked_lambda(V1, V2, gamma)
     return InvariantSet(i2k=i2k, gamma=gamma, lam=lam, delta=delta,
                         char_coeffs=_char_coeffs_from_traces(i2k))
 
@@ -238,13 +233,12 @@ def _gamma(V1: np.ndarray, V2: np.ndarray) -> float:
     return float(4.0 ** n * np.linalg.det(omega @ V1 @ omega @ V2 - 0.25 * np.eye(2 * n)))
 
 
-def _checked_lambda(V1: np.ndarray, V2: np.ndarray, resid_tol: float,
-                    gamma: float | None = None) -> float:
+def _checked_lambda(V1: np.ndarray, V2: np.ndarray, gamma: float | None = None) -> float:
     """Lambda, refused when its imaginary residue does not vanish.
 
     Lambda vanishes on pure states, so the relative check is floored by the
     roundoff scale of the determinants (gamma >= delta > 0 anchors it).  The
-    floor can only matter when the residue exceeds ``resid_tol * |Lambda|``,
+    floor can only matter when the residue exceeds LAMBDA_RESID_TOL * |Lambda|,
     so gamma is evaluated there only when the caller has not passed it.
     """
     n = V1.shape[0] // 2
@@ -252,12 +246,12 @@ def _checked_lambda(V1: np.ndarray, V2: np.ndarray, resid_tol: float,
     d1 = np.linalg.det(V1 + 0.5j * omega)
     d2 = np.linalg.det(V2 + 0.5j * omega)
     lam_c = 4.0 ** n * d1 * d2
-    if gamma is None and abs(lam_c.imag) <= resid_tol * max(abs(lam_c), 1e-300):
+    if gamma is None and abs(lam_c.imag) <= LAMBDA_RESID_TOL * max(abs(lam_c), 1e-300):
         return float(lam_c.real)
     if gamma is None:
         gamma = _gamma(V1, V2)
     scale = max(abs(lam_c), 1e-6 * abs(gamma), 1e-300)
-    if abs(lam_c.imag) > resid_tol * scale:
+    if abs(lam_c.imag) > LAMBDA_RESID_TOL * scale:
         raise NumericalError("Lambda has a non-vanishing imaginary part: %.3e" % lam_c.imag)
     return float(lam_c.real)
 
@@ -303,8 +297,7 @@ def _closed_form_three_modes(inv: InvariantSet) -> float:
 # the fidelity itself
 # ---------------------------------------------------------------------------
 
-def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHYS_TOL,
-             pure_tol: float = DEFAULT_PURE_TOL) -> FidelityReport:
+def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     """Uhlmann fidelity between two Gaussian states.
 
     Symmetric in its arguments, equal to 1 exactly when the states coincide,
@@ -317,12 +310,15 @@ def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHY
     is a unit pair, so ``waux_spectrum`` is empty, ``discarded_pairs`` is n,
     ``Ftot`` is 1 and F is the root overlap
     sqrt(Tr rho1 rho2) = det(V1+V2)^{-1/4} exp[-du^T (V1+V2)^{-1} du / 4].
-    ``pure_tol`` applies to the spectrum of mixed-mixed pairs only.
+    On mixed-mixed pairs, W_aux pairs within DEFAULT_PURE_TOL of 1 are
+    discarded as unit pairs.  The thresholds are fixed: both states must pass
+    :func:`require_physical` at DEFAULT_PHYS_TOL, and a Lambda whose relative
+    imaginary residue exceeds LAMBDA_RESID_TOL is refused with NumericalError.
     """
     if s1.n != s2.n:
         raise InvalidParameter(f"mode counts differ: {s1.n} vs {s2.n}")
-    require_physical(s1, phys_tol)
-    require_physical(s2, phys_tol)
+    require_physical(s1)
+    require_physical(s2)
 
     du = s2.u - s1.u
     if (abs(_purity_invariant(s1.V) - 1.0) <= _PURITY_TOL
@@ -334,7 +330,7 @@ def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHY
         spectrum = AuxSpectrum(retained=np.empty(0), discarded_pairs=s1.n)
     else:
         v_sum, v_aux, solved_du = _solve_v_sum(s1.V, s2.V, du)
-        spectrum = aux_spectrum(v_aux, pure_tol)
+        spectrum = aux_spectrum(v_aux)
     ftot = ftot_from_spectrum(spectrum.retained)
 
     sign, logdet = np.linalg.slogdet(v_sum)
@@ -351,7 +347,7 @@ def fidelity(s1: GaussianState, s2: GaussianState, phys_tol: float = DEFAULT_PHY
     f = min(f_raw, 1.0)
     # The only refusal invariant_set adds on stiff inputs; the other
     # invariants are left to the report's first access.
-    _checked_lambda(s1.V, s2.V, LAMBDA_RESID_TOL)
+    _checked_lambda(s1.V, s2.V)
 
     return FidelityReport(
         F=f,

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_PHYS_TOL, GaussianState, make_symplectic_form, symplectic_frame
+from .core import GaussianState, make_symplectic_form, symplectic_frame
 from .errors import InvalidParameter, NumericalError
 from .fidelity import fidelity
 from . import states
@@ -69,13 +69,12 @@ class DeltaResult(NamedTuple):
 # Bures distance and metric
 # ---------------------------------------------------------------------------
 
-def bures_distance(s1: GaussianState, s2: GaussianState,
-                   phys_tol: float = DEFAULT_PHYS_TOL) -> float:
+def bures_distance(s1: GaussianState, s2: GaussianState) -> float:
     """D_B = 2 [1 - F(s1, s2)]  (squared-distance convention)."""
-    return 2.0 * (1.0 - fidelity(s1, s2, phys_tol=phys_tol).F)
+    return 2.0 * (1.0 - fidelity(s1, s2).F)
 
 
-def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray], tol: float):
+def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray]):
     """The Bures metric's bilinear form delta(dV_i, dV_j) on every pair of ``dVs``,
     each summed as in :func:`bures_metric_delta` in the one :func:`symplectic_frame`
     of V, with the number of entries skipped per pair."""
@@ -85,7 +84,7 @@ def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray], tol: float):
     w = 2.0 * halves
     dWts = [U.conj().T @ inv_root @ (-2.0j * dV @ omega) @ root @ U for dV in dVs]
     denom = np.outer(w, w) - 1.0
-    keep = np.abs(denom) > tol
+    keep = np.abs(denom) > DEFAULT_METRIC_TOL
     form = np.empty((len(dVs), len(dVs)))
     for i, dWt in enumerate(dWts):
         for j in range(i, len(dVs)):
@@ -96,13 +95,13 @@ def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray], tol: float):
     return form, int(keep.size - keep.sum())
 
 
-def bures_metric_delta(V: np.ndarray, dV: np.ndarray,
-                       tol: float = DEFAULT_METRIC_TOL) -> DeltaResult:
+def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
     """Covariance contribution delta of the Bures metric.
 
     dV is mapped to dW = -2 dV i Omega, rotated to the eigenbasis of W and
     summed as dW_ij dW_ji / (w_i w_j - 1) over index pairs with
-    |w_i w_j - 1| > tol; the number of skipped entries is returned alongside.
+    |w_i w_j - 1| > DEFAULT_METRIC_TOL; the number of skipped entries is
+    returned alongside.
     """
     V = np.asarray(V, dtype=float)
     dV = np.asarray(dV, dtype=float)
@@ -111,18 +110,17 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray,
     scale = max(1.0, float(np.max(np.abs(dV))))
     if np.max(np.abs(dV - dV.T)) > 1e-8 * scale:
         raise InvalidParameter("dV must be symmetric")
-    form, skipped = _metric_form(V, [dV], tol)
+    form, skipped = _metric_form(V, [dV])
     return DeltaResult(delta=float(form[0, 0]), skipped=skipped)
 
 
-def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray,
-                 tol: float = DEFAULT_METRIC_TOL) -> MetricEvaluation:
+def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray) -> MetricEvaluation:
     """ds^2 = du^T V^{-1} du / 4 + delta / 8 for a state perturbed by (du, dV)."""
     du = np.asarray(du, dtype=float)
     if du.shape != s.u.shape:
         raise InvalidParameter("du length does not match the state")
     mean_part = float(0.25 * du @ np.linalg.solve(s.V, du))
-    delta, skipped = bures_metric_delta(s.V, dV, tol)
+    delta, skipped = bures_metric_delta(s.V, dV)
     cov_part = delta / 8.0
     return MetricEvaluation(ds2=mean_part + cov_part, mean_part=mean_part,
                             cov_part=cov_part, skipped_terms=skipped)
@@ -149,8 +147,7 @@ def _moment_derivatives(family: Callable[[float], GaussianState], theta0: float,
 
 
 def qfi_scalar(family: Callable[[float], GaussianState], theta0: float,
-               mode: str = "analytic", h: float | None = None,
-               metric_tol: float = DEFAULT_METRIC_TOL) -> float:
+               mode: str = "analytic", h: float | None = None) -> float:
     """Quantum Fisher information H(theta) of a one-parameter Gaussian family.
 
     ``analytic`` differentiates the moment maps and evaluates H = 4 g from the
@@ -159,7 +156,7 @@ def qfi_scalar(family: Callable[[float], GaussianState], theta0: float,
     """
     if mode == "analytic":
         du, dV = _moment_derivatives(family, theta0, _step(h, DEFAULT_MOMENT_STEP))
-        return 4.0 * bures_metric(family(theta0), du, dV, metric_tol).ds2
+        return 4.0 * bures_metric(family(theta0), du, dV).ds2
     if mode == "finite_difference":
         step = _step(h, DEFAULT_FD_STEP)
         f = fidelity(family(theta0), family(theta0 + step)).F
@@ -169,8 +166,7 @@ def qfi_scalar(family: Callable[[float], GaussianState], theta0: float,
 
 def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
                theta0: Sequence[float], h: float = DEFAULT_MOMENT_STEP,
-               labels: Sequence[str] | None = None,
-               metric_tol: float = DEFAULT_METRIC_TOL) -> QfiMatrix:
+               labels: Sequence[str] | None = None) -> QfiMatrix:
     """QFI matrix H_ij = 4 g_ij of a vector-parametrized Gaussian family.
 
     g is the metric's bilinear form on the axis moment derivatives,
@@ -184,7 +180,7 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     dus, dVs = zip(*(_moment_derivatives(lambda t: family(theta0 + t * axis), 0.0, h)
                      for axis in np.eye(m)))
     X = np.linalg.solve(base.V, np.column_stack(dus))
-    delta, _ = _metric_form(base.V, dVs, metric_tol)
+    delta, _ = _metric_form(base.V, dVs)
     H = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):

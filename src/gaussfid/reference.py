@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DEFAULT_PHYS_TOL,
     GaussianState,
     make_symplectic_form,
     require_physical,
@@ -221,39 +220,39 @@ def cov_from_gibbs(G: np.ndarray) -> np.ndarray:
     return symplectic_action_odd(cov_kernel, Y)
 
 
-def partition_function(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> float:
+def partition_function(V: np.ndarray) -> float:
     """Z = prod_k sqrt(nu_k^2 - 1/4); zero exactly on pure states."""
-    nu = _checked_nu(V, tol)
+    nu = _checked_nu(V)
     gap = np.clip(nu * nu - 0.25, 0.0, None)
     gap[gap < 1e-12] = 0.0  # the sqrt would amplify eigenvalue roundoff
     return float(np.prod(np.sqrt(gap)))
 
 
-def purity(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> float:
+def purity(V: np.ndarray) -> float:
     """Tr(rho^2) = prod_k 1/(2 nu_k)."""
-    nu = _checked_nu(V, tol)
+    nu = _checked_nu(V)
     return float(np.prod(1.0 / (2.0 * nu)))
 
 
-def _require_physical_cov(V: np.ndarray, tol: float) -> np.ndarray:
+def _require_physical_cov(V: np.ndarray) -> np.ndarray:
     V = np.asarray(V, dtype=float)
-    require_physical(GaussianState(V.shape[0] // 2, np.zeros(V.shape[0]), V), tol)
+    require_physical(GaussianState(V.shape[0] // 2, np.zeros(V.shape[0]), V))
     return V
 
 
-def _checked_nu(V: np.ndarray, tol: float) -> np.ndarray:
-    V = _require_physical_cov(V, tol)
+def _checked_nu(V: np.ndarray) -> np.ndarray:
+    V = _require_physical_cov(V)
     # clamp roundoff below the vacuum bound
     return np.clip(symplectic_eigenvalues(V), 0.5, None)
 
 
-def square_root_cov(V: np.ndarray, tol: float = DEFAULT_PHYS_TOL) -> np.ndarray:
+def square_root_cov(V: np.ndarray) -> np.ndarray:
     """Covariance matrix of sqrt(rho) for the state with covariance V.
 
     Pure states are fixed points; mixed symplectic eigenvalues map as
     v -> (sqrt(1 - 1/(4 v^2)) + 1) v.
     """
-    return symplectic_action_odd(sqrt_kernel, _require_physical_cov(V, tol))
+    return symplectic_action_odd(sqrt_kernel, _require_physical_cov(V))
 
 
 # ---------------------------------------------------------------------------

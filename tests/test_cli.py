@@ -17,8 +17,10 @@ from gaussfid import (
     williamson,
 )
 from gaussfid.cli import main, parse_state_file, write_state_file
+from gaussfid.core import DEFAULT_PHYS_TOL
+from gaussfid.fidelity import DEFAULT_PURE_TOL
 from gaussfid.fock import TRACE_DEFICIT_ROUNDOFF
-from gaussfid.metrology import FAMILIES
+from gaussfid.metrology import DEFAULT_METRIC_TOL, FAMILIES
 
 DATA = Path(__file__).parent / "data"
 
@@ -120,8 +122,7 @@ class TestStateFiles:
     @pytest.mark.parametrize("command", ["fidelity", "bures", "invariants", "metric",
                                          "williamson"])
     def test_every_command_checks_at_tol_phys(self, tmp_path, capsys, vacuum_file, command):
-        # min eig of V + i Omega/2 is -2.5e-9: unphysical at the default 1e-9,
-        # physical at 1e-8, and refused at any --tol-phys below 5e-9
+        # min eig of V + i Omega/2 is -2.5e-9: unphysical at DEFAULT_PHYS_TOL = 1e-9
         path = make_state_file(tmp_path, "edge.json", {
             "modes": 1, "ordering": "xxpp",
             "mean": [0.0, 0.0], "cov": [[0.5 - 5e-9, 0.0], [0.0, 0.5]],
@@ -129,15 +130,9 @@ class TestStateFiles:
         argv = {"fidelity": [path, vacuum_file], "bures": [vacuum_file, path],
                 "invariants": [path, vacuum_file], "williamson": [path],
                 "metric": [path, "--du", "[0, 0]", "--dv", "[[0, 0], [0, 0]]"]}[command]
-        # at 1e-8, F against the vacuum comes out 1 + 1.25e-9 and fidelity
-        # refuses it, so only the commands that do not evaluate F run through
-        accepted = () if command in ("fidelity", "bures") else (("1e-8", 0),)
-        for tol, expected in ((None, 2), ("1e-12", 2), *accepted):
-            flags = [] if tol is None else ["--tol-phys", tol]
-            code, out, err = run(capsys, [command, *argv, *flags])
-            assert code == expected, (tol, err)
-            if expected == 2:
-                assert err.startswith(f"gaussfid: {path}: ") and "min_eig_shifted" in err
+        code, out, err = run(capsys, [command, *argv])
+        assert code == 2, err
+        assert err.startswith(f"gaussfid: {path}: ") and "min_eig_shifted" in err
 
     def test_missing_ordering_rejected(self, tmp_path):
         path = make_state_file(tmp_path, "no_ord.json", {
@@ -347,9 +342,15 @@ class TestSchemaStability:
         assert list(report) == QFI_KEYS
 
     def test_tolerance_flags_echoed(self, capsys, vacuum_file):
-        _, report, _ = run_json(capsys, [
-            "fidelity", vacuum_file, vacuum_file, "--tol-pure", "1e-7"])
-        assert report["tolerances"]["pure"] == 1e-7
+        # the report echoes the fixed tolerances; no flag overrides them
+        _, report, _ = run_json(capsys, ["fidelity", vacuum_file, vacuum_file])
+        assert report["tolerances"] == {
+            "phys": DEFAULT_PHYS_TOL, "pure": DEFAULT_PURE_TOL, "metric": DEFAULT_METRIC_TOL}
+        for flag in ("--tol-phys", "--tol-pure", "--tol-metric"):
+            with pytest.raises(SystemExit) as info:
+                main(["fidelity", vacuum_file, vacuum_file, flag, "1e-7"])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag} 1e-7" in capsys.readouterr().err
 
     def test_environment_does_not_set_the_pure_tolerance(self, capsys, vacuum_file,
                                                           coherent_file, monkeypatch):

@@ -1,5 +1,6 @@
-"""Every name a module under src/ or tests/ imports is referenced in it, and
-no package module imports another one's private names.
+"""Every name a module under src/ or tests/ imports is referenced in it, no
+package module imports another one's private names, and no public callable or
+CLI flag takes a tolerance.
 
 Package ``__init__`` modules are exempt from the first check, since their
 imports are the re-exports, and so is ``from __future__``.  The second check
@@ -7,7 +8,10 @@ exempts dunders and ``reference.py``, whose cross-check routes exist to reach
 into the engine.
 """
 
+import argparse
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,46 @@ def test_scan_finds_a_private_import():
 @pytest.mark.parametrize("path", ENGINE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_private_cross_module_imports(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+
+def tolerance_parameters(fn) -> list:
+    """Names of ``fn``'s parameters that set a tolerance."""
+    try:
+        params = inspect.signature(fn).parameters
+    except (TypeError, ValueError):  # a callable without a readable signature
+        return []
+    return [name for name in params if "tol" in name.lower()]
+
+
+def option_strings(parser: argparse.ArgumentParser) -> list:
+    """Every option string of ``parser`` and of the subcommand parsers under it."""
+    found = []
+    for action in parser._actions:
+        found += action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found += option_strings(sub)
+    return found
+
+
+def test_scans_find_a_tolerance_knob():
+    assert tolerance_parameters(lambda x, phys_tol=1e-9, TOL=0: x) == ["phys_tol", "TOL"]
+    parser = argparse.ArgumentParser()
+    parser.add_subparsers().add_parser("cmd").add_argument("--tol-x")
+    assert option_strings(parser) == ["-h", "--help", "-h", "--help", "--tol-x"]
+
+
+def test_no_tolerance_knobs():
+    # the thresholds are the package's constants, so each has one value that
+    # the tests and the benchmark cover
+    import gaussfid
+    from gaussfid import cli, core
+    callables = [getattr(gaussfid, name) for name in gaussfid.__all__]
+    callables += [core.require_physical, importlib.import_module("gaussfid.fidelity").aux_spectrum,
+                  cli.parse_state_file]
+    knobs = {fn.__qualname__: tolerance_parameters(fn) for fn in callables if callable(fn)}
+    assert {name: params for name, params in knobs.items() if params} == {}
+    flags = option_strings(cli.build_parser())
+    assert "--json" in flags and "--h" in flags
+    assert [flag for flag in flags if "tol" in flag] == []

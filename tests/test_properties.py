@@ -4,8 +4,8 @@ States come from ``random_state`` in its default ranges (squeezing up to
 r = 1), so both the root-overlap route (a pure member) and the W_aux
 spectrum route (two mixed states) run.  The stiff regime is not covered here.
 The derandomized examples do not reach pure loss with a transmissivity within
-~1e-6 of 1 on a pure pair, where the pure-pair discard rule (``pure_tol``)
-lowers F by up to ~1e-6, below F(a, b) (ROADMAP item 1).
+~1e-6 of 1 on a pure pair, where the pure-pair discard rule (the fixed
+``DEFAULT_PURE_TOL``) lowers F by up to ~1e-6, below F(a, b) (ROADMAP item 2).
 """
 
 import numpy as np
