@@ -70,6 +70,8 @@ class GaussianState:
     V: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InvalidParameter(f"mode count must be >= 1, got {self.n}")
         u = np.array(self.u, dtype=float)
         V = np.array(self.V, dtype=float)
         if u.shape != (2 * self.n,):

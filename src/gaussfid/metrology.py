@@ -172,9 +172,15 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     g is the metric's bilinear form on the axis moment derivatives,
     g_ij = du_i^T V^{-1} du_j / 4 + delta(dV_i, dV_j) / 8, from one solve and
     one symplectic frame of V; a one-parameter family gives qfi_scalar's value.
+    ``theta0`` must be a non-empty 1-D vector and ``labels``, if given, one
+    name per parameter.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    m = len(theta0)
+    m = theta0.size
+    if theta0.ndim != 1 or m == 0:
+        raise InvalidParameter(f"theta0 must be a non-empty 1-D vector, got shape {theta0.shape}")
+    if labels is not None and len(labels) != m:
+        raise InvalidParameter(f"{len(labels)} labels given for {m} parameters")
     h = _step(h, DEFAULT_MOMENT_STEP)
     base = family(theta0)
     dus, dVs = zip(*(_moment_derivatives(lambda t: family(theta0 + t * axis), 0.0, h)

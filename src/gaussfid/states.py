@@ -27,11 +27,14 @@ def rotation_block(phi: float) -> np.ndarray:
 def squeeze_block(r: float, phi: float = 0.0) -> np.ndarray:
     """Single-mode squeezer exp[(xi* a^2 - xi a'^2)/2], xi = r e^{i phi}.
 
-    For phi = 0 this contracts x by e^{-r} and stretches p by e^{r}.
+    For phi = 0 this contracts x by e^{-r} and stretches p by e^{r}.  The
+    diagonal cosh r -+ sinh r cos phi is summed as e^{-+r} cos^2(phi/2) +
+    e^{+-r} sin^2(phi/2), positive terms that cannot cancel at large r.
     """
-    ch, sh = np.cosh(r), np.sinh(r)
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[ch - sh * c, -sh * s], [-sh * s, ch + sh * c]])
+    down, up = np.exp(-r), np.exp(r)
+    c2, s2 = np.cos(0.5 * phi) ** 2, np.sin(0.5 * phi) ** 2
+    off = -np.sinh(r) * np.sin(phi)
+    return np.array([[down * c2 + up * s2, off], [off, up * c2 + down * s2]])
 
 
 def beamsplitter_block(theta: float, phi: float = 0.0) -> np.ndarray:

@@ -123,6 +123,13 @@ class TestFrozenState:
                 a.setflags(write=True)
             assert not a.flags.writeable
 
+    def test_zero_modes_rejected(self):
+        # a 0-mode state used to build, and fidelity() then failed in numpy
+        with pytest.raises(InvalidParameter, match="mode count must be >= 1, got 0"):
+            GaussianState(0, np.zeros(0), np.zeros((0, 0)))
+        with pytest.raises(InvalidParameter, match="mode count must be >= 1, got 0"):
+            thermal([])
+
 
 class TestStateEquality:
     def test_equal_states_compare_and_hash_equal(self):

@@ -184,6 +184,23 @@ class TestQfiScalar:
         with pytest.raises(InvalidParameter, match="finite and > 0"):
             qfi_scalar(get_family("squeeze-r"), 0.3, mode=mode, h=h)
 
+    #: closed-form QFI and a grid over each named family's domain
+    CLOSED_FORMS = {
+        "coherent-displacement": (lambda t: 2.0, np.linspace(-10.0, 10.0, 21)),
+        "thermal-nbar": (lambda t: 1.0 / (t * (t + 1.0)), [0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0]),
+        "squeeze-r": (lambda t: 2.0, np.linspace(0.0, 12.0, 25)),
+        "phase-theta": (lambda t: 2.0 * np.sinh(2.0) ** 2, np.linspace(0.0, 2.0 * np.pi, 17)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_analytic_matches_closed_form_over_the_domain(self, name):
+        # squeeze-r was off by 220% at theta = 10 while squeeze_block
+        # cancelled cosh r - sinh r
+        closed_form, thetas = self.CLOSED_FORMS[name]
+        for theta in thetas:
+            expected = closed_form(theta)
+            assert qfi_scalar(FAMILIES[name], theta) == pytest.approx(expected, rel=1e-9), theta
+
     def test_phase_family_runs(self):
         value = qfi_scalar(get_family("phase-theta"), 0.2)
         fd = qfi_scalar(get_family("phase-theta"), 0.2, mode="finite_difference", h=1e-4)
@@ -250,6 +267,16 @@ class TestQfiMatrix:
         H = qfi_matrix(lambda t: family(t[0]), [theta]).H
         assert H.shape == (1, 1)
         assert H[0, 0] == qfi_scalar(family, theta)
+
+    @pytest.mark.parametrize("theta0", [[], 0.3, [[0.1, 0.2]]])
+    def test_theta0_must_be_a_non_empty_vector(self, theta0):
+        with pytest.raises(InvalidParameter, match="non-empty 1-D"):
+            qfi_matrix(lambda t: displace(thermal([0.4]), [t[0], 0.0]), theta0)
+
+    @pytest.mark.parametrize("labels", [["x"], ["x", "p", "q"], []])
+    def test_one_label_per_parameter(self, labels):
+        with pytest.raises(InvalidParameter, match="labels"):
+            qfi_matrix(lambda t: displace(vacuum(1), [t[0], t[1]]), [0.0, 0.0], labels=labels)
 
     @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
     def test_step_must_be_finite_and_positive(self, h):

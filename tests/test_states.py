@@ -21,6 +21,7 @@ from gaussfid import (
     validate_state,
 )
 from gaussfid import states
+from gaussfid.fidelity import _PURITY_TOL, _purity_invariant
 from gaussfid.metrology import FAMILIES
 from gaussfid.states import (
     beamsplitter_block,
@@ -31,7 +32,7 @@ from gaussfid.states import (
     two_mode_squeeze_block,
 )
 
-from conftest import mixed_pair, record_calls, via_xpxp
+from conftest import count_linalg_calls, mixed_pair, record_calls, via_xpxp
 
 
 class TestBuilders:
@@ -60,6 +61,15 @@ class TestBuilders:
                                    [0.5 * np.exp(-2 * r), 0.5 * np.exp(2 * r)],
                                    atol=1e-12)
         assert validate_state(s).physical
+
+    def test_squeezed_vacuum_is_pure_to_working_precision(self, monkeypatch):
+        # the contracted variance is e^{-2r}/2 without cancellation, so the
+        # state passes the purity test and takes the root-overlap route
+        for r in np.linspace(-16.0, 16.0, 65):
+            assert abs(_purity_invariant(squeezed([r]).V) - 1.0) <= _PURITY_TOL, r
+        calls = count_linalg_calls(monkeypatch, "eigvals")
+        assert 0.0 < fidelity(squeezed([16.0]), thermal([0.3])).F < 1.0
+        assert calls == []
 
     def test_two_mode_squeezed_blocks(self):
         r = 0.6
