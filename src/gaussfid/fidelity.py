@@ -15,6 +15,22 @@ discarded and counted.  When one state of the pair is pure, every pair is a
 unit pair and Ftot = 1, so :func:`fidelity` does not compute the spectrum.
 The same spectrum yields the symplectic invariants I_2k = Tr(W_aux^{2k}) and
 the classic closed forms for one, two and three modes.
+
+:func:`fidelity` does not form V_aux.  With P_k = V_k + i Omega/2 (Hermitian,
+>= 0 for a physical state), V1 + V2 = conj(P1) + P2 and
+Omega/4 + V2 Omega V1 = P2 Omega P1 + (i/2)(V1 + V2), so the w_k^2 - 1 are
+the eigenvalues of 4 E Omega conj(E) Omega^T, where
+
+    E = conj(P1) (V1 + V2)^{-1} P2
+
+is the parallel sum of conj(P1) and P2, Hermitian and >= 0.  With E = G G^H
+and the complex antisymmetric Q = G^T Omega^T G, each pair is
+w_k = sqrt(1 + 4 sigma_k^2) over the singular values sigma_k of Q, which come
+in equal pairs.  G is a Cholesky factor, and the factorisation is the accept
+test: E is singular when a state has an exactly pure mode, and then G comes
+from E's Hermitian eigendecomposition instead.  :func:`aux_matrix` and
+:func:`aux_spectrum` (the nonsymmetric eigenvalues of 2 V_aux Omega) remain as
+the direct route.
 """
 
 from __future__ import annotations
@@ -33,6 +49,10 @@ DEFAULT_PURE_TOL = 1e-9
 
 #: Retained eigenvalues this far below 1 indicate a numerical breakdown.
 _W_BELOW_ONE_LIMIT = 1e-6
+
+#: An eigenvalue of the parallel sum E below -this * its largest one indicates
+#: a numerical breakdown (E >= 0 in exact arithmetic).
+_E_NEGATIVE_LIMIT = 1e-6
 
 #: Relative imaginary residue of Lambda above which a pair is refused.
 LAMBDA_RESID_TOL = 1e-8
@@ -157,6 +177,64 @@ def aux_spectrum(v_aux: np.ndarray) -> AuxSpectrum:
             % float(retained.min()))
     return AuxSpectrum(retained=np.clip(retained, 1.0, None),
                        discarded_pairs=int(unit.sum()))
+
+
+def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
+    """W_aux spectrum of a pair from the parallel sum E (see the module docstring).
+
+    One solve of V1 + V2 for [V2 | Omega | du] supplies E and the displacement
+    term.  G is the Cholesky factor of E's Hermitian part.  When that fails,
+    as it does when a state has an exactly pure mode (E is then singular), G
+    is U diag(sqrt(lambda)) from E's eigendecomposition with the
+    roundoff-negative eigenvalues set to 0, and an eigenvalue below
+    -_E_NEGATIVE_LIMIT * max(lambda) is refused with NumericalError.
+    Returns (V1 + V2, spectrum, (V1 + V2)^{-1} du).
+    """
+    n = V1.shape[0] // 2
+    m = 2 * n
+    v_sum = V1 + V2
+    x = np.linalg.solve(v_sum, np.column_stack((V2, make_symplectic_form(n), du)))
+    solved_du = x[:, -1].copy()
+    # E = (V1 - i Omega/2)(a + i b/2) with [a | b] = (V1+V2)^{-1} [V2 | Omega];
+    # Omega @ [a | b] is a signed swap of its row blocks.  Each 2n x 2n
+    # temporary is dropped once used, which keeps the peak memory of a call
+    # near that of the V_aux route.
+    prod = V1 @ x[:, :-1]
+    swapped = np.concatenate((x[n:, :-1], -x[:n, :-1]))
+    del x
+    re, im = prod[:, :m], prod[:, m:]
+    re += 0.25 * swapped[:, m:]
+    im -= swapped[:, :m]
+    del swapped
+    # twice the Hermitian part of E, not one triangle of E, is factorised;
+    # its factor is sqrt(2) G, so the singular values below are 2 sigma
+    e = np.empty((m, m), dtype=complex)
+    np.add(re, re.T, out=e.real)
+    e_imag = e.imag
+    np.subtract(im, im.T, out=e_imag)
+    e_imag *= 0.5
+    del prod, re, im, e_imag
+    try:
+        g = np.linalg.cholesky(e)
+    except np.linalg.LinAlgError:
+        lam, g = np.linalg.eigh(e)
+        if lam[0] < -_E_NEGATIVE_LIMIT * lam[-1]:
+            raise NumericalError(
+                "parallel sum E is not positive semidefinite (eigenvalue %.3e of %.3e)"
+                % (lam[0], lam[-1])) from None
+        g *= np.sqrt(np.clip(lam, 0.0, None))
+    del e
+    # Q = G^T Omega^T G = X - X^T with X = G_p^T G_x over G's row blocks
+    q = g[n:].T @ g[:n]
+    del g
+    q -= q.T
+    two_sigma = np.linalg.svd(q, compute_uv=False)[::2]
+    four_s2 = two_sigma * two_sigma
+    w = np.sqrt(1.0 + four_s2)
+    # w - 1 without cancellation
+    retained = w[four_s2 / (w + 1.0) > DEFAULT_PURE_TOL]
+    spectrum = AuxSpectrum(retained=retained, discarded_pairs=n - retained.size)
+    return v_sum, spectrum, solved_du
 
 
 def _purity_invariant(V: np.ndarray) -> float:
@@ -310,10 +388,18 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     is a unit pair, so ``waux_spectrum`` is empty, ``discarded_pairs`` is n,
     ``Ftot`` is 1 and F is the root overlap
     sqrt(Tr rho1 rho2) = det(V1+V2)^{-1/4} exp[-du^T (V1+V2)^{-1} du / 4].
-    On mixed-mixed pairs, W_aux pairs within DEFAULT_PURE_TOL of 1 are
-    discarded as unit pairs.  The thresholds are fixed: both states must pass
+    On mixed-mixed pairs the W_aux pairs are w = sqrt(1 + 4 sigma^2) over the
+    singular values sigma of Q = G^T Omega^T G, where G G^H = E is the
+    parallel sum conj(P1) (V1+V2)^{-1} P2 with P_k = V_k + i Omega/2 (see the
+    module docstring).  G is a Cholesky factor; when the factorisation fails
+    (a state with an exactly pure mode makes E singular), G comes from E's
+    eigendecomposition with its roundoff-negative eigenvalues set to 0, and
+    an eigenvalue below -1e-6 times the largest is refused with
+    NumericalError.  Pairs with w - 1 = 4 sigma^2 / (w + 1) <= DEFAULT_PURE_TOL
+    are discarded as unit pairs.  The thresholds are fixed: both states must pass
     :func:`require_physical` at DEFAULT_PHYS_TOL, and a Lambda whose relative
-    imaginary residue exceeds LAMBDA_RESID_TOL is refused with NumericalError.
+    imaginary residue exceeds LAMBDA_RESID_TOL is refused with NumericalError
+    before F is compared with 1.
     """
     if s1.n != s2.n:
         raise InvalidParameter(f"mode counts differ: {s1.n} vs {s2.n}")
@@ -329,8 +415,7 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
         solved_du = np.linalg.solve(v_sum, du)
         spectrum = AuxSpectrum(retained=np.empty(0), discarded_pairs=s1.n)
     else:
-        v_sum, v_aux, solved_du = _solve_v_sum(s1.V, s2.V, du)
-        spectrum = aux_spectrum(v_aux)
+        v_sum, spectrum, solved_du = _parallel_sum_spectrum(s1.V, s2.V, du)
     ftot = ftot_from_spectrum(spectrum.retained)
 
     sign, logdet = np.linalg.slogdet(v_sum)
@@ -339,15 +424,16 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     det_v_sum = float(sign * np.exp(logdet))
     disp_exponent = float(-0.25 * du @ solved_du)
 
+    # The only refusal invariant_set adds on stiff inputs, made before the
+    # value is judged; the other invariants are left to the report's first
+    # access.
+    _checked_lambda(s1.V, s2.V)
     f0 = float(ftot * np.exp(-0.25 * logdet))
     f_raw = float(f0 * np.exp(disp_exponent))
     if f_raw > 1.0 + 1e-10:
         raise NumericalError("fidelity %.12g exceeds 1 beyond tolerance" % f_raw)
     clamped = f_raw > 1.0
     f = min(f_raw, 1.0)
-    # The only refusal invariant_set adds on stiff inputs; the other
-    # invariants are left to the report's first access.
-    _checked_lambda(s1.V, s2.V)
 
     return FidelityReport(
         F=f,

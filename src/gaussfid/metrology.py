@@ -14,6 +14,7 @@ what makes the formula valid for pure and mixed states alike).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -107,7 +108,10 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
     dV = np.asarray(dV, dtype=float)
     if dV.shape != V.shape:
         raise InvalidParameter("dV shape does not match V")
-    scale = max(1.0, float(np.max(np.abs(dV))))
+    peak = float(np.max(np.abs(dV)))  # NaN or inf exactly when an entry is one
+    if not math.isfinite(peak):
+        raise InvalidParameter("dV has a non-finite entry")
+    scale = max(1.0, peak)
     if np.max(np.abs(dV - dV.T)) > 1e-8 * scale:
         raise InvalidParameter("dV must be symmetric")
     form, skipped = _metric_form(V, [dV])
@@ -119,6 +123,8 @@ def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray) -> MetricEval
     du = np.asarray(du, dtype=float)
     if du.shape != s.u.shape:
         raise InvalidParameter("du length does not match the state")
+    if not np.isfinite(du).all():
+        raise InvalidParameter("du has a non-finite entry")
     mean_part = float(0.25 * du @ np.linalg.solve(s.V, du))
     delta, skipped = bures_metric_delta(s.V, dV)
     cov_part = delta / 8.0
@@ -138,9 +144,21 @@ def _step(h: float | None, default: float) -> float:
     return step
 
 
-def _moment_derivatives(family: Callable[[float], GaussianState], theta0: float, h: float):
-    """4th-order central differences of the family's mean and covariance."""
-    stencil = {k: family(theta0 + k * h) for k in (-2, -1, 1, 2)}
+def _moment_derivatives(family: Callable, theta0, h: float, axis=1.0):
+    """4th-order central differences of the family's mean and covariance along
+    ``axis`` at ``theta0`` (a scalar, or a vector with a unit ``axis``).
+
+    The stencil reaches theta0 +- 2h; a family that refuses one of its points
+    is reported with InvalidParameter naming theta0, h and that reach.
+    """
+    try:
+        stencil = {k: family(theta0 + k * h * axis) for k in (-2, -1, 1, 2)}
+    except InvalidParameter as exc:
+        lo, hi, at = (np.array2string(np.asarray(x), precision=6)
+                      for x in (theta0 - 2 * h * axis, theta0 + 2 * h * axis, theta0))
+        raise InvalidParameter(
+            f"the moment stencil at theta0 = {at} with step h = {h:g} reaches {lo} to "
+            f"{hi}, where the family refuses a point: {exc}") from exc
     du = (stencil[-2].u - 8.0 * stencil[-1].u + 8.0 * stencil[1].u - stencil[2].u) / (12.0 * h)
     dV = (stencil[-2].V - 8.0 * stencil[-1].V + 8.0 * stencil[1].V - stencil[2].V) / (12.0 * h)
     return du, dV
@@ -183,8 +201,7 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
         raise InvalidParameter(f"{len(labels)} labels given for {m} parameters")
     h = _step(h, DEFAULT_MOMENT_STEP)
     base = family(theta0)
-    dus, dVs = zip(*(_moment_derivatives(lambda t: family(theta0 + t * axis), 0.0, h)
-                     for axis in np.eye(m)))
+    dus, dVs = zip(*(_moment_derivatives(family, theta0, h, axis) for axis in np.eye(m)))
     X = np.linalg.solve(base.V, np.column_stack(dus))
     delta, _ = _metric_form(base.V, dVs)
     H = np.empty((m, m))

@@ -204,6 +204,20 @@ class TestCommands:
         assert code == 0
         assert report["ds2"] == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("du, dv", [("[NaN, 0]", "[[0, 0], [0, 0]]"),
+                                        ("[0, 0]", "[[Infinity, 0], [0, 0]]")])
+    def test_metric_non_finite_perturbation_refused(self, capsys, vacuum_file, du, dv):
+        # a NaN in --du exited 0 and printed '"ds2": NaN', which is not JSON
+        code, out, err = run(capsys, ["metric", vacuum_file, "--du", du, "--dv", dv, "--json"])
+        assert (code, out) == (2, "")
+        assert "non-finite entry" in err
+
+    def test_qfi_stencil_outside_the_domain(self, capsys):
+        # exited 2 naming only "[-0.0001]", a point the caller never gave
+        code, out, err = run(capsys, ["qfi", "--family", "thermal-nbar", "--theta", "1e-4"])
+        assert (code, out) == (2, "")
+        assert "theta0 = 0.0001 with step h = 0.0001 reaches -0.0001 to 0.0003" in err
+
     def test_qfi(self, capsys):
         code, report, _ = run_json(capsys, [
             "qfi", "--family", "coherent-displacement", "--theta", "0.0"])

@@ -23,6 +23,7 @@ from gaussfid import (
 )
 from gaussfid.fidelity import (
     _PURITY_TOL,
+    _parallel_sum_spectrum,
     _purity_invariant,
     _solve_v_sum,
     aux_matrix,
@@ -214,15 +215,29 @@ def _record_calls(monkeypatch, name):
     return record_calls(monkeypatch, importlib.import_module("gaussfid.fidelity"), name)
 
 
+#: The mixed-mixed pair of the ensemble at n = 16 that is checked against
+#: 60 digits (the eigvals route errs by 1.4e-13 there); mpmath takes about
+#: 5 s per such pair, so the other n = 16 pairs are checked at 1e-12 only.
+_ENSEMBLE_MP_16 = 52
+
+
 class TestLeanHotPath:
     """fidelity() solves V1 + V2 once and leaves the invariants to the report."""
 
     @pytest.mark.parametrize("index", range(len(_ensemble())))
     def test_matches_separate_solves(self, index):
+        # mixed-mixed pairs (the first two of each group of four) take their
+        # spectrum from the parallel sum; the separate solves use eigvals
         a, b = _ensemble()[index]
         rep = fidelity(a, b)
-        for name, expected in _separate_solves(a, b).items():
-            assert getattr(rep, name) == pytest.approx(expected, rel=1e-14, abs=1e-14), name
+        separate = _separate_solves(a, b)
+        mixed = index % 4 < 2
+        for name, expected in separate.items():
+            rel = 1e-12 if mixed and name in ("F", "F0", "Ftot") else 1e-14
+            assert getattr(rep, name) == pytest.approx(expected, rel=rel, abs=1e-14), name
+        if mixed and (a.n <= 4 or index == _ENSEMBLE_MP_16):
+            for name, expected in _fidelity_parts_mp(a, b).items():
+                assert getattr(rep, name) == pytest.approx(expected, rel=1e-14), name
 
     def test_fidelity_does_not_compute_invariants(self, monkeypatch):
         calls = _record_calls(monkeypatch, "invariant_set")
@@ -294,10 +309,10 @@ def _spectrum_route(a, b):
     return values, spectrum
 
 
-def _fidelity_mp(a, b):
-    """F from the W_aux formula at 60 digits, the float inputs converted
-    exactly; w within 1e-9 of 1 counts as a unit pair, the engine's discard
-    rule (DEFAULT_PURE_TOL)."""
+def _fidelity_parts_mp(a, b):
+    """F, F0 and Ftot from the W_aux formula at 60 digits, the float inputs
+    converted exactly; w within 1e-9 of 1 counts as a unit pair, the engine's
+    discard rule (DEFAULT_PURE_TOL)."""
     n = a.n
     with mp.workdps(60):
         om = mp.matrix(np.asarray(make_symplectic_form(n)).tolist())
@@ -306,9 +321,16 @@ def _fidelity_mp(a, b):
         v_aux = om.T * s_inv * (om / 4 + vb * om * va)
         w = [abs(mp.im(e)) for e in mp.eig(2 * v_aux * om, left=False, right=False)]
         du = mp.matrix((b.u - a.u).tolist())
-        log_f = (mp.fsum(mp.acosh(x) for x in w if x - 1 > 1e-9) / 4
-                 - (du.T * s_inv * du)[0] / 4 - mp.log(mp.det(va + vb)) / 4)
-        return float(mp.exp(log_f))
+        log_ftot = mp.fsum(mp.acosh(x) for x in w if x - 1 > 1e-9) / 4
+        log_f0 = log_ftot - mp.log(mp.det(va + vb)) / 4
+        log_f = log_f0 - (du.T * s_inv * du)[0] / 4
+        return {"F": float(mp.exp(log_f)), "F0": float(mp.exp(log_f0)),
+                "Ftot": float(mp.exp(log_ftot))}
+
+
+def _fidelity_mp(a, b):
+    """F of :func:`_fidelity_parts_mp`."""
+    return _fidelity_parts_mp(a, b)["F"]
 
 
 class TestPureMemberRoute:
@@ -316,13 +338,17 @@ class TestPureMemberRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
     def test_eigvals_only_on_mixed_pairs(self, n, monkeypatch):
+        # the W_aux spectrum of a mixed-mixed pair is one svd of Q; the
+        # nonsymmetric eigvals and the eigh fallback are never called here
         with_pure, mixed = _route_pairs(n)
-        calls = count_linalg_calls(monkeypatch, "eigvals")
+        calls = {name: count_linalg_calls(monkeypatch, name)
+                 for name in ("svd", "eigvals", "eigh")}
         for pairs, expected in ((with_pure, []), (mixed, [(2 * n, 2 * n)])):
             for a, b in pairs:
-                del calls[:]
+                for recorded in calls.values():
+                    del recorded[:]
                 fidelity(a, b)
-                assert calls == expected
+                assert calls == {"svd": expected, "eigvals": [], "eigh": []}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
     def test_matches_spectrum_route(self, n):
@@ -340,8 +366,9 @@ class TestPureMemberRoute:
         # at max_squeeze=4 roundoff hides the purity of some states at the
         # working-precision level: those take the spectrum route.  The rest
         # take the root overlap, which stays accurate on pairs where the
-        # spectrum route is off by up to 1.7e-3 against mpmath
-        calls = count_linalg_calls(monkeypatch, "eigvals")
+        # eigvals of 2 V_aux Omega are off by up to 1.7e-3 against mpmath
+        calls = count_linalg_calls(monkeypatch, "svd")
+        eigvals = count_linalg_calls(monkeypatch, "eigvals")
         resolved_seen = set()
         for seed in range(20):
             p = random_state(n, 7000 + 10 * n + seed, pure=True, max_squeeze=4.0)
@@ -354,6 +381,7 @@ class TestPureMemberRoute:
             except NumericalError:
                 assert not resolved, seed
             assert len(calls) == (0 if resolved else 1), seed
+            assert eigvals == [], seed
             if resolved and n <= 3:
                 assert f == pytest.approx(_fidelity_mp(p, q), rel=1e-10), seed
         assert resolved_seen == {True, False}
@@ -363,7 +391,8 @@ class TestPureMemberRoute:
         # t - 1 = 4 eta (1 + eta), so eta <= 1e-13 takes the root overlap
         partners = [thermal([0.5]), thermal([10.0]), thermal([1000.0]),
                     random_state(1, 3), random_state(1, 4, max_disp=0.0)]
-        calls = count_linalg_calls(monkeypatch, "eigvals")
+        calls = count_linalg_calls(monkeypatch, "svd")
+        eigvals = count_linalg_calls(monkeypatch, "eigvals")
         for eta in (0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-7, 1e-6):
             core = thermal([eta])
             for partner in partners:
@@ -371,6 +400,7 @@ class TestPureMemberRoute:
                     del calls[:]
                     f = fidelity(a, b).F
                     assert len(calls) == (0 if eta <= 1e-13 else 1), eta
+                    assert eigvals == [], eta
                     assert f == pytest.approx(_fidelity_mp(a, b), rel=1e-12), eta
 
     def test_lambda_check_runs_on_the_pure_member_route(self, monkeypatch):
@@ -386,6 +416,83 @@ class TestPureMemberRoute:
         assert abs(_purity_invariant(p.V) - 1.0) <= _PURITY_TOL  # the pure-member route
         with pytest.raises(NumericalError, match="Lambda has a non-vanishing imaginary part"):
             fidelity(p, q)
+
+
+def _pure_mode_pairs():
+    """Mixed-mixed pairs in which a state has an exactly pure mode: vacuum x
+    rho under a random symplectic S, against the same construction under the
+    same S and against a random mixed state, in both orders."""
+    pairs = []
+    for n in (1, 2):
+        for k in range(8):
+            S = random_symplectic(n + 1, np.random.default_rng(k))
+            a = apply_symplectic(tensor(vacuum(1), random_state(n, 100 + k)), S)
+            b = apply_symplectic(tensor(vacuum(1), random_state(n, 300 + k)), S)
+            c = random_state(n + 1, 400 + k)
+            pairs += [(a, b), (b, a), (a, c), (c, a)]
+    return pairs
+
+
+class TestParallelSumRoute:
+    """Mixed-mixed pairs: w = sqrt(1 + 4 sigma^2) over the singular values of
+    Q = G^T Omega^T G, with E = G G^H the parallel sum of conj(P1) and P2."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+    def test_spectrum_matches_eigvals_route(self, n):
+        for seed in range(3):
+            a, b = mixed_pair(n, 8500 + 10 * n + seed)
+            for x, y in ((a, b), (b, a), (a, a)):
+                _, spectrum, solved = _parallel_sum_spectrum(x.V, y.V, y.u - x.u)
+                _, v_aux, solved_ref = _solve_v_sum(x.V, y.V, y.u - x.u)
+                ref = aux_spectrum(v_aux)
+                assert spectrum.discarded_pairs == ref.discarded_pairs == 0
+                np.testing.assert_allclose(spectrum.retained, ref.retained, rtol=1e-12)
+                np.testing.assert_allclose(solved, solved_ref, rtol=1e-14)
+
+    def test_pure_mode_pairs_take_both_factorisations(self, monkeypatch):
+        # E is singular when a state has an exactly pure mode: its Cholesky
+        # factorisation fails on some of these pairs, and the eigh factor
+        # takes over; either way F is within 1e-12 of 60 digits
+        eigh = count_linalg_calls(monkeypatch, "eigh")
+        eigvals = count_linalg_calls(monkeypatch, "eigvals")
+        routes = []
+        for a, b in _pure_mode_pairs():
+            del eigh[:]
+            rep = fidelity(a, b)
+            routes.append(len(eigh))
+            assert rep.discarded_pairs >= 1
+            assert rep.F == pytest.approx(_fidelity_mp(a, b), rel=1e-12)
+        assert eigvals == []
+        assert set(routes) == {0, 1}
+
+    def test_stiff_self_pairs(self):
+        # F(a, a) = 1.  At max_squeeze = 4 the eigvals of 2 V_aux Omega gave
+        # values off by up to 0.22 without a warning, and a Cholesky factor
+        # of one triangle of E instead of its Hermitian part by up to 0.26
+        worst = 0.0
+        for seed in range(60):
+            s = random_state(3, seed, max_squeeze=4.0)
+            try:
+                worst = max(worst, abs(fidelity(s, s).F - 1.0))
+            except NumericalError:
+                pass
+        assert worst <= 1e-3
+
+    def test_far_negative_parallel_sum_refused(self, monkeypatch):
+        # E >= 0 in exact arithmetic; an eigenvalue far below zero is a
+        # breakdown, refused rather than clipped
+        def failing(e):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        def indefinite(e):
+            lam = np.linspace(-1.0, 1.0, e.shape[0])
+            return lam, np.eye(e.shape[0], dtype=complex)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(np.linalg, "eigh", indefinite)
+        a, b = mixed_pair(2, 8600)
+        with pytest.raises(NumericalError, match="not positive semidefinite"):
+            _parallel_sum_spectrum(a.V, b.V, b.u - a.u)
 
 
 # ---------------------------------------------------------------------------

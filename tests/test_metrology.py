@@ -106,12 +106,27 @@ class TestBuresMetricDelta:
         with pytest.raises(InvalidParameter):
             bures_metric_delta(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_dv_rejected(self, bad, entry):
+        # a NaN passed the symmetry test and came back as delta = NaN
+        dV = np.zeros((2, 2))
+        dV[entry] = dV[entry[::-1]] = bad
+        with pytest.raises(InvalidParameter, match="dV has a non-finite entry"):
+            bures_metric_delta(np.eye(2), dV)
+
 
 class TestBuresMetric:
     def test_coherent_mean_only(self):
         ev = bures_metric(vacuum(1), np.array([1.0, 0.0]), np.zeros((2, 2)))
         assert ev.ds2 == pytest.approx(0.5, rel=1e-12)
         assert ev.cov_part == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_du_rejected(self, bad):
+        # bures_metric(vacuum(1), [nan, 0], 0) returned ds2 = NaN
+        with pytest.raises(InvalidParameter, match="du has a non-finite entry"):
+            bures_metric(vacuum(1), np.array([bad, 0.0]), np.zeros((2, 2)))
 
     def test_thermal_family(self):
         v = 1.0
@@ -201,6 +216,15 @@ class TestQfiScalar:
             expected = closed_form(theta)
             assert qfi_scalar(FAMILIES[name], theta) == pytest.approx(expected, rel=1e-9), theta
 
+    def test_stencil_outside_the_domain_names_the_reach(self):
+        # the stencil reaches theta0 - 2h = -1e-4, which thermal([.]) refused
+        # under its own message alone, naming a point the caller never gave
+        with pytest.raises(InvalidParameter) as info:
+            qfi_scalar(get_family("thermal-nbar"), 1e-4)
+        message = str(info.value)
+        assert "theta0 = 0.0001 with step h = 0.0001 reaches -0.0001 to 0.0003" in message
+        assert isinstance(info.value.__cause__, InvalidParameter)
+
     def test_phase_family_runs(self):
         value = qfi_scalar(get_family("phase-theta"), 0.2)
         fd = qfi_scalar(get_family("phase-theta"), 0.2, mode="finite_difference", h=1e-4)
@@ -283,6 +307,11 @@ class TestQfiMatrix:
         # h = 0 used to give an H full of NaN
         with pytest.raises(InvalidParameter, match="finite and > 0"):
             qfi_matrix(lambda t: displace(thermal([0.4]), [t[0], t[1]]), [0.1, 0.2], h=h)
+
+    def test_stencil_outside_the_domain_names_the_reach(self):
+        with pytest.raises(InvalidParameter) as info:
+            qfi_matrix(lambda t: thermal([t[0], t[1]]), [1.0, 1e-4])
+        assert "theta0 = [1.e+00 1.e-04] with step h = 0.0001 reaches" in str(info.value)
 
     def test_off_diagonal_matches_polarization(self):
         # g(e_i + e_j) = g_ii + 2 g_ij + g_jj for the bilinear form

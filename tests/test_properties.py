@@ -2,7 +2,9 @@
 
 States come from ``random_state`` in its default ranges (squeezing up to
 r = 1), so both the root-overlap route (a pure member) and the W_aux
-spectrum route (two mixed states) run.  The stiff regime is not covered here.
+spectrum route (two mixed states) run; the mixed-pair spectrum, from the
+parallel sum of the two states, is checked against the eigvals of
+2 V_aux Omega as well.  The stiff regime is not covered here.
 The derandomized examples do not reach pure loss with a transmissivity within
 ~1e-6 of 1 on a pure pair, where the pure-pair discard rule (the fixed
 ``DEFAULT_PURE_TOL``) lowers F by up to ~1e-6, below F(a, b) (ROADMAP item 2).
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussfid import GaussianState, apply_symplectic, fidelity, random_state, tensor
+from gaussfid.fidelity import _parallel_sum_spectrum, aux_matrix, aux_spectrum
 from gaussfid.states import random_symplectic
 
 #: |F(a, b) - F(b, a)|.
@@ -23,6 +26,8 @@ COVARIANCE_ATOL = 1e-9
 PRODUCT_RTOL = 1e-9
 #: How far F(E(a), E(b)) may fall below F(a, b) under a pure-loss channel E.
 MONOTONICITY_ATOL = 1e-9
+#: Relative distance of the parallel-sum W_aux spectrum from the eigvals one.
+SPECTRUM_RTOL = 1e-10
 
 EXAMPLES = settings(max_examples=50)
 
@@ -38,6 +43,14 @@ def states(draw, n):
 def pairs(draw):
     n = draw(st.integers(min_value=1, max_value=3))
     return draw(states(n)), draw(states(n))
+
+
+@st.composite
+def mixed_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    squeeze = draw(st.floats(min_value=0.0, max_value=1.0))
+    return (random_state(n, draw(seeds), max_squeeze=squeeze),
+            random_state(n, draw(seeds), max_squeeze=squeeze))
 
 
 @EXAMPLES
@@ -85,3 +98,13 @@ def test_monotone_under_pure_loss(pair, eta):
     a, b = pair
     lossy = fidelity(pure_loss(a, eta), pure_loss(b, eta)).F
     assert lossy >= fidelity(a, b).F - MONOTONICITY_ATOL
+
+
+@EXAMPLES
+@given(mixed_pairs())
+def test_parallel_sum_spectrum_matches_eigvals(pair):
+    a, b = pair
+    _, spectrum, _ = _parallel_sum_spectrum(a.V, b.V, b.u - a.u)
+    ref = aux_spectrum(aux_matrix(a.V, b.V))
+    assert spectrum.discarded_pairs == ref.discarded_pairs
+    assert np.allclose(spectrum.retained, ref.retained, rtol=SPECTRUM_RTOL, atol=0.0)
