@@ -47,12 +47,10 @@ from .errors import InvalidParameter, NumericalError
 #: Pairs with |w - 1| below this are treated as pure-mode pairs and discarded.
 DEFAULT_PURE_TOL = 1e-9
 
-#: Retained eigenvalues this far below 1 indicate a numerical breakdown.
-_W_BELOW_ONE_LIMIT = 1e-6
-
-#: An eigenvalue of the parallel sum E below -this * its largest one indicates
-#: a numerical breakdown (E >= 0 in exact arithmetic).
-_E_NEGATIVE_LIMIT = 1e-6
+#: Relative undershoot that indicates a numerical breakdown: a retained W_aux
+#: eigenvalue this far below 1, or an eigenvalue of the parallel sum E below
+#: -this times its largest (w >= 1 and E >= 0 in exact arithmetic).
+_BREAKDOWN_LIMIT = 1e-6
 
 #: Relative imaginary residue of Lambda above which a pair is refused.
 LAMBDA_RESID_TOL = 1e-8
@@ -125,28 +123,14 @@ class FidelityReport:
 # auxiliary matrix and its spectrum
 # ---------------------------------------------------------------------------
 
-def _solve_v_sum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
-    """One solve of V1 + V2 for the block [Omega/4 + V2 Omega V1 | du].
-
-    Returns (V1 + V2, V_aux, (V1 + V2)^{-1} du).
-    """
-    n = V1.shape[0] // 2
-    omega = make_symplectic_form(n)
-    v_sum = V1 + V2
-    rhs = np.empty((2 * n, 2 * n + 1))
-    rhs[:, :-1] = omega / 4.0 + V2 @ omega @ V1
-    rhs[:, -1] = du
-    x = np.linalg.solve(v_sum, rhs)
-    return v_sum, omega.T @ x[:, :-1], x[:, -1]
-
-
 def aux_matrix(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
-    """V_aux of a covariance pair (xxpp layout)."""
+    """V_aux of a covariance pair (xxpp layout), from one solve of V1 + V2."""
     V1 = np.asarray(V1, dtype=float)
     V2 = np.asarray(V2, dtype=float)
     if V1.shape != V2.shape:
         raise InvalidParameter("covariance matrices have mismatched shapes")
-    return _solve_v_sum(V1, V2, np.zeros(V1.shape[0]))[1]
+    omega = make_symplectic_form(V1.shape[0] // 2)
+    return omega.T @ np.linalg.solve(V1 + V2, omega / 4.0 + V2 @ omega @ V1)
 
 
 def _paired_imag_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -171,7 +155,7 @@ def aux_spectrum(v_aux: np.ndarray) -> AuxSpectrum:
     w = _paired_imag_eigenvalues(2.0 * v_aux @ omega)
     unit = np.abs(w - 1.0) <= DEFAULT_PURE_TOL
     retained = w[~unit]
-    if retained.size and retained.min() < 1.0 - _W_BELOW_ONE_LIMIT:
+    if retained.size and retained.min() < 1.0 - _BREAKDOWN_LIMIT:
         raise NumericalError(
             "retained W_aux eigenvalue %.12g lies below 1; inputs are likely unphysical"
             % float(retained.min()))
@@ -187,7 +171,7 @@ def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
     as it does when a state has an exactly pure mode (E is then singular), G
     is U diag(sqrt(lambda)) from E's eigendecomposition with the
     roundoff-negative eigenvalues set to 0, and an eigenvalue below
-    -_E_NEGATIVE_LIMIT * max(lambda) is refused with NumericalError.
+    -_BREAKDOWN_LIMIT * max(lambda) is refused with NumericalError.
     Returns (V1 + V2, spectrum, (V1 + V2)^{-1} du).
     """
     n = V1.shape[0] // 2
@@ -218,7 +202,7 @@ def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
         g = np.linalg.cholesky(e)
     except np.linalg.LinAlgError:
         lam, g = np.linalg.eigh(e)
-        if lam[0] < -_E_NEGATIVE_LIMIT * lam[-1]:
+        if lam[0] < -_BREAKDOWN_LIMIT * lam[-1]:
             raise NumericalError(
                 "parallel sum E is not positive semidefinite (eigenvalue %.3e of %.3e)"
                 % (lam[0], lam[-1])) from None

@@ -173,8 +173,9 @@ def qfi_scalar(family: Callable[[float], GaussianState], theta0: float,
     The two agree in the h -> 0 limit.
     """
     if mode == "analytic":
+        base = family(theta0)
         du, dV = _moment_derivatives(family, theta0, _step(h, DEFAULT_MOMENT_STEP))
-        return 4.0 * bures_metric(family(theta0), du, dV).ds2
+        return 4.0 * bures_metric(base, du, dV).ds2
     if mode == "finite_difference":
         step = _step(h, DEFAULT_FD_STEP)
         f = fidelity(family(theta0), family(theta0 + step)).F

@@ -225,6 +225,12 @@ class TestQfiScalar:
         assert "theta0 = 0.0001 with step h = 0.0001 reaches -0.0001 to 0.0003" in message
         assert isinstance(info.value.__cause__, InvalidParameter)
 
+    def test_theta0_outside_the_domain_names_theta0(self):
+        # theta0 itself is refused under the family's own message, as in
+        # qfi_matrix, not blamed on the stencil's reach
+        with pytest.raises(InvalidParameter, match=r"got \[-1\.\]$"):
+            qfi_scalar(get_family("thermal-nbar"), -1.0)
+
     def test_phase_family_runs(self):
         value = qfi_scalar(get_family("phase-theta"), 0.2)
         fd = qfi_scalar(get_family("phase-theta"), 0.2, mode="finite_difference", h=1e-4)
