@@ -4,7 +4,8 @@ Everything works directly on first and second statistical moments: the
 Uhlmann fidelity between arbitrary (mixed or pure, displaced) Gaussian
 states, symplectic invariants, the Bures distance and metric, quantum Fisher
 information and fidelity-based discrimination bounds — backed by an
-independent truncated Fock-space oracle for validation.  The cross-check
+independent truncated Fock-space oracle for validation (:mod:`gaussfid.fock`,
+imported on first use of one of its names).  The cross-check
 routes that only validate the engine, the Gibbs/W-operator algebra among
 them, live in :mod:`gaussfid.reference`, which is not imported here.
 """
@@ -60,14 +61,26 @@ from .metrology import (
     qfi_matrix,
     qfi_scalar,
 )
-from .fock import (
-    CircuitSpec,
-    FockDensityMatrix,
-    build_circuit_state,
-    moments_from_fock,
-    random_circuit,
-    uhlmann_fidelity_matrix,
-)
+
+#: The Fock oracle's public names.  They resolve through :func:`__getattr__`,
+#: which imports :mod:`gaussfid.fock` on first use: the oracle only validates
+#: the engine, so ``import gaussfid`` does not load it.
+_FOCK_NAMES = frozenset({
+    "CircuitSpec",
+    "FockDensityMatrix",
+    "build_circuit_state",
+    "moments_from_fock",
+    "random_circuit",
+    "uhlmann_fidelity_matrix",
+})
+
+
+def __getattr__(name):
+    if name in _FOCK_NAMES:
+        from . import fock
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "GaussfidError", "InvalidParameter", "InvalidState", "NumericalError",

@@ -17,7 +17,6 @@ field set per command; the default output is aligned plain text.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -36,7 +35,6 @@ from .metrology import (
     get_family,
     qfi_scalar,
 )
-from . import fock
 from .states import random_state
 
 EXIT_OK = 0
@@ -103,6 +101,8 @@ def write_state_file(path: str | Path, state: GaussianState) -> None:
 
 
 def _digest(path: str | Path) -> str:
+    import hashlib  # loads OpenSSL, which only the commands that read state files need
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -279,6 +279,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_oracle_check(args):
+    from . import fock  # the oracle stays off the import path of every other command
+
     rng = np.random.default_rng(args.seed)
     circuit_a = fock.random_circuit(args.modes, rng)
     circuit_b = fock.random_circuit(args.modes, rng)

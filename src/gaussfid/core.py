@@ -60,9 +60,11 @@ class GaussianState:
 
     ``u`` and ``V`` are in the xxpp layout; :meth:`from_xpxp` converts
     interleaved arrays.  Arrays are copied and frozen at construction;
-    instances are immutable and safe to share across threads.  Two states are
-    equal when their mode count and arrays are equal entry by entry; equal
-    states hash alike, so states can be set members and dict keys.
+    instances are immutable and safe to share across threads, and copies and
+    pickles are rebuilt through the constructor, which freezes them again.
+    Two states are equal when their mode count and arrays are equal entry by
+    entry; equal states hash alike, so states can be set members and dict
+    keys.
     """
 
     n: int
@@ -97,6 +99,23 @@ class GaussianState:
                 f"mean/cov shapes {u.shape}/{V.shape} do not describe an xpxp state")
         perm = np.argsort(xxpp_to_xpxp_indices(n))
         return cls(n, u[perm], V[perm[:, None], perm])
+
+    def __reduce__(self):
+        return self.__class__, (self.n, self.u, self.V)
+
+    @staticmethod
+    def _lambda_factor_of(V: np.ndarray) -> complex:
+        """det(V + i Omega/2), one covariance's factor of the invariant Lambda."""
+        return np.linalg.det(V + 0.5j * make_symplectic_form(V.shape[0] // 2))
+
+    @functools.cached_property
+    def _lambda_factor(self) -> complex:
+        """:meth:`_lambda_factor_of` this state's V, evaluated on first access.
+
+        The frozen arrays keep it valid for the instance's lifetime; it is
+        not a field, so equality, hashing and ``repr`` do not see it.
+        """
+        return self._lambda_factor_of(self.V)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -284,7 +284,8 @@ def invariant_set(V1: np.ndarray, V2: np.ndarray) -> InvariantSet:
         raise NumericalError("det(V1 + V2) is not positive")
     delta = float(sign * np.exp(logdet))
     gamma = _gamma(V1, V2)
-    lam = _checked_lambda(V1, V2, gamma)
+    lam = _checked_lambda(GaussianState._lambda_factor_of(V1),
+                          GaussianState._lambda_factor_of(V2), V1, V2, gamma)
     return InvariantSet(i2k=i2k, gamma=gamma, lam=lam, delta=delta,
                         char_coeffs=_char_coeffs_from_traces(i2k))
 
@@ -295,8 +296,10 @@ def _gamma(V1: np.ndarray, V2: np.ndarray) -> float:
     return float(4.0 ** n * np.linalg.det(omega @ V1 @ omega @ V2 - 0.25 * np.eye(2 * n)))
 
 
-def _checked_lambda(V1: np.ndarray, V2: np.ndarray, gamma: float | None = None) -> float:
-    """Lambda, refused when its imaginary residue does not vanish.
+def _checked_lambda(d1: complex, d2: complex, V1: np.ndarray, V2: np.ndarray,
+                    gamma: float | None = None) -> float:
+    """Lambda = 4^n d1 d2 from the factors d_k = det(V_k + i Omega/2), refused
+    when its imaginary residue does not vanish.
 
     Lambda vanishes on pure states, so the relative check is floored by the
     roundoff scale of the determinants (gamma >= delta > 0 anchors it).  The
@@ -304,9 +307,6 @@ def _checked_lambda(V1: np.ndarray, V2: np.ndarray, gamma: float | None = None) 
     so gamma is evaluated there only when the caller has not passed it.
     """
     n = V1.shape[0] // 2
-    omega = make_symplectic_form(n)
-    d1 = np.linalg.det(V1 + 0.5j * omega)
-    d2 = np.linalg.det(V2 + 0.5j * omega)
     lam_c = 4.0 ** n * d1 * d2
     if gamma is None and abs(lam_c.imag) <= LAMBDA_RESID_TOL * max(abs(lam_c), 1e-300):
         return float(lam_c.real)
@@ -383,7 +383,9 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     are discarded as unit pairs.  The thresholds are fixed: both states must pass
     :func:`require_physical` at DEFAULT_PHYS_TOL, and a Lambda whose relative
     imaginary residue exceeds LAMBDA_RESID_TOL is refused with NumericalError
-    before F is compared with 1.
+    before F is compared with 1.  Both checks run on every call; only each
+    state's factor det(V + i Omega/2) of Lambda is computed once per state
+    object and kept on it.
     """
     if s1.n != s2.n:
         raise InvalidParameter(f"mode counts differ: {s1.n} vs {s2.n}")
@@ -410,8 +412,8 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
 
     # The only refusal invariant_set adds on stiff inputs, made before the
     # value is judged; the other invariants are left to the report's first
-    # access.
-    _checked_lambda(s1.V, s2.V)
+    # access.  Each state evaluates its factor of Lambda once.
+    _checked_lambda(s1._lambda_factor, s2._lambda_factor, s1.V, s2.V)
     f0 = float(ftot * np.exp(-0.25 * logdet))
     f_raw = float(f0 * np.exp(disp_exponent))
     if f_raw > 1.0 + 1e-10:

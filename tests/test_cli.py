@@ -1,5 +1,7 @@
 """Command-line interface: state files, reports, exit codes, schema stability."""
 
+import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -175,6 +177,9 @@ class TestCommands:
         assert report["F"] == pytest.approx(np.exp(-0.5), abs=1e-9)
         assert report["discarded_pairs"] == 1
         assert any("discarded" in w for w in report["warnings"])
+        for key, path in (("a", vacuum_file), ("b", coherent_file)):
+            assert report["inputs"][key] == {
+                "path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
 
     def test_bures(self, capsys, vacuum_file, coherent_file):
         code, report, _ = run_json(capsys, ["bures", vacuum_file, coherent_file])
@@ -397,6 +402,15 @@ def test_import_does_not_load_scipy():
         "print('scipy' in sys.modules, 'gaussfid.reference' in sys.modules)") == "False False"
 
 
+def test_cli_import_leaves_hashlib_and_fock_unloaded():
+    # hashlib loads OpenSSL (~3.5 MB of resident memory) for the input digests
+    # alone, and the Fock oracle serves oracle-check alone; both are imported
+    # where they are used
+    assert _fresh_python(
+        "import sys, gaussfid.cli; "
+        "print('hashlib' in sys.modules, 'gaussfid.fock' in sys.modules)") == "False False"
+
+
 def test_reference_algebra_runs_without_scipy():
     # the Gibbs/W-operator algebra needs numpy only; alt_ftot_v12 imports
     # scipy when it is called
@@ -438,3 +452,10 @@ def test_public_names():
     assert sorted(gaussfid.__all__) == sorted(PUBLIC_NAMES)
     for name in gaussfid.__all__:
         assert getattr(gaussfid, name) is not None
+    # the Fock oracle's names resolve on first use, and through a star import
+    star = {}
+    exec("from gaussfid import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
+    assert gaussfid.random_circuit is importlib.import_module("gaussfid.fock").random_circuit
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        gaussfid.no_such_name

@@ -1,6 +1,10 @@
 """Core symplectic machinery (forms, Williamson) and the Gibbs/W-operator
 algebra of :mod:`gaussfid.reference` (Gibbs conversions, products)."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -123,6 +127,20 @@ class TestFrozenState:
                 a.setflags(write=True)
             assert not a.flags.writeable
 
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_stay_read_only(self, copier):
+        state = random_state(2, 3)
+        fidelity(state, state)  # fills the cached Lambda factor
+        twin = copier(state)
+        assert twin is not state and twin == state and hash(twin) == hash(state)
+        for a in (twin.u, twin.V):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
+        assert "_lambda_factor" not in vars(twin)
+
     def test_zero_modes_rejected(self):
         # a 0-mode state used to build, and fidelity() then failed in numpy
         with pytest.raises(InvalidParameter, match="mode count must be >= 1, got 0"):
@@ -151,6 +169,15 @@ class TestStateEquality:
         assert base != random_state(2, 43)
         assert vacuum(1) != vacuum(2)
         assert vacuum(1) != "vacuum"
+
+    def test_cached_lambda_factor_is_invisible(self):
+        # the factor lives in the instance dict, outside the dataclass fields
+        state, fresh = random_state(3, 44), random_state(3, 44)
+        fidelity(state, state)
+        assert "_lambda_factor" in vars(state) and "_lambda_factor" not in vars(fresh)
+        assert state == fresh and hash(state) == hash(fresh)
+        assert repr(state) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(state)] == ["n", "u", "V"]
 
     def test_set_members_and_dict_keys(self):
         states = {vacuum(1), vacuum(1), thermal([0.5]), random_state(2, 45), random_state(2, 45)}

@@ -1,5 +1,6 @@
 """Fidelity engine: auxiliary spectrum, invariants, closed forms, cross-checks."""
 
+import dataclasses
 import importlib
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from gaussfid import (
+    GaussianState,
     NumericalError,
     apply_symplectic,
     closed_form_fidelity,
@@ -434,6 +436,63 @@ class TestPureMemberRoute:
         assert abs(_purity_invariant(p.V) - 1.0) <= _PURITY_TOL  # the pure-member route
         with pytest.raises(NumericalError, match="Lambda has a non-vanishing imaginary part"):
             fidelity(p, q)
+
+
+def _outcome(a, b):
+    """Every field of fidelity(a, b) as bytes, or the type and message of its refusal."""
+    try:
+        rep = fidelity(a, b)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        return "refused", type(exc).__name__, str(exc)
+    return tuple((f.name, np.asarray(getattr(rep, f.name)).tobytes())
+                 for f in dataclasses.fields(rep) if f.compare)
+
+
+def _cache_ensemble():
+    """Mixed and pure, displaced and centred states with max_squeeze 1, 4 and 8."""
+    states = []
+    for n in (1, 2, 4, 16, 64):
+        seed = 9100 + 10 * n
+        states.append([
+            random_state(n, seed),
+            random_state(n, seed + 1, pure=True),
+            random_state(n, seed + 2, max_squeeze=4.0, max_disp=0.0),
+            random_state(n, seed + 3, pure=True, max_squeeze=8.0),
+        ])
+    return states
+
+
+class TestLambdaFactorCache:
+    """Each state evaluates det(V + i Omega/2) once; the Lambda check itself
+    runs on every call."""
+
+    def test_det_once_per_state(self, monkeypatch):
+        a, b = mixed_pair(2, 9000)
+        c = random_state(2, 9001)
+        dets = count_linalg_calls(monkeypatch, "det")
+        for _ in range(10):
+            fidelity(a, b)
+        assert len(dets) == 2
+        del dets[:]
+        for _ in range(10):
+            fidelity(c, c)
+        assert len(dets) == 1
+
+    # the stiffest pure states overflow det and exp at n = 64 and are refused
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_cached_states_match_fresh_copies(self):
+        refused = computed = 0
+        for group in _cache_ensemble():
+            for a in group:
+                for b in group:
+                    first = _outcome(a, b)  # fills both factors
+                    assert "_lambda_factor" in vars(a) or first[0] == "refused"
+                    fresh = _outcome(GaussianState(a.n, a.u, a.V),
+                                     GaussianState(b.n, b.u, b.V))
+                    assert _outcome(a, b) == first == fresh
+                    refused += first[0] == "refused"
+                    computed += first[0] != "refused"
+        assert refused and computed
 
 
 def _pure_mode_pairs():
