@@ -42,6 +42,15 @@ def make_symplectic_form(n: int) -> np.ndarray:
     return omega.view()
 
 
+@functools.lru_cache(maxsize=64)
+def _half_i_omega(n: int) -> np.ndarray:
+    """i*Omega/2, the shift of V + i*Omega/2, cached and read-only per n like
+    :func:`make_symplectic_form`."""
+    half = 0.5j * make_symplectic_form(n)
+    half.setflags(write=False)
+    return half.view()
+
+
 def xxpp_to_xpxp_indices(n: int) -> np.ndarray:
     """Index array p with v_xpxp = v_xxpp[p]."""
     perm = np.empty(2 * n, dtype=int)
@@ -106,7 +115,7 @@ class GaussianState:
     @staticmethod
     def _lambda_factor_of(V: np.ndarray) -> complex:
         """det(V + i Omega/2), one covariance's factor of the invariant Lambda."""
-        return np.linalg.det(V + 0.5j * make_symplectic_form(V.shape[0] // 2))
+        return np.linalg.det(V + _half_i_omega(V.shape[0] // 2))
 
     @functools.cached_property
     def _lambda_factor(self) -> complex:
@@ -168,9 +177,7 @@ def validate_state(state: GaussianState) -> PhysicalityReport:
                                  physical=False)
     scale = max(1.0, float(np.max(np.abs(V))))
     symmetric = bool(np.max(np.abs(V - V.T)) <= DEFAULT_PHYS_TOL * scale)
-    omega = make_symplectic_form(state.n)
-    herm = V + 0.5j * omega
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
+    min_eig = float(np.linalg.eigvalsh(V + _half_i_omega(state.n))[0])
     return PhysicalityReport(
         symmetric=symmetric,
         min_eig_shifted=min_eig,
@@ -196,7 +203,7 @@ def require_physical(state: GaussianState) -> None:
     V = state.V
     bound = DEFAULT_PHYS_TOL * max(1.0, float(np.max(np.abs(V))))
     if bound < np.inf and np.max(np.abs(V - V.T)) <= bound:
-        shifted = V + 0.5j * make_symplectic_form(state.n)
+        shifted = V + _half_i_omega(state.n)
         shifted.flat[::V.shape[0] + 1] += 0.5 * bound
         try:
             np.linalg.cholesky(shifted)

@@ -123,6 +123,14 @@ class FidelityReport:
 # auxiliary matrix and its spectrum
 # ---------------------------------------------------------------------------
 
+def _solve_v_sum(v_sum: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(V1 + V2)^{-1} rhs; a V1 + V2 singular to working precision is refused."""
+    try:
+        return np.linalg.solve(v_sum, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("V1 + V2 is singular to working precision: %s" % exc) from exc
+
+
 def aux_matrix(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     """V_aux of a covariance pair (xxpp layout), from one solve of V1 + V2."""
     V1 = np.asarray(V1, dtype=float)
@@ -130,7 +138,7 @@ def aux_matrix(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     if V1.shape != V2.shape:
         raise InvalidParameter("covariance matrices have mismatched shapes")
     omega = make_symplectic_form(V1.shape[0] // 2)
-    return omega.T @ np.linalg.solve(V1 + V2, omega / 4.0 + V2 @ omega @ V1)
+    return omega.T @ _solve_v_sum(V1 + V2, omega / 4.0 + V2 @ omega @ V1)
 
 
 def _paired_imag_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -177,7 +185,7 @@ def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
     n = V1.shape[0] // 2
     m = 2 * n
     v_sum = V1 + V2
-    x = np.linalg.solve(v_sum, np.column_stack((V2, make_symplectic_form(n), du)))
+    x = _solve_v_sum(v_sum, np.column_stack((V2, make_symplectic_form(n), du)))
     solved_du = x[:, -1].copy()
     # E = (V1 - i Omega/2)(a + i b/2) with [a | b] = (V1+V2)^{-1} [V2 | Omega];
     # Omega @ [a | b] is a signed swap of its row blocks.  Each 2n x 2n
@@ -383,26 +391,31 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     are discarded as unit pairs.  The thresholds are fixed: both states must pass
     :func:`require_physical` at DEFAULT_PHYS_TOL, and a Lambda whose relative
     imaginary residue exceeds LAMBDA_RESID_TOL is refused with NumericalError
-    before F is compared with 1.  Both checks run on every call; only each
-    state's factor det(V + i Omega/2) of Lambda is computed once per state
-    object and kept on it.
+    before F is compared with 1.  The physicality check and the purity
+    invariant run once per distinct state object in the call (once for
+    ``fidelity(s, s)``), the Lambda check on every call; only each state's
+    factor det(V + i Omega/2) of Lambda is kept on the state object.  A
+    V1 + V2 that is singular to working precision is refused with
+    NumericalError.
     """
     if s1.n != s2.n:
         raise InvalidParameter(f"mode counts differ: {s1.n} vs {s2.n}")
-    require_physical(s1)
-    require_physical(s2)
+    # a self pair is one state: its checks need not run twice
+    states = (s1,) if s2 is s1 else (s1, s2)
+    for s in states:
+        require_physical(s)
 
     du = s2.u - s1.u
-    if (abs(_purity_invariant(s1.V) - 1.0) <= _PURITY_TOL
-            or abs(_purity_invariant(s2.V) - 1.0) <= _PURITY_TOL):
+    if any(abs(_purity_invariant(s.V) - 1.0) <= _PURITY_TOL for s in states):
         # sqrt(rho1) rho2 sqrt(rho1) has rank one: every W_aux pair is a
         # unit pair, Ftot = 1 and F is the root overlap sqrt(Tr rho1 rho2)
         v_sum = s1.V + s2.V
-        solved_du = np.linalg.solve(v_sum, du)
-        spectrum = AuxSpectrum(retained=np.empty(0), discarded_pairs=s1.n)
+        solved_du = _solve_v_sum(v_sum, du)
+        retained, discarded_pairs, ftot = np.empty(0), s1.n, 1.0
     else:
         v_sum, spectrum, solved_du = _parallel_sum_spectrum(s1.V, s2.V, du)
-    ftot = ftot_from_spectrum(spectrum.retained)
+        retained, discarded_pairs = spectrum.retained, spectrum.discarded_pairs
+        ftot = ftot_from_spectrum(retained)
 
     sign, logdet = np.linalg.slogdet(v_sum)
     if sign <= 0:
@@ -427,8 +440,8 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
         Ftot=ftot,
         det_v_sum=det_v_sum,
         disp_exponent=disp_exponent,
-        waux_spectrum=spectrum.retained,
-        discarded_pairs=spectrum.discarded_pairs,
+        waux_spectrum=retained,
+        discarded_pairs=discarded_pairs,
         F_raw=f_raw,
         clamped=clamped,
         covariances=(s1.V, s2.V),

@@ -315,6 +315,17 @@ class TestCommands:
         assert code == 3
         assert "cutoff" in err
 
+    @pytest.mark.parametrize("command", ["fidelity", "bures", "invariants"])
+    def test_singular_v_sum_exits_3(self, tmp_path, capsys, command):
+        # V1 + V2 of this strongly squeezed pure state is singular to
+        # working precision: a typed refusal, not a traceback
+        path = tmp_path / "s.json"
+        write_state_file(path, random_state(1, 9113, pure=True, max_squeeze=8.0))
+        code, report, err = run_json(capsys, [command, str(path), str(path)])
+        assert code == 3
+        assert report is None
+        assert "V1 + V2 is singular" in err
+
     def test_unknown_command(self, capsys):
         code, out, err = run(capsys, ["frobnicate"])
         assert code == 64

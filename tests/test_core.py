@@ -25,6 +25,7 @@ from gaussfid import (
 )
 from gaussfid.core import (
     DEFAULT_PHYS_TOL,
+    _half_i_omega,
     require_physical,
     symplectic_frame,
     xxpp_to_xpxp_indices,
@@ -98,6 +99,20 @@ class TestSymplecticForm:
         with pytest.raises(ValueError):
             omega *= 2.0
         np.testing.assert_array_equal(make_symplectic_form(3), before)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_half_i_omega_cached_and_read_only(self, n):
+        half = _half_i_omega(n)
+        assert _half_i_omega(n) is half
+        assert half.dtype == complex
+        np.testing.assert_array_equal(half, 0.5j * make_symplectic_form(n))
+        with pytest.raises(ValueError):
+            half[0, n] = 0.0
+        with pytest.raises(ValueError):
+            half *= 2.0
+        with pytest.raises(ValueError):
+            half.setflags(write=True)
+        np.testing.assert_array_equal(_half_i_omega(n), 0.5j * make_symplectic_form(n))
 
     def test_writes_cannot_be_reenabled(self):
         omega = make_symplectic_form(1)

@@ -9,6 +9,7 @@ import pytest
 
 from gaussfid import (
     GaussianState,
+    InvalidState,
     NumericalError,
     apply_symplectic,
     closed_form_fidelity,
@@ -185,6 +186,24 @@ class TestFidelity:
         with pytest.raises(InvalidState):
             fidelity(bad, vacuum(1))
 
+    def test_unphysical_self_pair_rejected(self):
+        # a self pair checks its one state once, with the same refusal
+        bad = GaussianState(1, np.zeros(2), np.diag([0.25, 0.5]))
+        message = "state is not physical: symmetric=True, min_eig_shifted=-1.404e-01"
+        for a, b in ((bad, bad), (bad, GaussianState(1, bad.u, bad.V)), (bad, vacuum(1))):
+            with pytest.raises(InvalidState) as exc:
+                fidelity(a, b)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n, seed", [(1, 9113), (4, 9143)])
+    def test_singular_v_sum_refused(self, n, seed):
+        # V1 + V2 of this pure state is singular to working precision; the
+        # solve's LinAlgError is refused as a NumericalError
+        s = random_state(n, seed, pure=True, max_squeeze=8.0)
+        with pytest.raises(NumericalError, match="V1 \\+ V2 is singular") as exc:
+            fidelity(s, s)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
 
 def _separate_solves(a, b):
     """The fidelity from separate solves of V1 + V2 for V_aux and for du."""
@@ -358,17 +377,32 @@ class TestPureMemberRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
     def test_eigvals_only_on_mixed_pairs(self, n, monkeypatch):
-        # the W_aux spectrum of a mixed-mixed pair is one svd of Q; the
-        # nonsymmetric eigvals and the eigh fallback are never called here
+        # the LAPACK budget of a call once both factors of Lambda are cached:
+        # one Cholesky accept test per distinct state, one solve and one
+        # slogdet of V1 + V2, and on a mixed-mixed pair the Cholesky factor
+        # of E and one svd of Q; the nonsymmetric eigvals and the eigh
+        # fallback are never called here.  Lambda vanishes when a state is
+        # pure, so the Lambda check may floor its residue with Gamma, one
+        # real det, on a pair with a pure member
         with_pure, mixed = _route_pairs(n)
-        calls = {name: count_linalg_calls(monkeypatch, name)
-                 for name in ("svd", "eigvals", "eigh")}
-        for pairs, expected in ((with_pure, []), (mixed, [(2 * n, 2 * n)])):
+        names = ("cholesky", "solve", "slogdet", "det", "svd", "eigvals", "eigh")
+        calls = {name: count_linalg_calls(monkeypatch, name) for name in names}
+        m = (2 * n, 2 * n)
+        seen = set()
+        for pairs, spectrum_calls in ((with_pure, 0), (mixed, 1)):
             for a, b in pairs:
+                fidelity(a, b)
                 for recorded in calls.values():
                     del recorded[:]
                 fidelity(a, b)
-                assert calls == {"svd": expected, "eigvals": [], "eigh": []}
+                cholesky = (1 if a is b else 2) + spectrum_calls
+                seen.add(cholesky)
+                assert len(calls["det"]) <= 1 - spectrum_calls
+                assert calls == {"cholesky": [m] * cholesky, "solve": [m], "slogdet": [m],
+                                 "det": calls["det"], "svd": [m] * spectrum_calls,
+                                 "eigvals": [], "eigh": []}
+        # pure self pair, pure-member pair or mixed self pair, mixed pair
+        assert seen == {1, 2, 3}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
     def test_matches_spectrum_route(self, n):
@@ -442,7 +476,7 @@ def _outcome(a, b):
     """Every field of fidelity(a, b) as bytes, or the type and message of its refusal."""
     try:
         rep = fidelity(a, b)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         return "refused", type(exc).__name__, str(exc)
     return tuple((f.name, np.asarray(getattr(rep, f.name)).tobytes())
                  for f in dataclasses.fields(rep) if f.compare)

@@ -28,6 +28,8 @@ from gaussfid.fock import (
 )
 from gaussfid.reference import cov_from_w, product_w, square_root_cov, w_matrix
 
+from conftest import count_linalg_calls
+
 
 def one_mode_circuit(nbar=0.0, r=0.0, phi=0.0, alpha=0.0):
     ops = []
@@ -306,18 +308,6 @@ def two_mode_pairs():
     return pairs
 
 
-def _count_eigh(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
-
-
 class TestTrackedRoot:
     """Uhlmann fidelity through the square root carried by the build."""
 
@@ -343,7 +333,7 @@ class TestTrackedRoot:
 
     def test_no_full_space_eigh(self, two_mode_pairs, monkeypatch):
         # the square root of rho1 comes from the build, not from diagonalising
-        calls = _count_eigh(monkeypatch)
+        calls = count_linalg_calls(monkeypatch, "eigh")
         for a, b in two_mode_pairs:
             assert a.root is not None
             uhlmann_fidelity_matrix(a, b)
@@ -355,9 +345,9 @@ class TestTrackedRoot:
         bare = FockDensityMatrix(a.n_modes, a.cutoffs, a.rho, a.trace_deficit)
         assert bare.root is None
         assert "root" not in repr(bare)
-        calls = _count_eigh(monkeypatch)
+        calls = count_linalg_calls(monkeypatch, "eigh")
         f = uhlmann_fidelity_matrix(bare, b)
-        assert calls == [1]
+        assert calls == [bare.rho.shape]
         assert f == _eigh_route_fidelity(a.rho, b.rho)
 
 
