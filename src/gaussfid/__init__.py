@@ -5,9 +5,8 @@ Uhlmann fidelity between arbitrary (mixed or pure, displaced) Gaussian
 states, symplectic invariants, the Bures distance and metric, quantum Fisher
 information and fidelity-based discrimination bounds — backed by an
 independent truncated Fock-space oracle for validation (:mod:`gaussfid.fock`,
-imported on first use of one of its names).  The cross-check
-routes that only validate the engine, the Gibbs/W-operator algebra among
-them, live in :mod:`gaussfid.reference`, which is not imported here.
+imported on first use of one of its names).  The package needs numpy only;
+the cross-check routes that only validate the engine live with the tests.
 """
 
 __version__ = "0.1.0"
@@ -17,7 +16,6 @@ from .errors import (
     InvalidParameter,
     InvalidState,
     NumericalError,
-    PureStateError,
     StateFileError,
     TruncationError,
 )
@@ -84,7 +82,7 @@ def __getattr__(name):
 
 __all__ = [
     "GaussfidError", "InvalidParameter", "InvalidState", "NumericalError",
-    "PureStateError", "StateFileError", "TruncationError",
+    "StateFileError", "TruncationError",
     "GaussianState", "PhysicalityReport", "WilliamsonDecomposition",
     "make_symplectic_form", "symplectic_eigenvalues", "validate_state", "williamson",
     "apply_symplectic", "coherent", "displace", "random_state",

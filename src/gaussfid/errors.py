@@ -13,10 +13,6 @@ class InvalidState(InvalidParameter):
     """A covariance matrix / mean vector does not describe a physical state."""
 
 
-class PureStateError(GaussfidError):
-    """A Gibbs-matrix conversion was requested at (or too close to) the pure limit."""
-
-
 class NumericalError(GaussfidError, ArithmeticError):
     """A numerical routine failed a consistency or residual check."""
 

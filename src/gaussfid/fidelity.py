@@ -28,9 +28,8 @@ and the complex antisymmetric Q = G^T Omega^T G, each pair is
 w_k = sqrt(1 + 4 sigma_k^2) over the singular values sigma_k of Q, which come
 in equal pairs.  G is a Cholesky factor, and the factorisation is the accept
 test: E is singular when a state has an exactly pure mode, and then G comes
-from E's Hermitian eigendecomposition instead.  :func:`aux_matrix` and
-:func:`aux_spectrum` (the nonsymmetric eigenvalues of 2 V_aux Omega) remain as
-the direct route.
+from E's Hermitian eigendecomposition instead.  :func:`aux_matrix` forms
+V_aux itself, for :func:`invariant_set`.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ from .errors import InvalidParameter, NumericalError
 #: Pairs with |w - 1| below this are treated as pure-mode pairs and discarded.
 DEFAULT_PURE_TOL = 1e-9
 
-#: Relative undershoot that indicates a numerical breakdown: a retained W_aux
-#: eigenvalue this far below 1, or an eigenvalue of the parallel sum E below
-#: -this times its largest (w >= 1 and E >= 0 in exact arithmetic).
+#: Relative undershoot that indicates a numerical breakdown: an eigenvalue of
+#: the parallel sum E below -this times its largest (E >= 0 in exact
+#: arithmetic).
 _BREAKDOWN_LIMIT = 1e-6
 
 #: Relative imaginary residue of Lambda above which a pair is refused.
@@ -60,14 +59,6 @@ LAMBDA_RESID_TOL = 1e-8
 #: DEFAULT_PURE_TOL: a state whose t cannot be resolved this finely (strong
 #: squeezing) fails the test and takes the W_aux spectrum route.
 _PURITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class AuxSpectrum:
-    """Positive spectrum {w >= 1} of W_aux after unit pairs are removed."""
-
-    retained: np.ndarray
-    discarded_pairs: int
 
 
 @dataclass(frozen=True)
@@ -141,36 +132,6 @@ def aux_matrix(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     return omega.T @ _solve_v_sum(V1 + V2, omega / 4.0 + V2 @ omega @ V1)
 
 
-def _paired_imag_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """|Im| of the +-i w eigenvalue pairs of a real matrix, descending."""
-    eigs = np.linalg.eigvals(A)
-    scale = np.linalg.norm(A)
-    if np.max(np.abs(eigs.real)) > 1e-6 * max(scale, 1.0):
-        raise NumericalError(
-            "spectrum is not purely imaginary (max |Re| = %.3e)" % np.max(np.abs(eigs.real)))
-    return np.sort(np.abs(eigs.imag))[::-1][::2].copy()
-
-
-def aux_spectrum(v_aux: np.ndarray) -> AuxSpectrum:
-    """Eigenvalue pairs of W_aux from the real matrix A = 2 V_aux Omega.
-
-    A has spectrum +-i w; pairs with |w - 1| <= DEFAULT_PURE_TOL come from pure
-    modes, contribute a factor 1, and are dropped.  Retained values are clamped
-    to w >= 1 so that downstream square roots stay real.
-    """
-    n = v_aux.shape[0] // 2
-    omega = make_symplectic_form(n)
-    w = _paired_imag_eigenvalues(2.0 * v_aux @ omega)
-    unit = np.abs(w - 1.0) <= DEFAULT_PURE_TOL
-    retained = w[~unit]
-    if retained.size and retained.min() < 1.0 - _BREAKDOWN_LIMIT:
-        raise NumericalError(
-            "retained W_aux eigenvalue %.12g lies below 1; inputs are likely unphysical"
-            % float(retained.min()))
-    return AuxSpectrum(retained=np.clip(retained, 1.0, None),
-                       discarded_pairs=int(unit.sum()))
-
-
 def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
     """W_aux spectrum of a pair from the parallel sum E (see the module docstring).
 
@@ -180,7 +141,8 @@ def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
     is U diag(sqrt(lambda)) from E's eigendecomposition with the
     roundoff-negative eigenvalues set to 0, and an eigenvalue below
     -_BREAKDOWN_LIMIT * max(lambda) is refused with NumericalError.
-    Returns (V1 + V2, spectrum, (V1 + V2)^{-1} du).
+    Returns (V1 + V2, the retained pairs w, (V1 + V2)^{-1} du); the other
+    n - retained.size pairs are unit pairs.
     """
     n = V1.shape[0] // 2
     m = 2 * n
@@ -225,8 +187,7 @@ def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
     w = np.sqrt(1.0 + four_s2)
     # w - 1 without cancellation
     retained = w[four_s2 / (w + 1.0) > DEFAULT_PURE_TOL]
-    spectrum = AuxSpectrum(retained=retained, discarded_pairs=n - retained.size)
-    return v_sum, spectrum, solved_du
+    return v_sum, retained, solved_du
 
 
 def _purity_invariant(V: np.ndarray) -> float:
@@ -411,10 +372,9 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
         # unit pair, Ftot = 1 and F is the root overlap sqrt(Tr rho1 rho2)
         v_sum = s1.V + s2.V
         solved_du = _solve_v_sum(v_sum, du)
-        retained, discarded_pairs, ftot = np.empty(0), s1.n, 1.0
+        retained, ftot = np.empty(0), 1.0
     else:
-        v_sum, spectrum, solved_du = _parallel_sum_spectrum(s1.V, s2.V, du)
-        retained, discarded_pairs = spectrum.retained, spectrum.discarded_pairs
+        v_sum, retained, solved_du = _parallel_sum_spectrum(s1.V, s2.V, du)
         ftot = ftot_from_spectrum(retained)
 
     sign, logdet = np.linalg.slogdet(v_sum)
@@ -441,7 +401,7 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
         det_v_sum=det_v_sum,
         disp_exponent=disp_exponent,
         waux_spectrum=retained,
-        discarded_pairs=discarded_pairs,
+        discarded_pairs=s1.n - retained.size,
         F_raw=f_raw,
         clamped=clamped,
         covariances=(s1.V, s2.V),

@@ -23,8 +23,7 @@ The full-space matrix is handled as a tensor with one row and one column leg
 per mode.  A gate is exponentiated on the factor of the modes it acts on (the
 beam splitter block by block over its conserved total photon number) and
 applied to those legs only; moments contract single-mode quadrature factors
-against the tensor.  :func:`mode_operators` and :func:`quadrature_operators`
-give the same operators on the full space, as a dense reference.
+against the tensor.
 """
 
 from __future__ import annotations
@@ -120,29 +119,10 @@ def destroy(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
 
 
-def _embed(op: np.ndarray, mode: int, cutoffs: Sequence[int]) -> np.ndarray:
-    factors = [np.eye(c) for c in cutoffs]
-    factors[mode] = op
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
-def mode_operators(cutoffs: Sequence[int]) -> list:
-    """Embedded annihilation operators a_k on the full tensor-product space."""
-    return [_embed(destroy(c), k, cutoffs) for k, c in enumerate(cutoffs)]
-
-
 def _quadratures(a_ops: list) -> list:
     """(x_1..x_n, p_1..p_n) with x = (a + a')/sqrt(2) from the a_k."""
     return ([(a + a.conj().T) / np.sqrt(2.0) for a in a_ops]
             + [-1j * (a - a.conj().T) / np.sqrt(2.0) for a in a_ops])
-
-
-def quadrature_operators(cutoffs: Sequence[int]) -> list:
-    """Quadratures (x_1..x_n, p_1..p_n) on the full tensor-product space."""
-    return _quadratures(mode_operators(cutoffs))
 
 
 def _unitary_from_generator(K: np.ndarray) -> np.ndarray:

@@ -1,21 +1,24 @@
-"""Independent cross-check routes for the fidelity engine and the metric.
+"""Independent cross-check routes for the fidelity engine, the metric and the
+Fock oracle.
 
-These exist to validate the production code in :mod:`gaussfid.fidelity` and
-:mod:`gaussfid.metrology` by other routes (the complex V12 determinant, the
-singular block reduction, an explicit superoperator pseudo-inverse, and the
-paper's Gaussian-operator algebra of Gibbs exponent matrices and W-matrices);
-the engine never calls them.  The package does not import this module.  It
-needs numpy only, apart from :func:`alt_ftot_v12`, which imports scipy.
+These exist to validate the production code in :mod:`gaussfid.fidelity`,
+:mod:`gaussfid.metrology` and :mod:`gaussfid.fock` by other routes: the
+nonsymmetric ``eigvals`` spectrum of 2 V_aux Omega, the complex V12
+determinant, the singular block reduction, an explicit superoperator
+pseudo-inverse, the paper's Gaussian-operator algebra of Gibbs exponent
+matrices and W-matrices, and the Fock oracle's operators on the full space.
+The package never calls them.  They need numpy only, apart from
+:func:`alt_ftot_v12`, which imports scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
+from gaussfid.core import (
     GaussianState,
     make_symplectic_form,
     require_physical,
@@ -23,11 +26,63 @@ from .core import (
     williamson,
     xxpp_to_xpxp_indices,
 )
-from .errors import InvalidParameter, NumericalError, PureStateError
-from .fidelity import DEFAULT_PURE_TOL, _paired_imag_eigenvalues, aux_matrix
+from gaussfid.errors import GaussfidError, InvalidParameter, NumericalError
+from gaussfid.fidelity import _BREAKDOWN_LIMIT, DEFAULT_PURE_TOL, aux_matrix
+from gaussfid.fock import _quadratures, destroy
+
 
 DEFAULT_PURE_GAP = 1e-9       # minimum nu - 1/2 for Gibbs conversions
 
+
+class PureStateError(GaussfidError):
+    """A Gibbs-matrix conversion was requested at (or too close to) the pure limit."""
+
+
+# ---------------------------------------------------------------------------
+# the eigvals route to the W_aux spectrum
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AuxSpectrum:
+    """Positive spectrum {w >= 1} of W_aux after unit pairs are removed."""
+
+    retained: np.ndarray
+    discarded_pairs: int
+
+
+def _paired_imag_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """|Im| of the +-i w eigenvalue pairs of a real matrix, descending."""
+    eigs = np.linalg.eigvals(A)
+    scale = np.linalg.norm(A)
+    if np.max(np.abs(eigs.real)) > 1e-6 * max(scale, 1.0):
+        raise NumericalError(
+            "spectrum is not purely imaginary (max |Re| = %.3e)" % np.max(np.abs(eigs.real)))
+    return np.sort(np.abs(eigs.imag))[::-1][::2].copy()
+
+
+def aux_spectrum(v_aux: np.ndarray) -> AuxSpectrum:
+    """Eigenvalue pairs of W_aux from the real matrix A = 2 V_aux Omega.
+
+    A has spectrum +-i w; pairs with |w - 1| <= DEFAULT_PURE_TOL come from pure
+    modes, contribute a factor 1, and are dropped.  Retained values are clamped
+    to w >= 1 so that downstream square roots stay real.
+    """
+    n = v_aux.shape[0] // 2
+    omega = make_symplectic_form(n)
+    w = _paired_imag_eigenvalues(2.0 * v_aux @ omega)
+    unit = np.abs(w - 1.0) <= DEFAULT_PURE_TOL
+    retained = w[~unit]
+    if retained.size and retained.min() < 1.0 - _BREAKDOWN_LIMIT:
+        raise NumericalError(
+            "retained W_aux eigenvalue %.12g lies below 1; inputs are likely unphysical"
+            % float(retained.min()))
+    return AuxSpectrum(retained=np.clip(retained, 1.0, None),
+                       discarded_pairs=int(unit.sum()))
+
+
+# ---------------------------------------------------------------------------
+# other routes to Ftot and the metric
+# ---------------------------------------------------------------------------
 
 def alt_ftot_v12(V1: np.ndarray, V2: np.ndarray, resid_tol: float = 1e-7) -> float:
     """Ftot from the complex matrix V12 = -iOmega/2 + (V1+iOmega/2)(V1+V2)^{-1}(V2+iOmega/2).
@@ -289,3 +344,26 @@ def product_w(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("W1 + W2 is singular") from exc
     return eye + (W2 - eye) @ middle
+
+
+# ---------------------------------------------------------------------------
+# the Fock oracle's operators on the full space
+# ---------------------------------------------------------------------------
+
+def _embed(op: np.ndarray, mode: int, cutoffs: Sequence[int]) -> np.ndarray:
+    factors = [np.eye(c) for c in cutoffs]
+    factors[mode] = op
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def mode_operators(cutoffs: Sequence[int]) -> list:
+    """Embedded annihilation operators a_k on the full tensor-product space."""
+    return [_embed(destroy(c), k, cutoffs) for k, c in enumerate(cutoffs)]
+
+
+def quadrature_operators(cutoffs: Sequence[int]) -> list:
+    """Quadratures (x_1..x_n, p_1..p_n) on the full tensor-product space."""
+    return _quadratures(mode_operators(cutoffs))

@@ -28,9 +28,10 @@ from gaussfid import (
     vacuum,
 )
 from gaussfid.core import GaussianState
-from gaussfid.fidelity import aux_matrix, aux_spectrum
+from gaussfid.fidelity import aux_matrix
 from gaussfid.metrology import bures_metric
-from gaussfid.reference import singular_reduction
+
+from reference_routes import aux_spectrum, singular_reduction
 
 
 def _passline(number, name, started, budget):

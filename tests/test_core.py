@@ -1,5 +1,5 @@
 """Core symplectic machinery (forms, Williamson) and the Gibbs/W-operator
-algebra of :mod:`gaussfid.reference` (Gibbs conversions, products)."""
+algebra of the test-side :mod:`reference_routes` (Gibbs conversions, products)."""
 
 import copy
 import dataclasses
@@ -13,7 +13,6 @@ from gaussfid import (
     InvalidParameter,
     InvalidState,
     NumericalError,
-    PureStateError,
     fidelity,
     make_symplectic_form,
     random_state,
@@ -30,8 +29,12 @@ from gaussfid.core import (
     symplectic_frame,
     xxpp_to_xpxp_indices,
 )
-from gaussfid.reference import (
+from gaussfid.states import random_symplectic
+
+from conftest import count_linalg_calls, mixed_pair, via_xpxp
+from reference_routes import (
     ODD_KERNELS,
+    PureStateError,
     cov_from_gibbs,
     cov_from_w,
     gibbs_from_cov,
@@ -43,9 +46,6 @@ from gaussfid.reference import (
     symplectic_action_odd,
     w_matrix,
 )
-from gaussfid.states import random_symplectic
-
-from conftest import count_linalg_calls, mixed_pair, via_xpxp
 
 LN3 = 1.0986122886681098  # 2 arccoth(2)
 
@@ -56,7 +56,7 @@ LN3 = 1.0986122886681098  # 2 arccoth(2)
 
 def _interleaved_form(n):
     """Omega in the xpxp layout, permuted from the xxpp form as
-    gaussfid.reference.singular_reduction builds it."""
+    reference_routes.singular_reduction builds it."""
     p = xxpp_to_xpxp_indices(n)
     return make_symplectic_form(n)[np.ix_(p, p)]
 

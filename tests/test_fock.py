@@ -14,7 +14,7 @@ from gaussfid import (
     thermal,
     uhlmann_fidelity_matrix,
 )
-from gaussfid.fidelity import aux_matrix, aux_spectrum, ftot_from_spectrum
+from gaussfid.fidelity import aux_matrix, ftot_from_spectrum
 from gaussfid.fock import (
     DEFAULT_CUTOFFS,
     TRACE_DEFICIT_BUDGET,
@@ -22,13 +22,19 @@ from gaussfid.fock import (
     _unitary_from_generator,
     destroy,
     fidelity_of_matrices,
-    mode_operators,
-    quadrature_operators,
     thermal_fock,
 )
-from gaussfid.reference import cov_from_w, product_w, square_root_cov, w_matrix
 
 from conftest import count_linalg_calls
+from reference_routes import (
+    aux_spectrum,
+    cov_from_w,
+    mode_operators,
+    product_w,
+    quadrature_operators,
+    square_root_cov,
+    w_matrix,
+)
 
 
 def one_mode_circuit(nbar=0.0, r=0.0, phi=0.0, alpha=0.0):

@@ -1,16 +1,15 @@
 """Every name a module under src/ or tests/ imports is referenced in it, no
-package module imports another one's private names, and no public callable or
-CLI flag takes a tolerance.
+package module imports another one's private names or a test-only dependency
+(scipy, mpmath), and no public callable or CLI flag takes a tolerance.
 
 Package ``__init__`` modules are exempt from the first check, since their
 imports are the re-exports, and so is ``from __future__``.  The second check
-exempts dunders and ``reference.py``, whose cross-check routes exist to reach
-into the engine.
+exempts dunders.  The cross-check routes that reach into the engine live in
+tests/, outside these package checks.
 """
 
 import argparse
 import ast
-import importlib
 import inspect
 from pathlib import Path
 
@@ -20,7 +19,9 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")
 PACKAGE = ROOT / "src" / "gaussfid"
-ENGINE_MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "reference.py")
+PACKAGE_MODULES = sorted(PACKAGE.rglob("*.py"))
+#: Used by the tests' cross-check routes, never by the package.
+TEST_ONLY_DEPENDENCIES = ("scipy", "mpmath")
 
 
 def unused_imports(source: str) -> list:
@@ -64,9 +65,32 @@ def test_scan_finds_a_private_import():
     assert private_imports(source) == [(1, "_a"), (3, "_d"), (4, "_e")]
 
 
-@pytest.mark.parametrize("path", ENGINE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_private_cross_module_imports(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dependency_imports(source: str) -> list:
+    """(line, module) of every import, at any depth, of a test-only dependency."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return [(line, name) for line, name in found
+            if name.split(".")[0] in TEST_ONLY_DEPENDENCIES]
+
+
+def test_scan_finds_a_dependency_import():
+    source = ("import numpy, scipy.linalg\nfrom mpmath import mp\nfrom . import scipy\n"
+              "def f():\n    import scipy\n")
+    assert dependency_imports(source) == [(1, "scipy.linalg"), (2, "mpmath"), (5, "scipy")]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_test_only_dependency_imports(path):
+    assert dependency_imports(path.read_text(encoding="utf-8")) == []
 
 
 
@@ -103,8 +127,7 @@ def test_no_tolerance_knobs():
     import gaussfid
     from gaussfid import cli, core
     callables = [getattr(gaussfid, name) for name in gaussfid.__all__]
-    callables += [core.require_physical, importlib.import_module("gaussfid.fidelity").aux_spectrum,
-                  cli.parse_state_file]
+    callables += [core.require_physical, cli.parse_state_file]
     knobs = {fn.__qualname__: tolerance_parameters(fn) for fn in callables if callable(fn)}
     assert {name: params for name, params in knobs.items() if params} == {}
     flags = option_strings(cli.build_parser())

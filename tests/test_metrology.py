@@ -21,10 +21,10 @@ from gaussfid import (
     vacuum,
 )
 from gaussfid.metrology import FAMILIES
-from gaussfid.reference import bures_metric_delta_superop, w_matrix
 from gaussfid.states import embed_symplectic, two_mode_squeeze_block
 
 from conftest import count_linalg_calls
+from reference_routes import bures_metric_delta_superop, w_matrix
 
 
 # ---------------------------------------------------------------------------
