@@ -45,7 +45,6 @@ from .fidelity import (
     InvariantSet,
     closed_form_fidelity,
     fidelity,
-    invariant_set,
 )
 from .metrology import (
     ErrorBounds,
@@ -89,7 +88,6 @@ __all__ = [
     "random_symplectic", "squeezed", "tensor", "thermal", "two_mode_squeezed",
     "vacuum",
     "FidelityReport", "InvariantSet", "closed_form_fidelity", "fidelity",
-    "invariant_set",
     "ErrorBounds", "MetricEvaluation", "QfiMatrix", "bures_distance",
     "bures_metric", "bures_metric_delta", "error_bounds", "get_family",
     "qfi_matrix", "qfi_scalar",

@@ -11,7 +11,8 @@ decimals, up to 17 significant digits).
 
 Exit codes: 0 success, 2 input or physicality error, 3 numerical failure,
 64 unknown command.  ``--json`` emits a machine-readable report with a fixed
-field set per command; the default output is aligned plain text.
+field set per command; the default output is aligned plain text.  A report
+holding a NaN or infinite number is refused (exit 3) in either mode.
 """
 
 from __future__ import annotations
@@ -25,8 +26,14 @@ import numpy as np
 
 from . import __version__
 from .core import DEFAULT_PHYS_TOL, GaussianState, require_physical, williamson
-from .errors import GaussfidError, InvalidParameter, InvalidState, StateFileError
-from .fidelity import DEFAULT_PURE_TOL, fidelity, invariant_set
+from .errors import (
+    GaussfidError,
+    InvalidParameter,
+    InvalidState,
+    NumericalError,
+    StateFileError,
+)
+from .fidelity import DEFAULT_PURE_TOL, fidelity
 from .metrology import (
     DEFAULT_METRIC_TOL,
     FAMILIES,
@@ -130,7 +137,11 @@ def _parse_array_arg(value: str, what: str) -> np.ndarray:
 # report plumbing
 # ---------------------------------------------------------------------------
 
-def _jsonable(value):
+def _jsonable(value, name=None):
+    """``value`` in plain Python types; a NaN or infinite number, which strict
+    JSON cannot hold, is refused, naming the report field ``name`` it is in."""
+    if isinstance(value, (np.ndarray, np.floating, float)) and not np.isfinite(value).all():
+        raise NumericalError(f"report field {name} is not finite, which JSON cannot hold")
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (bool, np.bool_)):
@@ -140,21 +151,21 @@ def _jsonable(value):
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: _jsonable(v, k if name is None else f"{name}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, name) for v in value]
     return value
 
 
 def _emit(report: dict, as_json: bool) -> None:
     report = _jsonable(report)
     if as_json:
-        print(json.dumps(report, indent=1))
+        print(json.dumps(report, indent=1, allow_nan=False))
         return
     width = max((len(k) for k in report), default=0)
     for key, value in report.items():
         if isinstance(value, (dict, list)):
-            rendered = json.dumps(value)
+            rendered = json.dumps(value, allow_nan=False)
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)
         print(f"{key.ljust(width)}  {rendered}")
@@ -208,7 +219,7 @@ def _cmd_fidelity(args):
 def _cmd_invariants(args):
     s1 = parse_state_file(args.state_a)
     s2 = parse_state_file(args.state_b)
-    inv = invariant_set(s1.V, s2.V)
+    inv = fidelity(s1, s2).invariants
     n = inv.n
     fields = {
         "inputs": {"a": _input_entry(args.state_a), "b": _input_entry(args.state_b)},
@@ -421,14 +432,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         fields, warnings, code = HANDLERS[args.command](args)
+        # a report with a non-finite number is refused before any of it is printed
+        _emit({"command": args.command, **fields, "tolerances": TOLERANCES,
+               "warnings": warnings}, args.json)
     except (StateFileError, InvalidState, InvalidParameter) as exc:
         print(f"gaussfid: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GaussfidError as exc:
         print(f"gaussfid: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    report = {"command": args.command, **fields, "tolerances": TOLERANCES, "warnings": warnings}
-    _emit(report, args.json)
     return code
 
 

@@ -13,8 +13,10 @@ all with |w| >= 1) determines the covariance part of the fidelity:
 Unit pairs (w = 1) arise from pure modes and do not contribute; they are
 discarded and counted.  When one state of the pair is pure, every pair is a
 unit pair and Ftot = 1, so :func:`fidelity` does not compute the spectrum.
-The same spectrum yields the symplectic invariants I_2k = Tr(W_aux^{2k}) and
-the classic closed forms for one, two and three modes.
+The same spectrum yields the symplectic invariants I_2k = Tr(W_aux^{2k}) =
+2 sum_k w_k^{2k} and the characteristic polynomial prod_k (lambda^2 - w_k^2)
+of :attr:`FidelityReport.invariants`, and from those the classic closed forms
+for one, two and three modes.
 
 :func:`fidelity` does not form V_aux.  With P_k = V_k + i Omega/2 (Hermitian,
 >= 0 for a physical state), V1 + V2 = conj(P1) + P2 and
@@ -28,8 +30,7 @@ and the complex antisymmetric Q = G^T Omega^T G, each pair is
 w_k = sqrt(1 + 4 sigma_k^2) over the singular values sigma_k of Q, which come
 in equal pairs.  G is a Cholesky factor, and the factorisation is the accept
 test: E is singular when a state has an exactly pure mode, and then G comes
-from E's Hermitian eigendecomposition instead.  :func:`aux_matrix` forms
-V_aux itself, for :func:`invariant_set`.
+from E's Hermitian eigendecomposition instead.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianState, make_symplectic_form, require_physical
+from .core import GaussianState, make_symplectic_form, require_physical, validate_state
 from .errors import InvalidParameter, NumericalError
 
 #: Pairs with |w - 1| below this are treated as pure-mode pairs and discarded.
@@ -69,6 +70,9 @@ class InvariantSet:
     ``gamma = 4^n det(Omega V1 Omega V2 - I/4)`` and
     ``lam = 4^n det(V1 + i Omega/2) det(V2 + i Omega/2)``.  ``char_coeffs``
     holds the characteristic polynomial of W_aux, highest power first.
+    ``w_squared`` holds the squared W_aux pairs when the set was built from
+    them; :meth:`chi` then evaluates prod_k (lambda^2 - w_k^2), as the
+    expanded coefficients lose chi(1) to cancellation from about n = 16 on.
     """
 
     i2k: np.ndarray
@@ -76,21 +80,27 @@ class InvariantSet:
     lam: float
     delta: float
     char_coeffs: np.ndarray
+    w_squared: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return len(self.i2k)
 
     def chi(self, lam_value: float) -> float:
-        return float(np.polyval(self.char_coeffs, lam_value))
+        if self.w_squared is None:
+            return float(np.polyval(self.char_coeffs, lam_value))
+        return float(np.prod(lam_value * lam_value - self.w_squared))
 
 
 @dataclass(frozen=True)
 class FidelityReport:
     """Fidelity value with the intermediate quantities it was built from.
 
-    ``invariants`` is computed from the covariance pair on first access and
-    cached; :func:`fidelity` itself does not evaluate it.
+    ``invariants`` is built on first access and cached; :func:`fidelity`
+    itself does not evaluate it.  Its traces and characteristic polynomial
+    come from ``waux_spectrum``, each discarded pair as w = 1, its delta is
+    ``det_v_sum``, and gamma and lam are determinants of their own, so
+    chi(0) (-1)^n delta = gamma and chi(1) (-1)^n delta = lam check the spectrum.
     """
 
     F: float
@@ -107,11 +117,20 @@ class FidelityReport:
 
     @functools.cached_property
     def invariants(self) -> InvariantSet:
-        return invariant_set(*self.covariances)
+        V1, V2 = self.covariances
+        w2 = np.concatenate((self.waux_spectrum ** 2, np.ones(self.discarded_pairs)))
+        coeffs = np.zeros(2 * w2.size + 1)
+        coeffs[::2] = np.poly(w2)  # the polynomial is even in lambda
+        gamma = _gamma(V1, V2)
+        lam = _checked_lambda(GaussianState._lambda_factor_of(V1),
+                              GaussianState._lambda_factor_of(V2), V1, V2, gamma)
+        return InvariantSet(
+            i2k=2.0 * np.sum(np.power.outer(w2, np.arange(1, w2.size + 1)), axis=0),
+            gamma=gamma, lam=lam, delta=self.det_v_sum, char_coeffs=coeffs, w_squared=w2)
 
 
 # ---------------------------------------------------------------------------
-# auxiliary matrix and its spectrum
+# the W_aux spectrum
 # ---------------------------------------------------------------------------
 
 def _solve_v_sum(v_sum: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -120,16 +139,6 @@ def _solve_v_sum(v_sum: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(v_sum, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("V1 + V2 is singular to working precision: %s" % exc) from exc
-
-
-def aux_matrix(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
-    """V_aux of a covariance pair (xxpp layout), from one solve of V1 + V2."""
-    V1 = np.asarray(V1, dtype=float)
-    V2 = np.asarray(V2, dtype=float)
-    if V1.shape != V2.shape:
-        raise InvalidParameter("covariance matrices have mismatched shapes")
-    omega = make_symplectic_form(V1.shape[0] // 2)
-    return omega.T @ _solve_v_sum(V1 + V2, omega / 4.0 + V2 @ omega @ V1)
 
 
 def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
@@ -212,53 +221,6 @@ def ftot_from_spectrum(retained: np.ndarray) -> float:
 # symplectic invariants
 # ---------------------------------------------------------------------------
 
-def _char_coeffs_from_traces(i2k: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial of W_aux from the trace invariants.
-
-    Newton's identities convert the power sums of the squared pair eigenvalues
-    (I_2m / 2) into the elementary symmetric functions; the polynomial in
-    lambda is even, so odd coefficients vanish.
-    """
-    n = len(i2k)
-    psums = np.asarray(i2k, dtype=float) / 2.0
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for m in range(1, n + 1):
-        acc = 0.0
-        for i in range(1, m + 1):
-            acc += (-1.0) ** (i - 1) * e[m - i] * psums[i - 1]
-        e[m] = acc / m
-    coeffs = np.zeros(2 * n + 1)
-    for k in range(n + 1):
-        coeffs[2 * k] = (-1.0) ** k * e[k]
-    return coeffs
-
-
-def invariant_set(V1: np.ndarray, V2: np.ndarray) -> InvariantSet:
-    """Trace and determinant invariants of a covariance pair."""
-    V1 = np.asarray(V1, dtype=float)
-    V2 = np.asarray(V2, dtype=float)
-    n = V1.shape[0] // 2
-    omega = make_symplectic_form(n)
-
-    A2 = np.linalg.matrix_power(2.0 * aux_matrix(V1, V2) @ omega, 2)
-    i2k = np.empty(n)
-    power = np.eye(2 * n)
-    for k in range(1, n + 1):
-        power = power @ A2
-        i2k[k - 1] = (-1.0) ** k * np.trace(power)
-
-    sign, logdet = np.linalg.slogdet(V1 + V2)
-    if sign <= 0:
-        raise NumericalError("det(V1 + V2) is not positive")
-    delta = float(sign * np.exp(logdet))
-    gamma = _gamma(V1, V2)
-    lam = _checked_lambda(GaussianState._lambda_factor_of(V1),
-                          GaussianState._lambda_factor_of(V2), V1, V2, gamma)
-    return InvariantSet(i2k=i2k, gamma=gamma, lam=lam, delta=delta,
-                        char_coeffs=_char_coeffs_from_traces(i2k))
-
-
 def _gamma(V1: np.ndarray, V2: np.ndarray) -> float:
     n = V1.shape[0] // 2
     omega = make_symplectic_form(n)
@@ -328,13 +290,38 @@ def _closed_form_three_modes(inv: InvariantSet) -> float:
 # the fidelity itself
 # ---------------------------------------------------------------------------
 
+def _accepted_excess(s1: GaussianState, s2: GaussianState) -> float:
+    """The largest F_raw - 1 that the pair's departure from physicality allows.
+
+    With delta the shortfall max(0, -min eig(V + i Omega/2)) of a state, at
+    most DEFAULT_PHYS_TOL * max(1, max|V|) when require_physical accepts it,
+    and mu the smallest eigenvalue of V, c = 1 + delta / mu makes c V a
+    physical covariance.  The exact formula then gives F_raw <= (c1 c2)^{n/2}:
+    on the root-overlap route, max(c1, c2) (V1 + V2) is twice a physical
+    covariance, so det(V1 + V2)^{-1/4} <= max(c1, c2)^{n/2}; on a self pair
+    each symplectic eigenvalue nu < 1/2 gives a factor 1/(2 nu) <= c.  Other
+    pairs are checked by a sweep of boundary states in the tests.
+    """
+    c = 1.0
+    for s in (s1, s2):
+        mu = np.linalg.eigvalsh(s.V)[0]
+        if mu <= 0.0:
+            return 0.0
+        c *= 1.0 + max(0.0, -validate_state(s).min_eig_shifted) / mu
+    return c ** (s1.n / 2.0) - 1.0
+
+
 def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     """Uhlmann fidelity between two Gaussian states.
 
     Symmetric in its arguments, equal to 1 exactly when the states coincide,
-    and valid for any mix of pure and mixed multimode states.  Values that
-    exceed 1 by at most 1e-10 (roundoff) are clamped to 1 in ``F`` with the
-    raw value kept in ``F_raw``.
+    and valid for any mix of pure and mixed multimode states.  A raw value
+    above 1 is clamped to 1 in ``F`` (``clamped`` set, the raw value kept in
+    ``F_raw``) when the excess is roundoff, at most 1e-10, or at most what the
+    states' departure from physicality explains (:func:`_accepted_excess`):
+    at the acceptance limit of require_physical about (n/2) DEFAULT_PHYS_TOL
+    (kappa1 + kappa2), kappa the condition number of V, and nothing for a
+    physical pair.  A larger F_raw is refused with NumericalError.
 
     When either state is pure (its purity invariant t(V) = (4/n) sum_k nu_k^2
     lies within 1e-12 of 1), the W_aux eigenproblem is skipped: every pair
@@ -383,13 +370,13 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     det_v_sum = float(sign * np.exp(logdet))
     disp_exponent = float(-0.25 * du @ solved_du)
 
-    # The only refusal invariant_set adds on stiff inputs, made before the
-    # value is judged; the other invariants are left to the report's first
-    # access.  Each state evaluates its factor of Lambda once.
+    # The refusal the report's invariants would make on stiff inputs, made
+    # before the value is judged; the invariants themselves are left to the
+    # report's first access.  Each state evaluates its factor of Lambda once.
     _checked_lambda(s1._lambda_factor, s2._lambda_factor, s1.V, s2.V)
     f0 = float(ftot * np.exp(-0.25 * logdet))
     f_raw = float(f0 * np.exp(disp_exponent))
-    if f_raw > 1.0 + 1e-10:
+    if f_raw > 1.0 + 1e-10 and f_raw - 1.0 > _accepted_excess(s1, s2):
         raise NumericalError("fidelity %.12g exceeds 1 beyond tolerance" % f_raw)
     clamped = f_raw > 1.0
     f = min(f_raw, 1.0)

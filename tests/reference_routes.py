@@ -2,8 +2,9 @@
 Fock oracle.
 
 These exist to validate the production code in :mod:`gaussfid.fidelity`,
-:mod:`gaussfid.metrology` and :mod:`gaussfid.fock` by other routes: the
-nonsymmetric ``eigvals`` spectrum of 2 V_aux Omega, the complex V12
+:mod:`gaussfid.metrology` and :mod:`gaussfid.fock` by other routes: V_aux
+itself, the nonsymmetric ``eigvals`` spectrum of 2 V_aux Omega, the
+invariants from traces of its powers and Newton's identities, the complex V12
 determinant, the singular block reduction, an explicit superoperator
 pseudo-inverse, the paper's Gaussian-operator algebra of Gibbs exponent
 matrices and W-matrices, and the Fock oracle's operators on the full space.
@@ -27,7 +28,14 @@ from gaussfid.core import (
     xxpp_to_xpxp_indices,
 )
 from gaussfid.errors import GaussfidError, InvalidParameter, NumericalError
-from gaussfid.fidelity import _BREAKDOWN_LIMIT, DEFAULT_PURE_TOL, aux_matrix
+from gaussfid.fidelity import (
+    _BREAKDOWN_LIMIT,
+    DEFAULT_PURE_TOL,
+    InvariantSet,
+    _checked_lambda,
+    _gamma,
+    _solve_v_sum,
+)
 from gaussfid.fock import _quadratures, destroy
 
 
@@ -39,8 +47,18 @@ class PureStateError(GaussfidError):
 
 
 # ---------------------------------------------------------------------------
-# the eigvals route to the W_aux spectrum
+# V_aux and the eigvals route to the W_aux spectrum
 # ---------------------------------------------------------------------------
+
+def aux_matrix(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
+    """V_aux of a covariance pair (xxpp layout), from one solve of V1 + V2."""
+    V1 = np.asarray(V1, dtype=float)
+    V2 = np.asarray(V2, dtype=float)
+    if V1.shape != V2.shape:
+        raise InvalidParameter("covariance matrices have mismatched shapes")
+    omega = make_symplectic_form(V1.shape[0] // 2)
+    return omega.T @ _solve_v_sum(V1 + V2, omega / 4.0 + V2 @ omega @ V1)
+
 
 @dataclass(frozen=True)
 class AuxSpectrum:
@@ -78,6 +96,57 @@ def aux_spectrum(v_aux: np.ndarray) -> AuxSpectrum:
             % float(retained.min()))
     return AuxSpectrum(retained=np.clip(retained, 1.0, None),
                        discarded_pairs=int(unit.sum()))
+
+
+# ---------------------------------------------------------------------------
+# the trace route to the symplectic invariants
+# ---------------------------------------------------------------------------
+
+def _char_coeffs_from_traces(i2k: np.ndarray) -> np.ndarray:
+    """Characteristic polynomial of W_aux from the trace invariants.
+
+    Newton's identities convert the power sums of the squared pair eigenvalues
+    (I_2m / 2) into the elementary symmetric functions; the polynomial in
+    lambda is even, so odd coefficients vanish.
+    """
+    n = len(i2k)
+    psums = np.asarray(i2k, dtype=float) / 2.0
+    e = np.zeros(n + 1)
+    e[0] = 1.0
+    for m in range(1, n + 1):
+        acc = 0.0
+        for i in range(1, m + 1):
+            acc += (-1.0) ** (i - 1) * e[m - i] * psums[i - 1]
+        e[m] = acc / m
+    coeffs = np.zeros(2 * n + 1)
+    for k in range(n + 1):
+        coeffs[2 * k] = (-1.0) ** k * e[k]
+    return coeffs
+
+
+def invariant_set(V1: np.ndarray, V2: np.ndarray) -> InvariantSet:
+    """Trace and determinant invariants of a covariance pair."""
+    V1 = np.asarray(V1, dtype=float)
+    V2 = np.asarray(V2, dtype=float)
+    n = V1.shape[0] // 2
+    omega = make_symplectic_form(n)
+
+    A2 = np.linalg.matrix_power(2.0 * aux_matrix(V1, V2) @ omega, 2)
+    i2k = np.empty(n)
+    power = np.eye(2 * n)
+    for k in range(1, n + 1):
+        power = power @ A2
+        i2k[k - 1] = (-1.0) ** k * np.trace(power)
+
+    sign, logdet = np.linalg.slogdet(V1 + V2)
+    if sign <= 0:
+        raise NumericalError("det(V1 + V2) is not positive")
+    delta = float(sign * np.exp(logdet))
+    gamma = _gamma(V1, V2)
+    lam = _checked_lambda(GaussianState._lambda_factor_of(V1),
+                          GaussianState._lambda_factor_of(V2), V1, V2, gamma)
+    return InvariantSet(i2k=i2k, gamma=gamma, lam=lam, delta=delta,
+                        char_coeffs=_char_coeffs_from_traces(i2k))
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def run_json(capsys, argv):
+    # strict JSON, for every command's report: the parse refuses NaN,
+    # Infinity and -Infinity
     code, out, err = run(capsys, argv + ["--json"])
-    return code, (json.loads(out) if out else None), err
+    return code, (json.loads(out, parse_constant=_refuse_constant) if out else None), err
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +199,31 @@ class TestCommands:
         assert report["Gamma"] == pytest.approx(1.0)
         assert report["Lambda"] == pytest.approx(0.0, abs=1e-12)
         assert report["chi0_identity_residual"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_invariants_identities_at_scale(self, tmp_path, capsys):
+        # the identities within the bounds FidelityReport.invariants documents
+        paths = []
+        for seed in (11, 12):
+            paths.append(str(tmp_path / f"s{seed}.json"))
+            write_state_file(paths[-1], random_state(32, seed))
+        code, report, _ = run_json(capsys, ["invariants", *paths])
+        assert code == 0
+        assert abs(report["chi0_identity_residual"]) <= 1e-10 * abs(report["Gamma"])
+        assert abs(report["chi1_identity_residual"]) <= 1e-8 * max(
+            abs(report["Lambda"]), 1e-6 * abs(report["Gamma"]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_non_finite_report_refused(self, tmp_path, capsys, as_json):
+        # det(V1 + V2) of this n = 64 pair overflows: exit 3 and no report
+        # rather than a bare Infinity
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        write_state_file(a, random_state(64, 9740))
+        write_state_file(b, random_state(64, 9743, pure=True, max_squeeze=8.0))
+        code, out, err = run(capsys, ["fidelity", a, b] + ["--json"] * as_json)
+        assert code == 3 and out == ""
+        assert err == ("gaussfid: report field det_v1_plus_v2 is not finite, "
+                       "which JSON cannot hold\n")
 
     def test_metric_inline_arrays(self, capsys, vacuum_file):
         code, report, _ = run_json(capsys, [
@@ -447,7 +478,7 @@ PUBLIC_NAMES = (
     "apply_symplectic", "coherent", "displace", "random_state", "random_symplectic",
     "squeezed", "tensor", "thermal", "two_mode_squeezed", "vacuum",
     # fidelity
-    "FidelityReport", "InvariantSet", "closed_form_fidelity", "fidelity", "invariant_set",
+    "FidelityReport", "InvariantSet", "closed_form_fidelity", "fidelity",
     # metrology
     "ErrorBounds", "MetricEvaluation", "QfiMatrix", "bures_distance", "bures_metric",
     "bures_metric_delta", "error_bounds", "get_family", "qfi_matrix", "qfi_scalar",
@@ -459,7 +490,7 @@ PUBLIC_NAMES = (
 
 def test_public_names():
     import gaussfid
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     assert sorted(gaussfid.__all__) == sorted(PUBLIC_NAMES)
     for name in gaussfid.__all__:
         assert getattr(gaussfid, name) is not None

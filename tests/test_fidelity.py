@@ -16,7 +16,6 @@ from gaussfid import (
     coherent,
     displace,
     fidelity,
-    invariant_set,
     make_symplectic_form,
     random_state,
     squeezed,
@@ -28,13 +27,21 @@ from gaussfid.fidelity import (
     _PURITY_TOL,
     _parallel_sum_spectrum,
     _purity_invariant,
-    aux_matrix,
     ftot_from_spectrum,
 )
+from gaussfid.core import DEFAULT_PHYS_TOL, require_physical
 from gaussfid.states import random_symplectic
 
 from conftest import count_linalg_calls, mixed_pair, record_calls, via_xpxp
-from reference_routes import alt_ftot_v12, aux_spectrum, singular_reduction, w_matrix
+from reference_routes import (
+    _char_coeffs_from_traces,
+    alt_ftot_v12,
+    aux_matrix,
+    aux_spectrum,
+    invariant_set,
+    singular_reduction,
+    w_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +211,60 @@ class TestFidelity:
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
+def _boundary_state(V0, frac):
+    """V0 shifted by a multiple of I so that the smallest eigenvalue of
+    V + i Omega/2 is -frac * DEFAULT_PHYS_TOL * max(1, max|V|): a covariance
+    that require_physical accepts for frac < 1, though no state has it."""
+    n = V0.shape[0] // 2
+    lam0 = np.linalg.eigvalsh(V0 + 0.5j * make_symplectic_form(n))[0]
+    shift = lam0
+    for _ in range(3):  # the scale is that of the shifted V
+        scale = max(1.0, np.max(np.abs(V0 - shift * np.eye(2 * n))))
+        shift = lam0 + frac * DEFAULT_PHYS_TOL * scale
+    return GaussianState(n, np.zeros(2 * n), V0 - shift * np.eye(2 * n))
+
+
+class TestClampAgainstAcceptance:
+    """An F_raw above 1 that the states' departure from physicality explains
+    is clamped; one beyond it is refused."""
+
+    def test_accepted_state_against_vacuum_clamps(self):
+        s = GaussianState(1, np.zeros(2), np.diag([0.5 - 1e-9, 0.5]))
+        require_physical(s)
+        rep = fidelity(s, vacuum(1))
+        assert rep.F == 1.0 and rep.clamped
+        assert rep.F_raw == pytest.approx(1.0 + 2.5e-10, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_boundary_states_never_exceed_the_bound(self, n):
+        # every mode of a pure state pushed to the acceptance limit or short of it
+        clamped = 0
+        for seed in range(8):
+            V0 = random_state(n, 3100 + 10 * n + seed, pure=True,
+                              max_squeeze=(0.0, 1.0, 2.0, 3.0)[seed % 4]).V
+            for frac in (0.1, 0.5, 0.999):
+                s = _boundary_state(V0, frac)
+                require_physical(s)
+                for a, b in ((s, s), (s, vacuum(n)), (vacuum(n), s)):
+                    try:
+                        rep = fidelity(a, b)
+                    except NumericalError as exc:
+                        assert "exceeds 1" not in str(exc), (seed, frac)
+                        continue
+                    assert rep.F <= 1.0
+                    clamped += rep.clamped
+        assert clamped
+
+    def test_excess_past_the_bound_refused(self, monkeypatch):
+        # a physical self pair has F_raw = 1 and no excess to explain
+        module = importlib.import_module("gaussfid.fidelity")
+        ftot = module.ftot_from_spectrum
+        monkeypatch.setattr(module, "ftot_from_spectrum", lambda w: ftot(w) * (1.0 + 1e-6))
+        s = random_state(2, 3200)
+        with pytest.raises(NumericalError, match="exceeds 1 beyond tolerance"):
+            fidelity(s, s)
+
+
 def _separate_solves(a, b):
     """The fidelity from separate solves of V1 + V2 for V_aux and for du."""
     n = a.n
@@ -264,7 +325,9 @@ class TestLeanHotPath:
                 _fidelity_parts_mp(a, b), rel=1e-15, abs=0.0)
 
     def test_fidelity_does_not_compute_invariants(self, monkeypatch):
-        calls = _record_calls(monkeypatch, "invariant_set")
+        # the report's invariants expand the characteristic polynomial with
+        # np.poly, which fidelity() itself never calls
+        calls = record_calls(monkeypatch, np, "poly")
         for a, b in _ensemble()[:8]:
             rep = fidelity(a, b)
         assert calls == []
@@ -273,14 +336,22 @@ class TestLeanHotPath:
         assert rep.invariants is first
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_invariants_on_access_equal_invariant_set(self, n):
+        # the report's traces and coefficients come from its W_aux pairs, the
+        # reference's from powers of 2 V_aux Omega and Newton's identities;
+        # they agree within 1e-10 (3.4e-12 at worst over 120 pairs per n,
+        # pure and squeezed partners included).  Gamma, Lambda and Delta are
+        # the same determinants on both routes.
         a, b = mixed_pair(n, 2600 + n)
-        inv = fidelity(a, b).invariants
-        ref = invariant_set(a.V, b.V)
-        np.testing.assert_array_equal(inv.i2k, ref.i2k)
-        np.testing.assert_array_equal(inv.char_coeffs, ref.char_coeffs)
-        assert (inv.gamma, inv.lam, inv.delta) == (ref.gamma, ref.lam, ref.delta)
+        for other in (b, random_state(n, 2700 + n, pure=True),
+                      random_state(n, 2800 + n, max_squeeze=2.0)):
+            inv = fidelity(a, other).invariants
+            ref = invariant_set(a.V, other.V)
+            np.testing.assert_allclose(inv.i2k, ref.i2k, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(inv.char_coeffs, ref.char_coeffs, rtol=0.0,
+                                       atol=1e-10 * np.max(np.abs(ref.char_coeffs)))
+            assert (inv.gamma, inv.lam, inv.delta) == (ref.gamma, ref.lam, ref.delta)
 
     def test_lambda_residue_refusal_kept(self):
         for seed in (34, 359, 498):
@@ -662,6 +733,44 @@ class TestInvariants:
             assert inv.i2k[k - 1] == pytest.approx(2 * red.r + trace_k, rel=1e-9)
 
 
+def _identity_residuals(inv):
+    """chi(0) (-1)^n delta - gamma relative to |gamma|, and chi(1) (-1)^n delta
+    - lam relative to max(|lam|, 1e-6 |gamma|) (lam vanishes on pure states)."""
+    sign = (-1.0) ** inv.n
+    return (abs(inv.chi(0.0) * sign * inv.delta - inv.gamma) / abs(inv.gamma),
+            abs(inv.chi(1.0) * sign * inv.delta - inv.lam)
+            / max(abs(inv.lam), 1e-6 * abs(inv.gamma)))
+
+
+class TestSpectrumInvariants:
+    """The report's invariants, built from its own W_aux pairs, meet both
+    characteristic-polynomial identities within the documented bounds (1e-10
+    and 1e-8) at every size, against Gamma and Lambda evaluated as
+    determinants of their own."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_identities_at_scale(self, n):
+        # the trace route misses the chi(0) identity by 1.1 |Gamma| at n = 32
+        for seed in range(6):
+            a = random_state(n, 100 + seed)
+            for b in (random_state(n, 200 + seed), random_state(n, 200 + seed, pure=True),
+                      random_state(n, 200 + seed, max_squeeze=2.0)):
+                inv = fidelity(a, b).invariants
+                assert inv.n == n and np.isfinite(inv.i2k).all()
+                chi0, chi1 = _identity_residuals(inv)
+                assert chi0 <= 1e-10, (seed, chi0)
+                assert chi1 <= 1e-8, (seed, chi1)
+
+    def test_unit_pairs_enter_as_one(self):
+        # a pure member discards every pair: I_2k = 2n and chi = (lambda^2 - 1)^n
+        n = 3
+        inv = fidelity(random_state(n, 31, pure=True), random_state(n, 32)).invariants
+        np.testing.assert_array_equal(inv.i2k, np.full(n, 2.0 * n))
+        np.testing.assert_array_equal(inv.char_coeffs, [1, 0, -3, 0, 3, 0, -1])
+        assert inv.chi(1.0) == 0.0
+        assert inv.gamma == pytest.approx(inv.delta, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -686,7 +795,9 @@ class TestClosedForms:
     def test_matches_general_engine(self, n, seed):
         a, b = mixed_pair(n, 1600 + 100 * n + seed)
         rep = fidelity(a, b)
-        f0 = closed_form_fidelity(n, rep.invariants)
+        # the reference invariants, not the report's, which come from the
+        # spectrum that F0 is built from
+        f0 = closed_form_fidelity(n, invariant_set(a.V, b.V))
         assert f0 == pytest.approx(rep.F0, rel=1e-9)
 
     def test_mode_count_mismatch(self):
@@ -695,7 +806,7 @@ class TestClosedForms:
             closed_form_fidelity(1, invariant_set(a.V, b.V))
 
     def test_positive_cubic_coefficient_rejected(self):
-        from gaussfid.fidelity import InvariantSet, _char_coeffs_from_traces
+        from gaussfid.fidelity import InvariantSet
         i2k = np.array([6.0, 1.0, 1.0])  # p = 36/24 - 1/4 > 0
         bogus = InvariantSet(i2k=i2k, gamma=1.0, lam=0.0, delta=1.0,
                              char_coeffs=_char_coeffs_from_traces(i2k))

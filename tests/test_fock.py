@@ -14,7 +14,7 @@ from gaussfid import (
     thermal,
     uhlmann_fidelity_matrix,
 )
-from gaussfid.fidelity import aux_matrix, ftot_from_spectrum
+from gaussfid.fidelity import ftot_from_spectrum
 from gaussfid.fock import (
     DEFAULT_CUTOFFS,
     TRACE_DEFICIT_BUDGET,
@@ -27,6 +27,7 @@ from gaussfid.fock import (
 
 from conftest import count_linalg_calls
 from reference_routes import (
+    aux_matrix,
     aux_spectrum,
     cov_from_w,
     mode_operators,

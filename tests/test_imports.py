@@ -1,15 +1,17 @@
 """Every name a module under src/ or tests/ imports is referenced in it, no
 package module imports another one's private names or a test-only dependency
-(scipy, mpmath), and no public callable or CLI flag takes a tolerance.
+(scipy, mpmath), every top-level function or class of the package is public
+or used by the package, and no public callable or CLI flag takes a tolerance.
 
 Package ``__init__`` modules are exempt from the first check, since their
-imports are the re-exports, and so is ``from __future__``.  The second check
-exempts dunders.  The cross-check routes that reach into the engine live in
-tests/, outside these package checks.
+imports are the re-exports, and so is ``from __future__``.  The second and
+third checks exempt dunders.  The cross-check routes that reach into the
+engine live in tests/, outside these package checks.
 """
 
 import argparse
 import ast
+import collections
 import inspect
 from pathlib import Path
 
@@ -92,6 +94,37 @@ def test_scan_finds_a_dependency_import():
 def test_no_test_only_dependency_imports(path):
     assert dependency_imports(path.read_text(encoding="utf-8")) == []
 
+
+def unreferenced_definitions(sources: dict, public) -> list:
+    """(module, name) of every top-level function or class in ``sources``
+    (module name -> source) that is not in ``public``, not a dunder, and not
+    named anywhere in the sources outside its own definition."""
+    def names(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    counts = collections.Counter(name for tree in trees.values() for name in names(tree))
+    return [(module, node.name) for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in public and not node.name.startswith("__")
+            and counts[node.name] == names(node).count(node.name)]
+
+
+def test_scan_finds_an_unreferenced_definition():
+    sources = {"a": "def used():\n    pass\ndef unused():\n    return unused\n"
+                    "class Public:\n    pass\ndef __getattr__(name):\n    pass\n",
+               "b": "from .a import used, unused\nused()\n"}
+    assert unreferenced_definitions(sources, {"Public"}) == [("a", "unused")]
+
+
+def test_no_unreferenced_definitions():
+    # a function only the tests call belongs with the tests' cross-check routes
+    import gaussfid
+    sources = {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+               for path in PACKAGE_MODULES}
+    public = set(gaussfid.__all__) | gaussfid._FOCK_NAMES
+    assert unreferenced_definitions(sources, public) == []
 
 
 def tolerance_parameters(fn) -> list:

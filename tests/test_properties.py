@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussfid import GaussianState, apply_symplectic, fidelity, random_state, tensor
-from gaussfid.fidelity import _parallel_sum_spectrum, aux_matrix
+from gaussfid.fidelity import _parallel_sum_spectrum
 from gaussfid.states import random_symplectic
 
-from reference_routes import aux_spectrum
+from reference_routes import aux_matrix, aux_spectrum
 
 #: |F(a, b) - F(b, a)|.
 SYMMETRY_ATOL = 1e-12
