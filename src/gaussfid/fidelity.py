@@ -31,6 +31,12 @@ w_k = sqrt(1 + 4 sigma_k^2) over the singular values sigma_k of Q, which come
 in equal pairs.  G is a Cholesky factor, and the factorisation is the accept
 test: E is singular when a state has an exactly pure mode, and then G comes
 from E's Hermitian eigendecomposition instead.
+
+A pair of equal states needs neither.  There F = 1, and the W_aux pairs are
+w_k = nu_k + 1/(4 nu_k) over the symplectic eigenvalues nu_k of V, so that
+Ftot = prod_k (2 nu_k)^{1/2} = det(2V)^{1/4}.  With V = L L^T, the real
+antisymmetric L^T Omega L is similar to V Omega, and its singular values are
+the nu_k, each twice.
 """
 
 from __future__ import annotations
@@ -54,6 +60,14 @@ _BREAKDOWN_LIMIT = 1e-6
 
 #: Relative imaginary residue of Lambda above which a pair is refused.
 LAMBDA_RESID_TOL = 1e-8
+
+#: Largest |2 sum_k log(2 nu_k) - log det(V1 + V2)| accepted on a self pair
+#: of a mixed state.  The two sides agree in exact arithmetic, and their gap
+#: tracks the error of the computed nu_k: on the 60 self pairs of
+#: random_state(3, s, max_squeeze=4) the W_aux pairs erred by at most 8 times
+#: the gap against 60 digits (2.0e-6 at worst among the accepted pairs),
+#: and a gap of 3.4e-5 came with an error of 1.0e-5.
+_SELF_PAIR_GAP_TOL = 1e-6
 
 #: |t(V) - 1| at or below this marks a covariance as pure (see
 #: :func:`_purity_invariant`).  It sits at working precision, apart from
@@ -199,6 +213,24 @@ def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
     return v_sum, retained, solved_du
 
 
+def _symplectic_spectrum(V: np.ndarray) -> np.ndarray:
+    """The symplectic eigenvalues nu of a covariance, one per pair.
+
+    With V = L L^T, L^T Omega L = L^{-1} (V Omega) L is real antisymmetric,
+    so its singular values are the nu, each twice; over L's row blocks it is
+    X - X^T with X = L_x^T L_p.  A V whose Cholesky factorisation fails is
+    refused: 2V = V1 + V2 is then singular to working precision.
+    """
+    n = V.shape[0] // 2
+    try:
+        low = np.linalg.cholesky(V)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("V1 + V2 is singular to working precision: %s" % exc) from exc
+    k = low[:n].T @ low[n:]
+    k -= k.T
+    return np.linalg.svd(k, compute_uv=False)[::2]
+
+
 def _purity_invariant(V: np.ndarray) -> float:
     """t(V) = -(2/n) Tr((V Omega)^2) = (4/n) sum_k nu_k^2 of a symmetric xxpp
     covariance.
@@ -298,9 +330,8 @@ def _accepted_excess(s1: GaussianState, s2: GaussianState) -> float:
     and mu the smallest eigenvalue of V, c = 1 + delta / mu makes c V a
     physical covariance.  The exact formula then gives F_raw <= (c1 c2)^{n/2}:
     on the root-overlap route, max(c1, c2) (V1 + V2) is twice a physical
-    covariance, so det(V1 + V2)^{-1/4} <= max(c1, c2)^{n/2}; on a self pair
-    each symplectic eigenvalue nu < 1/2 gives a factor 1/(2 nu) <= c.  Other
-    pairs are checked by a sweep of boundary states in the tests.
+    covariance, so det(V1 + V2)^{-1/4} <= max(c1, c2)^{n/2}.  Other pairs are
+    checked by a sweep of boundary states in the tests.
     """
     c = 1.0
     for s in (s1, s2):
@@ -309,6 +340,44 @@ def _accepted_excess(s1: GaussianState, s2: GaussianState) -> float:
             return 0.0
         c *= 1.0 + max(0.0, -validate_state(s).min_eig_shifted) / mu
     return c ** (s1.n / 2.0) - 1.0
+
+
+def _log_det(v_sum: np.ndarray):
+    """(det(V1 + V2), log det(V1 + V2)); a determinant that is not positive is refused."""
+    sign, logdet = np.linalg.slogdet(v_sum)
+    if sign <= 0:
+        raise NumericalError("det(V1 + V2) is not positive")
+    return float(sign * np.exp(logdet)), logdet
+
+
+def _self_pair(s1: GaussianState, s2: GaussianState, pure: bool) -> FidelityReport:
+    """The report of two equal states: F = F0 = F_raw = 1 (see :func:`fidelity`)."""
+    nu = None if pure else _symplectic_spectrum(s1.V)
+    det_v_sum, logdet = _log_det(s1.V + s2.V)
+    _checked_lambda(s1._lambda_factor, s1._lambda_factor, s1.V, s2.V)
+    if pure:
+        retained, ftot = np.empty(0), 1.0
+    else:
+        # log det(2V) = 2 sum_k log(2 nu_k) in exact arithmetic
+        gap = abs(2.0 * float(np.sum(np.log(2.0 * nu))) - logdet)
+        if gap > _SELF_PAIR_GAP_TOL:
+            raise NumericalError(
+                "symplectic spectrum of a self pair misses log det(V1 + V2) by %.3e" % gap)
+        # w - 1 = (2 nu - 1)^2 / (4 nu), without cancellation
+        retained = (nu + 0.25 / nu)[(2.0 * nu - 1.0) ** 2 / (4.0 * nu) > DEFAULT_PURE_TOL]
+        ftot = float(np.exp(0.25 * logdet))
+    return FidelityReport(
+        F=1.0,
+        F0=1.0,
+        Ftot=ftot,
+        det_v_sum=det_v_sum,
+        disp_exponent=0.0,
+        waux_spectrum=retained,
+        discarded_pairs=s1.n - retained.size,
+        F_raw=1.0,
+        clamped=False,
+        covariances=(s1.V, s2.V),
+    )
 
 
 def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
@@ -323,38 +392,58 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     (kappa1 + kappa2), kappa the condition number of V, and nothing for a
     physical pair.  A larger F_raw is refused with NumericalError.
 
-    When either state is pure (its purity invariant t(V) = (4/n) sum_k nu_k^2
-    lies within 1e-12 of 1), the W_aux eigenproblem is skipped: every pair
-    is a unit pair, so ``waux_spectrum`` is empty, ``discarded_pairs`` is n,
-    ``Ftot`` is 1 and F is the root overlap
-    sqrt(Tr rho1 rho2) = det(V1+V2)^{-1/4} exp[-du^T (V1+V2)^{-1} du / 4].
-    On mixed-mixed pairs the W_aux pairs are w = sqrt(1 + 4 sigma^2) over the
-    singular values sigma of Q = G^T Omega^T G, where G G^H = E is the
-    parallel sum conj(P1) (V1+V2)^{-1} P2 with P_k = V_k + i Omega/2 (see the
-    module docstring).  G is a Cholesky factor; when the factorisation fails
-    (a state with an exactly pure mode makes E singular), G comes from E's
-    eigendecomposition with its roundoff-negative eigenvalues set to 0, and
-    an eigenvalue below -1e-6 times the largest is refused with
-    NumericalError.  Pairs with w - 1 = 4 sigma^2 / (w + 1) <= DEFAULT_PURE_TOL
-    are discarded as unit pairs.  The thresholds are fixed: both states must pass
-    :func:`require_physical` at DEFAULT_PHYS_TOL, and a Lambda whose relative
-    imaginary residue exceeds LAMBDA_RESID_TOL is refused with NumericalError
-    before F is compared with 1.  The physicality check and the purity
-    invariant run once per distinct state object in the call (once for
-    ``fidelity(s, s)``), the Lambda check on every call; only each state's
-    factor det(V + i Omega/2) of Lambda is kept on the state object.  A
-    V1 + V2 that is singular to working precision is refused with
-    NumericalError.
+    The call takes one of three routes.
+
+    * Equal states (``s2 is s1`` or ``s2 == s1``): F, F0 and F_raw are
+      exactly 1 and ``clamped`` is False; no solve is made.  When the state
+      is pure (see below), ``waux_spectrum`` is empty, ``discarded_pairs`` is
+      n and ``Ftot`` is 1.  Otherwise the W_aux pairs are
+      w = nu + 1/(4 nu) over the symplectic eigenvalues nu of V, taken from
+      the singular values of L^T Omega L with L the real Cholesky factor of V
+      (see the module docstring); a V whose factorisation fails is refused as
+      a singular V1 + V2.  Pairs with w - 1 = (2 nu - 1)^2 / (4 nu) <=
+      DEFAULT_PURE_TOL are discarded as unit pairs, and
+      Ftot = det(V1 + V2)^{1/4}, which the exact formula gives.  The spectrum
+      is refused with NumericalError when 2 sum log(2 nu) misses
+      log det(V1 + V2) by more than 1e-6 (``_SELF_PAIR_GAP_TOL``).
+    * A pure member (a state whose purity invariant
+      t(V) = (4/n) sum_k nu_k^2 lies within 1e-12 of 1): the W_aux
+      eigenproblem is skipped, since every pair is a unit pair, so
+      ``waux_spectrum`` is empty, ``discarded_pairs`` is n, ``Ftot`` is 1 and
+      F is the root overlap
+      sqrt(Tr rho1 rho2) = det(V1+V2)^{-1/4} exp[-du^T (V1+V2)^{-1} du / 4].
+    * Mixed-mixed pairs: the W_aux pairs are w = sqrt(1 + 4 sigma^2) over the
+      singular values sigma of Q = G^T Omega^T G, where G G^H = E is the
+      parallel sum conj(P1) (V1+V2)^{-1} P2 with P_k = V_k + i Omega/2 (see
+      the module docstring).  G is a Cholesky factor; when the factorisation
+      fails (a state with an exactly pure mode makes E singular), G comes
+      from E's eigendecomposition with its roundoff-negative eigenvalues set
+      to 0, and an eigenvalue below -1e-6 times the largest is refused with
+      NumericalError.  Pairs with w - 1 = 4 sigma^2 / (w + 1) <=
+      DEFAULT_PURE_TOL are discarded as unit pairs.
+
+    The thresholds are fixed: both states must pass :func:`require_physical`
+    at DEFAULT_PHYS_TOL, and a Lambda whose relative imaginary residue
+    exceeds LAMBDA_RESID_TOL is refused with NumericalError before F is
+    judged.  The physicality check and the purity invariant run once per
+    state for two distinct states and once for two equal ones, the Lambda
+    check on every call; only each state's factor det(V + i Omega/2) of
+    Lambda is kept on the state object.  A V1 + V2 that is singular to
+    working precision is refused with NumericalError.
     """
     if s1.n != s2.n:
         raise InvalidParameter(f"mode counts differ: {s1.n} vs {s2.n}")
-    # a self pair is one state: its checks need not run twice
-    states = (s1,) if s2 is s1 else (s1, s2)
+    # equal states are one state: its checks need not run twice
+    same = s2 is s1 or s2 == s1
+    states = (s1,) if same else (s1, s2)
     for s in states:
         require_physical(s)
+    pure = any(abs(_purity_invariant(s.V) - 1.0) <= _PURITY_TOL for s in states)
+    if same:
+        return _self_pair(s1, s2, pure)
 
     du = s2.u - s1.u
-    if any(abs(_purity_invariant(s.V) - 1.0) <= _PURITY_TOL for s in states):
+    if pure:
         # sqrt(rho1) rho2 sqrt(rho1) has rank one: every W_aux pair is a
         # unit pair, Ftot = 1 and F is the root overlap sqrt(Tr rho1 rho2)
         v_sum = s1.V + s2.V
@@ -364,10 +453,7 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
         v_sum, retained, solved_du = _parallel_sum_spectrum(s1.V, s2.V, du)
         ftot = ftot_from_spectrum(retained)
 
-    sign, logdet = np.linalg.slogdet(v_sum)
-    if sign <= 0:
-        raise NumericalError("det(V1 + V2) is not positive")
-    det_v_sum = float(sign * np.exp(logdet))
+    det_v_sum, logdet = _log_det(v_sum)
     disp_exponent = float(-0.25 * du @ solved_du)
 
     # The refusal the report's invariants would make on stiff inputs, made

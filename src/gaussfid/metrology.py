@@ -75,6 +75,14 @@ def bures_distance(s1: GaussianState, s2: GaussianState) -> float:
     return 2.0 * (1.0 - fidelity(s1, s2).F)
 
 
+def _solve_covariance(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """V^{-1} rhs; a V singular to working precision is refused."""
+    try:
+        return np.linalg.solve(V, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("V is singular to working precision: %s" % exc) from exc
+
+
 def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray]):
     """The Bures metric's bilinear form delta(dV_i, dV_j) on every pair of ``dVs``,
     each summed as in :func:`bures_metric_delta` in the one :func:`symplectic_frame`
@@ -119,13 +127,16 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
 
 
 def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray) -> MetricEvaluation:
-    """ds^2 = du^T V^{-1} du / 4 + delta / 8 for a state perturbed by (du, dV)."""
+    """ds^2 = du^T V^{-1} du / 4 + delta / 8 for a state perturbed by (du, dV).
+
+    A V that is singular to working precision is refused with NumericalError.
+    """
     du = np.asarray(du, dtype=float)
     if du.shape != s.u.shape:
         raise InvalidParameter("du length does not match the state")
     if not np.isfinite(du).all():
         raise InvalidParameter("du has a non-finite entry")
-    mean_part = float(0.25 * du @ np.linalg.solve(s.V, du))
+    mean_part = float(0.25 * du @ _solve_covariance(s.V, du))
     delta, skipped = bures_metric_delta(s.V, dV)
     cov_part = delta / 8.0
     return MetricEvaluation(ds2=mean_part + cov_part, mean_part=mean_part,
@@ -192,7 +203,8 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     g_ij = du_i^T V^{-1} du_j / 4 + delta(dV_i, dV_j) / 8, from one solve and
     one symplectic frame of V; a one-parameter family gives qfi_scalar's value.
     ``theta0`` must be a non-empty 1-D vector and ``labels``, if given, one
-    name per parameter.
+    name per parameter.  A V that is singular to working precision is
+    refused with NumericalError.
     """
     theta0 = np.asarray(theta0, dtype=float)
     m = theta0.size
@@ -203,7 +215,7 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     h = _step(h, DEFAULT_MOMENT_STEP)
     base = family(theta0)
     dus, dVs = zip(*(_moment_derivatives(family, theta0, h, axis) for axis in np.eye(m)))
-    X = np.linalg.solve(base.V, np.column_stack(dus))
+    X = _solve_covariance(base.V, np.column_stack(dus))
     delta, _ = _metric_form(base.V, dVs)
     H = np.empty((m, m))
     for i in range(m):

@@ -45,13 +45,17 @@ def record_calls(monkeypatch, owner, name):
     return calls
 
 
+REAL, COMPLEX = np.dtype(float), np.dtype(complex)
+
+
 def count_linalg_calls(monkeypatch, name):
-    """The argument shape of every ``numpy.linalg.<name>`` call from here on."""
+    """The argument's (shape, dtype) of every ``numpy.linalg.<name>`` call from
+    here on; :data:`REAL` and :data:`COMPLEX` are the dtypes the package uses."""
     original = getattr(np.linalg, name)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append((args[0].shape, args[0].dtype))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counting)

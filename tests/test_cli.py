@@ -357,6 +357,15 @@ class TestCommands:
         assert report is None
         assert "V1 + V2 is singular" in err
 
+    def test_singular_covariance_metric_exits_3(self, tmp_path, capsys):
+        # the metric's solve of V raised numpy's LinAlgError, a traceback
+        path = tmp_path / "s.json"
+        write_state_file(path, random_state(1, 9113, pure=True, max_squeeze=8.0))
+        code, out, err = run(capsys, ["metric", str(path), "--du", "[0.3, 0]",
+                                      "--dv", "[[1, 0], [0, 1]]", "--json"])
+        assert (code, out) == (3, "")
+        assert "V is singular to working precision" in err
+
     def test_unknown_command(self, capsys):
         code, out, err = run(capsys, ["frobnicate"])
         assert code == 64

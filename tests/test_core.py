@@ -31,7 +31,7 @@ from gaussfid.core import (
 )
 from gaussfid.states import random_symplectic
 
-from conftest import count_linalg_calls, mixed_pair, via_xpxp
+from conftest import COMPLEX, REAL, count_linalg_calls, mixed_pair, via_xpxp
 from reference_routes import (
     ODD_KERNELS,
     PureStateError,
@@ -369,7 +369,7 @@ class TestRequirePhysical:
             del calls[:]
             with pytest.raises(InvalidState, match="min_eig_shifted=-2.500e-01"):
                 fidelity(a, b)
-            assert calls == [(4, 4)]
+            assert calls == [((4, 4), COMPLEX)]
 
     def test_refusal_message_names_min_eig_shifted(self):
         state = _pushed(random_state(3, 5800), -2.0)
@@ -446,7 +446,7 @@ class TestWilliamson:
         williamson(V)
         assert eigvalsh_calls == []
         # one real symmetric eigh (V) and one Hermitian (i V^{1/2} Omega V^{1/2})
-        assert eigh_calls == [(2 * n, 2 * n)] * 2
+        assert eigh_calls == [((2 * n, 2 * n), REAL), ((2 * n, 2 * n), COMPLEX)]
 
 
 class TestSymplecticFrame:

@@ -32,7 +32,7 @@ from gaussfid.fidelity import (
 from gaussfid.core import DEFAULT_PHYS_TOL, require_physical
 from gaussfid.states import random_symplectic
 
-from conftest import count_linalg_calls, mixed_pair, record_calls, via_xpxp
+from conftest import COMPLEX, REAL, count_linalg_calls, mixed_pair, record_calls, via_xpxp
 from reference_routes import (
     _char_coeffs_from_traces,
     alt_ftot_v12,
@@ -237,11 +237,18 @@ class TestClampAgainstAcceptance:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_boundary_states_never_exceed_the_bound(self, n):
-        # every mode of a pure state pushed to the acceptance limit or short of it
-        clamped = 0
-        for seed in range(8):
-            V0 = random_state(n, 3100 + 10 * n + seed, pure=True,
-                              max_squeeze=(0.0, 1.0, 2.0, 3.0)[seed % 4]).V
+        # every mode of a pure state, or the least mixed mode of a mixed
+        # state, pushed to the acceptance limit or short of it.  A self pair
+        # is exactly 1 or refused for its spectrum: the parallel sum of a
+        # mixed boundary state against itself read F_raw up to 1.29
+        clamped = self_pairs = 0
+        for seed in range(14):
+            if seed < 8:
+                V0 = random_state(n, 3100 + 10 * n + seed, pure=True,
+                                  max_squeeze=(0.0, 1.0, 2.0, 3.0)[seed % 4]).V
+            else:
+                V0 = random_state(n, 3100 + 10 * n + seed,
+                                  max_squeeze=(0.0, 1.0, 2.0)[seed % 3]).V
             for frac in (0.1, 0.5, 0.999):
                 s = _boundary_state(V0, frac)
                 require_physical(s)
@@ -252,17 +259,22 @@ class TestClampAgainstAcceptance:
                         assert "exceeds 1" not in str(exc), (seed, frac)
                         continue
                     assert rep.F <= 1.0
+                    if a is b:
+                        assert rep.F == rep.F_raw == 1.0 and not rep.clamped, (seed, frac)
+                        self_pairs += seed >= 8
                     clamped += rep.clamped
-        assert clamped
+        assert clamped and self_pairs
 
     def test_excess_past_the_bound_refused(self, monkeypatch):
-        # a physical self pair has F_raw = 1 and no excess to explain
+        # a physical near pair has F_raw < 1 and no excess to explain
         module = importlib.import_module("gaussfid.fidelity")
         ftot = module.ftot_from_spectrum
         monkeypatch.setattr(module, "ftot_from_spectrum", lambda w: ftot(w) * (1.0 + 1e-6))
         s = random_state(2, 3200)
+        near = displace(s, [1e-6, 0.0, 0.0, 0.0])
+        assert near != s
         with pytest.raises(NumericalError, match="exceeds 1 beyond tolerance"):
-            fidelity(s, s)
+            fidelity(s, near)
 
 
 def _separate_solves(a, b):
@@ -387,8 +399,8 @@ def _route_pairs(n):
     a, b = mixed_pair(n, 6100 + n)
     p = random_state(n, 6200 + n, pure=True)
     q = random_state(n, 6300 + n, pure=True, max_disp=0.0)
-    with_pure = [(p, b), (a, p), (p, q), (p, p), (via_xpxp(p), a)]
-    return with_pure, [(a, b), (a, a)]
+    with_pure = [(p, b), (a, p), (p, q), (p, p), (via_xpxp(p), a), (p, via_xpxp(p))]
+    return with_pure, [(a, b), (a, a), (via_xpxp(a), a)]
 
 
 def _spectrum_route(a, b):
@@ -448,31 +460,37 @@ class TestPureMemberRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
     def test_eigvals_only_on_mixed_pairs(self, n, monkeypatch):
         # the LAPACK budget of a call once both factors of Lambda are cached:
-        # one Cholesky accept test per distinct state, one solve and one
-        # slogdet of V1 + V2, and on a mixed-mixed pair the Cholesky factor
-        # of E and one svd of Q; the nonsymmetric eigvals and the eigh
-        # fallback are never called here.  Lambda vanishes when a state is
-        # pure, so the Lambda check may floor its residue with Gamma, one
-        # real det, on a pair with a pure member
+        # one complex Cholesky accept test per state (one for two equal
+        # states) and one slogdet of V1 + V2.  Two distinct states add one
+        # solve of V1 + V2, and on a mixed-mixed pair the complex Cholesky
+        # factor of E and one complex svd of Q.  Equal states make no solve;
+        # a mixed one adds the real Cholesky factor of V and one real svd.
+        # The nonsymmetric eigvals and the eigh fallback are never called
+        # here.  Lambda vanishes when a state is pure, so the Lambda check may
+        # floor its residue with Gamma, one real det, on a pair with a pure
+        # member
         with_pure, mixed = _route_pairs(n)
         names = ("cholesky", "solve", "slogdet", "det", "svd", "eigvals", "eigh")
         calls = {name: count_linalg_calls(monkeypatch, name) for name in names}
         m = (2 * n, 2 * n)
         seen = set()
-        for pairs, spectrum_calls in ((with_pure, 0), (mixed, 1)):
+        for pairs, spectrum in ((with_pure, False), (mixed, True)):
             for a, b in pairs:
                 fidelity(a, b)
                 for recorded in calls.values():
                     del recorded[:]
                 fidelity(a, b)
-                cholesky = (1 if a is b else 2) + spectrum_calls
-                seen.add(cholesky)
-                assert len(calls["det"]) <= 1 - spectrum_calls
-                assert calls == {"cholesky": [m] * cholesky, "solve": [m], "slogdet": [m],
-                                 "det": calls["det"], "svd": [m] * spectrum_calls,
+                same = a == b
+                accept = [(m, COMPLEX)] * (1 if same else 2)
+                dtype = REAL if same else COMPLEX
+                seen.add((same, spectrum))
+                assert len(calls["det"]) <= 1 - spectrum
+                assert calls == {"cholesky": accept + [(m, dtype)] * spectrum,
+                                 "solve": [] if same else [(m, REAL)],
+                                 "slogdet": [(m, REAL)], "det": calls["det"],
+                                 "svd": [(m, dtype)] * spectrum,
                                  "eigvals": [], "eigh": []}
-        # pure self pair, pure-member pair or mixed self pair, mixed pair
-        assert seen == {1, 2, 3}
+        assert len(seen) == 4
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
     def test_matches_spectrum_route(self, n):
@@ -652,17 +670,19 @@ class TestParallelSumRoute:
     def test_stiff_self_pairs(self):
         # F(a, a) = 1.  At max_squeeze = 4 the eigvals of 2 V_aux Omega gave
         # values off by up to 0.22 without a warning, refusing 21 of these
-        # pairs, and a Cholesky factor of one triangle of E instead of its
-        # Hermitian part was off by up to 0.26
-        worst, refused = 0.0, 0
+        # pairs, and the parallel sum was off by up to 6.1e-4 and refused
+        # 17.  The self-pair route returns exactly 1 or refuses: 10 of these
+        # for the gap of their symplectic spectrum, 2 for Lambda
+        refused = 0
         for seed in range(60):
             s = random_state(3, seed, max_squeeze=4.0)
             try:
-                worst = max(worst, abs(fidelity(s, s).F - 1.0))
+                rep = fidelity(s, s)
             except NumericalError:
                 refused += 1
-        assert worst <= 1e-3
-        assert refused <= 17
+                continue
+            assert rep.F == rep.F0 == rep.F_raw == 1.0, seed
+        assert refused <= 12
 
     def test_far_negative_parallel_sum_refused(self, monkeypatch):
         # E >= 0 in exact arithmetic; an eigenvalue far below zero is a
@@ -679,6 +699,89 @@ class TestParallelSumRoute:
         a, b = mixed_pair(2, 8600)
         with pytest.raises(NumericalError, match="not positive semidefinite"):
             _parallel_sum_spectrum(a.V, b.V, b.u - a.u)
+
+
+def _symplectic_spectrum_mp(V):
+    """The symplectic eigenvalues of V at 60 digits, ascending, one per pair:
+    the square roots of the eigenvalues of K^T K, K = L^T Omega L with L the
+    Cholesky factor of V, each counted twice."""
+    n = V.shape[0] // 2
+    with mp.workdps(60):
+        om = mp.matrix(np.asarray(make_symplectic_form(n)).tolist())
+        low = mp.cholesky(mp.matrix(V.tolist()))
+        k = low.T * om * low
+        return sorted(mp.sqrt(x) for x in mp.eigsy(k.T * k, eigvals_only=True))[::2]
+
+
+class TestSelfPairRoute:
+    """Equal states: F = 1 exactly, with the W_aux pairs w = nu + 1/(4 nu)
+    over V's symplectic eigenvalues and Ftot = det(V1 + V2)^{1/4}."""
+
+    # the stiffest pure states overflow det and exp at n = 64 and are refused
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_equal_copies_take_the_self_route(self, monkeypatch):
+        # a state against a fresh equal copy gives the bytes of the state
+        # against itself: one physicality check, no solve, F exactly 1
+        checks = _record_calls(monkeypatch, "require_physical")
+        solves = count_linalg_calls(monkeypatch, "solve")
+        returned = refused = 0
+        for group in _cache_ensemble():
+            for a in group:
+                copy = GaussianState(a.n, a.u, a.V)
+                outcomes = []
+                for x, y in ((a, a), (a, copy), (copy, a)):
+                    del checks[:]
+                    outcomes.append(_outcome(x, y))
+                    assert len(checks) == 1
+                assert outcomes[0] == outcomes[1] == outcomes[2]
+                if outcomes[0][0] == "refused":
+                    refused += 1
+                    continue
+                returned += 1
+                rep = fidelity(a, copy)
+                assert rep.F == rep.F0 == rep.F_raw == 1.0 and not rep.clamped
+                # the sign the parent's -0.25 du^T (V1+V2)^{-1} du gave du = 0
+                assert rep.disp_exponent == 0.0 and not np.signbit(rep.disp_exponent)
+        assert solves == []
+        assert returned and refused
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+    def test_spectrum_against_60_digits(self, n):
+        # Ftot and the W_aux pairs against the 60-digit symplectic spectrum:
+        # within 1e-14 in random_state's default range (6.3e-15 at worst),
+        # within 5e-13 at max_squeeze = 2 (2.1e-13; the parallel sum erred
+        # by up to 9.7e-13 on these pairs)
+        for max_squeeze, rel in ((None, 1e-14), (2.0, 5e-13)):
+            for seed in range(3):
+                kwargs = {} if max_squeeze is None else {"max_squeeze": max_squeeze}
+                s = random_state(n, 3300 + 10 * n + seed, **kwargs)
+                rep = fidelity(s, s)
+                nu = _symplectic_spectrum_mp(s.V)
+                with mp.workdps(60):
+                    ftot = float(mp.sqrt(mp.fprod(2 * x for x in nu)))
+                    w = [float(x + 1 / (4 * x)) for x in nu if x + 1 / (4 * x) - 1 > 1e-9]
+                assert rep.Ftot == pytest.approx(ftot, rel=rel, abs=0.0)
+                assert rep.discarded_pairs == n - len(w)
+                np.testing.assert_allclose(np.sort(rep.waux_spectrum), w, rtol=rel, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 32, 64])
+    def test_identities_on_self_pairs(self, n):
+        # the report's invariants of a self pair meet both identities within
+        # the bounds TestSpectrumInvariants documents, on the mixed and pure
+        # states of random_state's default range.  A max_squeeze = 2 state
+        # against itself is as stiff as Gamma's own determinant: chi(0)
+        # missed by 2.3e-10 at n = 16 on the parallel-sum route as well
+        for seed in range(3):
+            for s in (random_state(n, 100 + seed), random_state(n, 100 + seed, pure=True)):
+                chi0, chi1 = _identity_residuals(fidelity(s, s).invariants)
+                assert chi0 <= 1e-10, (seed, chi0)
+                assert chi1 <= 1e-8, (seed, chi1)
+
+    def test_spectrum_gap_refused(self):
+        # 2 sum log(2 nu) misses log det(2V) by 2.2e-6 on this stiff state
+        s = random_state(3, 0, max_squeeze=4.0)
+        with pytest.raises(NumericalError, match="symplectic spectrum of a self pair"):
+            fidelity(s, s)
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,7 @@ class TestTrackedRoot:
         assert "root" not in repr(bare)
         calls = count_linalg_calls(monkeypatch, "eigh")
         f = uhlmann_fidelity_matrix(bare, b)
-        assert calls == [bare.rho.shape]
+        assert calls == [(bare.rho.shape, bare.rho.dtype)]
         assert f == _eigh_route_fidelity(a.rho, b.rho)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from gaussfid import (
     InvalidParameter,
+    NumericalError,
     apply_symplectic,
     bures_distance,
     bures_metric,
@@ -23,7 +24,7 @@ from gaussfid import (
 from gaussfid.metrology import FAMILIES
 from gaussfid.states import embed_symplectic, two_mode_squeeze_block
 
-from conftest import count_linalg_calls
+from conftest import COMPLEX, REAL, count_linalg_calls
 from reference_routes import bures_metric_delta_superop, w_matrix
 
 
@@ -127,6 +128,14 @@ class TestBuresMetric:
         # bures_metric(vacuum(1), [nan, 0], 0) returned ds2 = NaN
         with pytest.raises(InvalidParameter, match="du has a non-finite entry"):
             bures_metric(vacuum(1), np.array([bad, 0.0]), np.zeros((2, 2)))
+
+    def test_singular_covariance_refused(self):
+        # V of this strongly squeezed pure state is singular to working
+        # precision; the solve's LinAlgError is refused as a NumericalError
+        s = random_state(1, 9113, pure=True, max_squeeze=8.0)
+        with pytest.raises(NumericalError, match="V is singular") as exc:
+            bures_metric(s, [0.3, 0.0], np.eye(2))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_thermal_family(self):
         v = 1.0
@@ -239,6 +248,12 @@ class TestQfiScalar:
 
 
 class TestQfiMatrix:
+    def test_singular_covariance_refused(self):
+        s = random_state(1, 9113, pure=True, max_squeeze=8.0)
+        with pytest.raises(NumericalError, match="V is singular") as exc:
+            qfi_matrix(lambda theta: displace(s, [theta[0], 0.0]), [0.0])
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
     def test_two_parameter_displacement(self):
         def family(theta):
             return displace(vacuum(1), [theta[0], theta[1]])
@@ -287,7 +302,7 @@ class TestQfiMatrix:
         eigh_calls = count_linalg_calls(monkeypatch, "eigh")
         qfi_matrix(family, [0.1, 0.2, -0.3][:m])
         # V's symmetric eigh and the one Hermitian eigh of its symplectic frame
-        assert eigh_calls == [(4, 4)] * 2
+        assert eigh_calls == [((4, 4), REAL), ((4, 4), COMPLEX)]
         assert len(evaluations) == 4 * m + 1
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
