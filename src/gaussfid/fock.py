@@ -11,19 +11,19 @@ Generators are anti-Hermitian, so their exact exponentials are unitary and
 the trace deficit stems from the thermal input tail alone; the population of
 the top Fock level is reported as a secondary truncation diagnostic.
 
-The circuit carries sigma = sqrt(rho) rather than rho: the unitaries are
-exact on the truncated space, so U sqrt(rho_th) U^dagger is the square root
-of U rho_th U^dagger and the Uhlmann fidelity needs no diagonalisation of
-rho1.  sigma starts as the diagonal root of the thermal input, and rho =
-sigma sigma is formed once at the end.  Single-mode gates that come before
-the circuit's first two-mode gate act on per-mode cutoff-sized factors,
-which are joined by a Kronecker product at that gate (or at the end).
+The circuit carries a factor A of rho = A A^dagger: a unitary U maps A to
+U A, so gates act on A's row legs only, and by Uhlmann's theorem F is the
+nuclear norm of A1^dagger A2, with no matrix square root.  A starts as the
+diagonal root of the thermal input, one column per input level.  Single-mode
+gates before the circuit's first two-mode gate act on per-mode factors,
+joined by a Kronecker product at that gate (or at the end) without the
+levels of weight at most INPUT_WEIGHT_FLOOR; rho is formed once at the end.
 
-The full-space matrix is handled as a tensor with one row and one column leg
-per mode.  A gate is exponentiated on the factor of the modes it acts on (the
+A full-space factor is a tensor with one row leg per mode and one column
+leg.  A gate is exponentiated on the factor of the modes it acts on (the
 beam splitter block by block over its conserved total photon number) and
 applied to those legs only; moments contract single-mode quadrature factors
-against the tensor.
+against the density tensor.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ DEFAULT_CUTOFFS = {1: 56, 2: 25}
 TRACE_DEFICIT_BUDGET = 1e-8
 #: Trace deficits up to this size are roundoff of the build, not truncation.
 TRACE_DEFICIT_ROUNDOFF = 1e-12
+#: Input levels of weight at most this are dropped from the factor.  Dropped
+#: weight delta <= cutoff^n * floor moves the trace deficit by at most delta
+#: and F by at most sqrt(delta) per state, as ||X^H Y||_1 moves by at most
+#: ||X - X'||_F ||Y||_F: 2.5e-11 at 2 modes (cutoff 25), 7.5e-12 at 1 (56).
+INPUT_WEIGHT_FLOOR = 1e-24
 
 # Sampling ranges (nbar, r, |alpha|) for random circuits, chosen so that the
 # default cutoffs keep moment and fidelity truncation errors well below 1e-6.
@@ -58,7 +63,7 @@ SAMPLING_RANGES = {1: (0.6, 0.4, 0.8), 2: (0.35, 0.25, 0.5)}
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
     """A truncated density matrix.  Equality compares every field but
-    ``root`` (a derived quantity), ``rho`` entry by entry; ``rho`` is a plain
+    ``factor`` (a derived quantity), ``rho`` entry by entry; ``rho`` is a plain
     writable array, so instances are not hashable."""
 
     n_modes: int
@@ -66,10 +71,10 @@ class FockDensityMatrix:
     rho: np.ndarray
     trace_deficit: float
     top_level_population: float = 0.0
-    #: Hermitian square root of ``rho`` (rho = root @ root), set by
+    #: A factor of ``rho`` (rho = factor @ factor^dagger), set by
     #: :func:`build_circuit_state`; without it the Uhlmann fidelity
     #: diagonalises rho.
-    root: np.ndarray | None = field(default=None, repr=False)
+    factor: np.ndarray | None = field(default=None, repr=False)
 
     __hash__ = None
 
@@ -214,11 +219,11 @@ def _gate_blocks(op, cutoffs: Sequence[int]):
     return [mode], [(slice(None), _unitary_from_generator(K))]
 
 
-def _apply_left(rho_t: np.ndarray, legs: Sequence[int], blocks) -> np.ndarray:
-    """Multiply the tensor legs ``legs`` of rho_t from the left by a
+def _apply_left(t: np.ndarray, legs: Sequence[int], blocks) -> np.ndarray:
+    """Multiply the tensor legs ``legs`` of t from the left by a
     block-diagonal operator given as (indices, block) pairs."""
     k = len(legs)
-    front = np.moveaxis(rho_t, legs, range(k))
+    front = np.moveaxis(t, legs, range(k))
     shape = front.shape
     flat = front.reshape(int(np.prod(shape[:k])), -1)
     out = np.empty_like(flat)
@@ -229,14 +234,6 @@ def _apply_left(rho_t: np.ndarray, legs: Sequence[int], blocks) -> np.ndarray:
         else:
             out[idx] = U @ flat[idx]
     return np.moveaxis(out.reshape(shape), range(k), legs)
-
-
-def _conjugate(rho: np.ndarray, cutoffs: Sequence[int], modes, blocks) -> np.ndarray:
-    """U rho U^dagger for U acting on ``modes``, with rho a full-space matrix."""
-    n = len(cutoffs)
-    rho_t = _apply_left(rho.reshape(tuple(cutoffs) * 2), modes, blocks)
-    rho_t = _apply_left(rho_t, [n + m for m in modes], [(i, U.conj()) for i, U in blocks])
-    return rho_t.reshape(rho.shape)
 
 
 def _hermitise(a: np.ndarray) -> np.ndarray:
@@ -268,9 +265,9 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
                         deficit_budget: float = TRACE_DEFICIT_BUDGET) -> BuildResult:
     """Build the same state as a truncated density matrix and as exact moments.
 
-    The density matrix carries its Hermitian square root, tracked through the
-    gates, as ``fock.root``.  Raises :class:`TruncationError` when the final
-    trace deficit exceeds the budget; raise the cutoff in that case.
+    The density matrix carries the factor tracked through the gates as
+    ``fock.factor``.  Raises :class:`TruncationError` when the final trace
+    deficit exceeds the budget; raise the cutoff in that case.
     """
     _validate_circuit(circuit)
     n = circuit.n_modes
@@ -280,27 +277,25 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
         raise InvalidParameter("cutoff must be at least 4")
     cutoffs = (cutoff,) * n
 
-    # sigma = sqrt(rho): per-mode factors until the first two-mode gate; the
-    # input's root is the elementwise root of its diagonal matrix
-    factors = [np.sqrt(thermal_fock(nb, cutoff)) for nb in circuit.thermal_nbar]
-    sigma = None
+    # per-mode factors until the first two-mode gate
+    inputs = [thermal_fock(nb, cutoff) for nb in circuit.thermal_nbar]
+    factors = [np.sqrt(rho_in) for rho_in in inputs]
+    A = None
     u = np.zeros(2 * n)
     V = np.diag(np.concatenate([np.asarray(circuit.thermal_nbar)] * 2) + 0.5)
     for op in circuit.ops:
         modes, blocks = _gate_blocks(op, cutoffs)
-        if sigma is None and len(modes) == 1:
-            m = modes[0]
-            factors[m] = _hermitise(_conjugate(factors[m], cutoffs[m:m + 1], [0], blocks))
+        if A is None and len(modes) == 1:
+            factors[modes[0]] = _apply_left(factors[modes[0]], [0], blocks)
         else:
-            if sigma is None:
-                sigma = functools.reduce(np.kron, factors)
-            sigma = _hermitise(_conjugate(sigma, cutoffs, modes, blocks))
+            if A is None:
+                A = _join(factors, inputs).reshape(cutoffs + (-1,))
+            A = _apply_left(A, modes, blocks)
         S, d = _op_moment_action(op, n)
         u = S @ u + d
         V = S @ V @ S.T
-    if sigma is None:
-        sigma = functools.reduce(np.kron, factors)
-    rho = _hermitise(sigma @ sigma)
+    A = (_join(factors, inputs) if A is None else A).reshape(cutoff ** n, -1)
+    rho = _hermitise(A @ A.conj().T)
 
     deficit = float(1.0 - np.trace(rho).real)
     top = _top_level_population(rho, cutoffs)
@@ -310,8 +305,15 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
             "raise the cutoff")
     fock = FockDensityMatrix(n_modes=n, cutoffs=cutoffs, rho=rho,
                              trace_deficit=max(deficit, 0.0),
-                             top_level_population=top, root=sigma)
+                             top_level_population=top, factor=A)
     return BuildResult(fock=fock, gaussian=GaussianState(n, u, V))
+
+
+def _join(factors, inputs) -> np.ndarray:
+    """Kronecker product of the per-mode factors, without the columns whose
+    input weight is at most INPUT_WEIGHT_FLOOR."""
+    weight = functools.reduce(np.kron, [rho_in.diagonal().real for rho_in in inputs])
+    return functools.reduce(np.kron, factors)[:, weight > INPUT_WEIGHT_FLOOR]
 
 
 def _top_level_population(rho: np.ndarray, cutoffs) -> float:
@@ -330,48 +332,36 @@ def _top_level_population(rho: np.ndarray, cutoffs) -> float:
 # ---------------------------------------------------------------------------
 
 def uhlmann_fidelity_matrix(r1: FockDensityMatrix, r2: FockDensityMatrix) -> float:
-    """F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
-
-    sqrt(rho1) is ``r1.root`` when the state carries one (every state from
-    :func:`build_circuit_state` does), else a Hermitian eigendecomposition of
-    rho1; the outer root takes the eigenvalues of the Hermitian product.
+    """F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) = ||A1^dagger A2||_1 / sqrt(tr rho1
+    tr rho2) for any rho_k = A_k A_k^dagger (Uhlmann).  A_k is ``r_k.factor``
+    (every built state has one), else from an eigendecomposition of rho_k.
     """
     if r1.rho.shape != r2.rho.shape:
         raise InvalidParameter("density matrices have different dimensions")
-    f = fidelity_of_matrices(r1.rho, r2.rho, r1.root)
+    f = fidelity_of_matrices(r1.rho, r2.rho, r1.factor, r2.factor)
     if f > 1.0 + 1e-8:
         raise NumericalError(f"fidelity {f} exceeds 1 beyond tolerance")
     return min(f, 1.0)
 
 
 def fidelity_of_matrices(rho1: np.ndarray, rho2: np.ndarray,
-                         root1: np.ndarray | None = None) -> float:
-    """Uhlmann fidelity of two raw Hermitian PSD matrices (trace-normalized).
+                         factor1=None, factor2=None) -> float:
+    """Uhlmann fidelity of two raw Hermitian PSD matrices (trace-normalized)
+    as the singular-value sum of A1^dagger A2; ``factor_k`` (rho_k = factor_k
+    factor_k^dagger) replaces the eigendecomposition of rho_k."""
+    a1, a2 = (_normalised_factor(rho, a) for rho, a in ((rho1, factor1), (rho2, factor2)))
+    return float(np.sum(np.linalg.svd(a1.conj().T @ a2, compute_uv=False)))
 
-    ``root1``, a Hermitian square root of rho1 (rho1 = root1 @ root1),
-    replaces the eigendecomposition of rho1.
-    """
-    # Each temporary is dropped once it is dead and rho2 is normalised only
-    # when it is used: at two modes each one is a 625 x 625 complex matrix.
-    if root1 is None:
-        herm1 = _hermitise(np.asarray(rho1) / np.trace(rho1))
-        w1, U1 = np.linalg.eigh(herm1)
-        del herm1
-        if w1[0] < -1e-8:
-            raise NumericalError(f"eigenvalue {w1[0]:.3e} below -1e-8")
-        root1 = U1 * np.sqrt(np.clip(w1, 0.0, None))
-        np.conjugate(U1, out=U1)
-        root1 = root1 @ U1.T
-        del U1
-    else:
-        root1 = np.asarray(root1) / np.sqrt(np.trace(rho1).real)
-    inner = root1 @ (np.asarray(rho2) / np.trace(rho2))
-    inner = inner @ root1
-    del root1
-    wm = np.linalg.eigvalsh(_hermitise(inner))
-    if wm[0] < -1e-8:
-        raise NumericalError(f"eigenvalue {wm[0]:.3e} below -1e-8")
-    return float(np.sum(np.sqrt(np.clip(wm, 0.0, None))).real)
+
+def _normalised_factor(rho: np.ndarray, factor: np.ndarray | None) -> np.ndarray:
+    """A factor of rho / tr rho: the given one rescaled, else U sqrt(w) from
+    the eigendecomposition, eigenvalues clipped at 0."""
+    if factor is not None:
+        return np.asarray(factor) / np.sqrt(np.trace(rho).real)
+    w, U = np.linalg.eigh(_hermitise(np.asarray(rho) / np.trace(rho)))
+    if w[0] < -1e-8:
+        raise NumericalError(f"eigenvalue {w[0]:.3e} below -1e-8")
+    return U * np.sqrt(np.clip(w, 0.0, None))
 
 
 def _expectation(rho_t: np.ndarray, factors: dict) -> complex:

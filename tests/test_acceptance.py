@@ -170,29 +170,25 @@ def test_criterion_08_bures_metric_and_qfi():
         expected = 1.0 / (nbar * (nbar + 1.0))
         assert abs(qfi_scalar(get_family("thermal-nbar"), nbar) - expected) < 1e-6
 
-        # oracle cross-check: Richardson-extrapolated Fock finite differences
-        h = 2e-2
-        oracle_values = []
+    # oracle cross-checks: Richardson-extrapolated Fock finite differences;
+    # the small step needs F accurate to ~1e-15, as 1 - F is ~3e-8 there
+    def oracle_richardson(circuit_at, h):
+        values = []
         for step in (h, h / 2):
-            fa = build_circuit_state(CircuitSpec(1, (nbar - step / 2,), ()), cutoff=40)
-            fb = build_circuit_state(CircuitSpec(1, (nbar + step / 2,), ()), cutoff=40)
+            fa = build_circuit_state(circuit_at(-step / 2), cutoff=40)
+            fb = build_circuit_state(circuit_at(step / 2), cutoff=40)
             f = uhlmann_fidelity_matrix(fa.fock, fb.fock)
-            oracle_values.append(8.0 * (1.0 - f) / step ** 2)
-        richardson = (4.0 * oracle_values[1] - oracle_values[0]) / 3.0
-        assert abs(richardson - expected) < 1e-3
+            values.append(8.0 * (1.0 - f) / step ** 2)
+        return (4.0 * values[1] - values[0]) / 3.0
 
-    # oracle cross-check for the displacement family
-    h = 2e-2
-    values = []
-    for step in (h, h / 2):
-        fa = build_circuit_state(
-            CircuitSpec(1, (0.0,), (("displace", 0, -step / 2 / np.sqrt(2)),)), cutoff=40)
-        fb = build_circuit_state(
-            CircuitSpec(1, (0.0,), (("displace", 0, step / 2 / np.sqrt(2)),)), cutoff=40)
-        f = uhlmann_fidelity_matrix(fa.fock, fb.fock)
-        values.append(8.0 * (1.0 - f) / step ** 2)
-    richardson = (4.0 * values[1] - values[0]) / 3.0
-    assert abs(richardson - 2.0) < 1e-3
+    displaced = lambda d: CircuitSpec(1, (0.0,), (("displace", 0, d / np.sqrt(2)),))
+    for h, tol in ((2e-2, 1e-3), (5e-4, 1e-6)):
+        for nbar in (0.5, 1.0):
+            heated = lambda d, nbar=nbar: CircuitSpec(1, (nbar + d,), ())
+            error = abs(oracle_richardson(heated, h) - 1.0 / (nbar * (nbar + 1.0)))
+            assert error < tol, f"thermal nbar {nbar}, h {h}: {error:.3e}"
+        error = abs(oracle_richardson(displaced, h) - 2.0)
+        assert error < tol, f"displacement, h {h}: {error:.3e}"
     _passline(8, "Bures metric and QFI", started, 60)
 
 

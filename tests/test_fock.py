@@ -6,6 +6,7 @@ import pytest
 from gaussfid import (
     CircuitSpec,
     InvalidParameter,
+    NumericalError,
     TruncationError,
     build_circuit_state,
     fidelity,
@@ -15,6 +16,7 @@ from gaussfid import (
     uhlmann_fidelity_matrix,
 )
 from gaussfid.fidelity import ftot_from_spectrum
+from gaussfid import fock
 from gaussfid.fock import (
     DEFAULT_CUTOFFS,
     TRACE_DEFICIT_BUDGET,
@@ -211,7 +213,7 @@ LAYOUT_CIRCUITS = (
     + [CircuitSpec(2, (0.2, 0.1), (("squeeze", 0, 0.3, 0.4), ("displace", 1, 0.4 - 0.2j),
                                    ("beamsplitter", (1, 0), 0.7, 1.1),
                                    ("phase", 1, 0.5))),
-       # a two-mode gate first: sigma is a Kronecker product from the start
+       # a two-mode gate first: the factor is a Kronecker product from the start
        CircuitSpec(2, (0.3, 0.05), (("beamsplitter", (0, 1), 0.4, 0.2),
                                     ("squeeze", 1, 0.2, 0.3), ("displace", 0, 0.3j))),
        # no two-mode gate: the per-mode factors are joined at the end
@@ -232,12 +234,9 @@ class TestTensorLayout:
         built = build_circuit_state(circuit, cutoff, deficit_budget=1.0)
         rho = _dense_state(circuit, cutoff)
         assert np.max(np.abs(built.fock.rho - rho)) < 1e-13
-        # the tracked square root: Hermitian, positive and squaring to rho
-        root = built.fock.root
-        assert np.array_equal(root, root.conj().T)
-        assert np.linalg.eigvalsh(root)[0] > -1e-13
-        assert np.max(np.abs(root @ root - built.fock.rho)) < 1e-13
-        assert np.max(np.abs(root @ root - rho)) < 1e-13
+        # the tracked factor reproduces the dense rho
+        factor = built.fock.factor
+        assert np.max(np.abs(factor @ factor.conj().T - rho)) < 1e-13
         u, V = _dense_moments(built.fock.rho, built.fock.cutoffs)
         measured = moments_from_fock(built.fock)
         np.testing.assert_allclose(measured.u, u, rtol=0, atol=1e-13)
@@ -291,22 +290,22 @@ class TestUhlmannFidelity:
         assert f_joint == pytest.approx(f1 * f2, abs=1e-6)
 
 
-def _eigh_route_fidelity(rho1, rho2):
-    """The Uhlmann fidelity with sqrt(rho1) from a Hermitian eigendecomposition,
-    step by step as fidelity_of_matrices takes it when no root is given."""
+def _eigh_route_fidelity(rho1, r2):
+    """The Uhlmann fidelity with the factor of rho1 from a Hermitian
+    eigendecomposition, step by step as fidelity_of_matrices takes it when
+    no factor is given, against r2's own factor."""
     herm1 = rho1 / np.trace(rho1)
     herm1 = (herm1 + herm1.conj().T) * 0.5
     w1, U1 = np.linalg.eigh(herm1)
-    root1 = (U1 * np.sqrt(np.clip(w1, 0.0, None))) @ U1.conj().T
-    inner = root1 @ (rho2 / np.trace(rho2)) @ root1
-    inner = (inner + inner.conj().T) * 0.5
-    return float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None))).real)
+    a1 = U1 * np.sqrt(np.clip(w1, 0.0, None))
+    a2 = r2.factor / np.sqrt(np.trace(r2.rho).real)
+    return float(np.sum(np.linalg.svd(a1.conj().T @ a2, compute_uv=False)))
 
 
 @pytest.fixture(scope="module")
 def two_mode_pairs():
     # one pair at the default cutoff and a cheaper one at cutoff 15, where the
-    # trace budget is lifted: the square-root routes do not depend on it
+    # trace budget is lifted: the factor routes do not depend on it
     pairs = []
     for seed, cutoff, budget in ((4800, None, TRACE_DEFICIT_BUDGET), (4801, 15, 1.0)):
         rng = np.random.default_rng(seed)
@@ -316,33 +315,36 @@ def two_mode_pairs():
 
 
 class TestTrackedRoot:
-    """Uhlmann fidelity through the square root carried by the build."""
+    """Uhlmann fidelity through the factors rho = A A^dagger carried by the
+    build, against factors from a Hermitian eigendecomposition of rho."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_agrees_with_eigh_root_one_mode(self, seed):
         rng = np.random.default_rng(4700 + seed)
         a, b = (build_circuit_state(random_circuit(1, rng)).fock for _ in range(2))
-        f_root = uhlmann_fidelity_matrix(a, b)
+        f_factor = uhlmann_fidelity_matrix(a, b)
         f_eigh = fidelity_of_matrices(a.rho, b.rho)
-        assert abs(f_root - f_eigh) < 1e-8
+        assert abs(f_factor - f_eigh) < 1e-9
 
     def test_agrees_with_eigh_root_two_modes(self, two_mode_pairs):
         for a, b in two_mode_pairs:
-            f_root = uhlmann_fidelity_matrix(a, b)
+            f_factor = uhlmann_fidelity_matrix(a, b)
             f_eigh = fidelity_of_matrices(a.rho, b.rho)
-            assert abs(f_root - f_eigh) < 1e-8
+            assert abs(f_factor - f_eigh) < 1e-9
 
     def test_root_is_trace_normalised(self):
         rng = np.random.default_rng(4760)
         a, b = (build_circuit_state(random_circuit(1, rng)).fock for _ in range(2))
-        f = fidelity_of_matrices(a.rho, b.rho, a.root)
-        assert fidelity_of_matrices(4.0 * a.rho, b.rho, 2.0 * a.root) == pytest.approx(f, abs=1e-14)
+        f = fidelity_of_matrices(a.rho, b.rho, a.factor, b.factor)
+        assert fidelity_of_matrices(4.0 * a.rho, b.rho, 2.0 * a.factor,
+                                    b.factor) == pytest.approx(f, abs=1e-14)
 
     def test_no_full_space_eigh(self, two_mode_pairs, monkeypatch):
-        # the square root of rho1 comes from the build, not from diagonalising
-        calls = count_linalg_calls(monkeypatch, "eigh")
+        # both factors come from the build, so nothing is diagonalised
+        calls = (count_linalg_calls(monkeypatch, "eigh")
+                 + count_linalg_calls(monkeypatch, "eigvalsh"))
         for a, b in two_mode_pairs:
-            assert a.root is not None
+            assert a.factor is not None and b.factor is not None
             uhlmann_fidelity_matrix(a, b)
         assert calls == []
 
@@ -350,12 +352,79 @@ class TestTrackedRoot:
         rng = np.random.default_rng(4750)
         a, b = (build_circuit_state(random_circuit(1, rng)).fock for _ in range(2))
         bare = FockDensityMatrix(a.n_modes, a.cutoffs, a.rho, a.trace_deficit)
-        assert bare.root is None
-        assert "root" not in repr(bare)
+        assert bare.factor is None
+        assert "factor" not in repr(bare)
         calls = count_linalg_calls(monkeypatch, "eigh")
         f = uhlmann_fidelity_matrix(bare, b)
         assert calls == [(bare.rho.shape, bare.rho.dtype)]
-        assert f == _eigh_route_fidelity(a.rho, b.rho)
+        assert f == _eigh_route_fidelity(bare.rho, b)
+        # a factor from rho carries rho's own roundoff into F, up to 1.5e-10
+        # over 200 one-mode pairs (median 3.5e-13)
+        assert abs(f - uhlmann_fidelity_matrix(a, b)) < 1e-9
+
+    def test_refusals(self):
+        rho = np.diag([0.6, 0.5, -0.1]).astype(complex)
+        with pytest.raises(NumericalError, match="eigenvalue"):
+            fidelity_of_matrices(rho, np.eye(3) / 3)
+        a = build_circuit_state(random_circuit(1, np.random.default_rng(4751))).fock
+        # a factor that does not belong to rho can push F above 1
+        wrong = FockDensityMatrix(a.n_modes, a.cutoffs, a.rho, a.trace_deficit,
+                                  factor=1.1 * a.factor)
+        with pytest.raises(NumericalError, match="exceeds 1"):
+            uhlmann_fidelity_matrix(wrong, a)
+
+
+def _oracle_pair(modes, seed, cutoff=None):
+    """The two states of ``gaussfid oracle-check --modes modes --seed seed``."""
+    rng = np.random.default_rng(seed)
+    return [build_circuit_state(random_circuit(modes, rng), cutoff) for _ in range(2)]
+
+
+@pytest.fixture(scope="module")
+def accuracy_pairs():
+    return {seed: _oracle_pair(2, seed, 25) for seed in (700, 701, 702)}
+
+
+class TestOracleAccuracy:
+    """The oracle agrees with the engine to far better than its 1e-6 check."""
+
+    def test_two_modes(self, accuracy_pairs):
+        for seed, (a, b) in accuracy_pairs.items():
+            gap = abs(fidelity(a.gaussian, b.gaussian).F
+                      - uhlmann_fidelity_matrix(a.fock, b.fock))
+            assert gap <= 1e-10, f"seed {seed}: gap {gap:.3e}"
+
+    def test_one_mode(self):
+        for seed in range(50):
+            a, b = _oracle_pair(1, seed)
+            gap = abs(fidelity(a.gaussian, b.gaussian).F
+                      - uhlmann_fidelity_matrix(a.fock, b.fock))
+            assert gap <= 1e-10, f"seed {seed}: gap {gap:.3e}"
+
+
+class TestInputWeightFloor:
+    """Input levels of weight at most INPUT_WEIGHT_FLOOR leave the factor."""
+
+    def test_dropped_levels_do_not_move_f_or_moments(self, accuracy_pairs, monkeypatch):
+        monkeypatch.setattr(fock, "INPUT_WEIGHT_FLOOR", 0.0)
+        for seed, pair in accuracy_pairs.items():
+            full = _oracle_pair(2, seed, 25)
+            for kept, every in zip(pair, full):
+                assert every.fock.factor.shape[1] == 625
+                assert kept.fock.factor.shape[1] < 625
+                m_kept, m_every = moments_from_fock(kept.fock), moments_from_fock(every.fock)
+                assert np.max(np.abs(m_kept.u - m_every.u)) <= 1e-10
+                assert np.max(np.abs(m_kept.V - m_every.V)) <= 1e-10
+            f_kept = uhlmann_fidelity_matrix(pair[0].fock, pair[1].fock)
+            f_every = uhlmann_fidelity_matrix(full[0].fock, full[1].fock)
+            assert abs(f_kept - f_every) <= 1e-10, f"seed {seed}"
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_vacuum_input_is_a_state_vector(self, modes):
+        circuit = random_circuit(modes, np.random.default_rng(4790))
+        circuit = CircuitSpec(modes, (0.0,) * modes, circuit.ops)
+        factor = build_circuit_state(circuit).fock.factor
+        assert factor.shape == (DEFAULT_CUTOFFS[modes] ** modes, 1)
 
 
 class TestDensityMatrixEquality:
@@ -363,7 +432,7 @@ class TestDensityMatrixEquality:
         a = build_circuit_state(random_circuit(1, np.random.default_rng(4770))).fock
         bare = FockDensityMatrix(a.n_modes, a.cutoffs, a.rho.copy(), a.trace_deficit,
                                  a.top_level_population)
-        assert a.root is not None and bare.root is None
+        assert a.factor is not None and bare.factor is None
         assert a == bare
 
     def test_differing_fields_compare_unequal(self):
