@@ -292,6 +292,8 @@ def _cmd_bounds(args):
 def _cmd_oracle_check(args):
     from . import fock  # the oracle stays off the import path of every other command
 
+    if args.seed < 0:
+        raise InvalidParameter(f"seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     circuit_a = fock.random_circuit(args.modes, rng)
     circuit_b = fock.random_circuit(args.modes, rng)

@@ -5,25 +5,21 @@ generators to a thermal input, while the same circuit is tracked exactly at
 the moment level; the two representations describe the same state up to
 truncation.  This covers arbitrary Gaussian states within the parameter
 limits below, since every Gaussian unitary decomposes into displacements,
-squeezers, phase rotations and beam splitters.
+squeezers, phase rotations and beam splitters.  Generators are
+anti-Hermitian, so their exact exponentials are unitary and the trace
+deficit stems from the thermal input tail alone; the population of the top
+Fock level is reported as a secondary truncation diagnostic.
 
-Generators are anti-Hermitian, so their exact exponentials are unitary and
-the trace deficit stems from the thermal input tail alone; the population of
-the top Fock level is reported as a secondary truncation diagnostic.
-
-The circuit carries a factor A of rho = A A^dagger: a unitary U maps A to
-U A, so gates act on A's row legs only, and by Uhlmann's theorem F is the
-nuclear norm of A1^dagger A2, with no matrix square root.  A starts as the
-diagonal root of the thermal input, one column per input level.  Single-mode
-gates before the circuit's first two-mode gate act on per-mode factors,
-joined by a Kronecker product at that gate (or at the end) without the
-levels of weight at most INPUT_WEIGHT_FLOOR; rho is formed once at the end.
-
-A full-space factor is a tensor with one row leg per mode and one column
-leg.  A gate is exponentiated on the factor of the modes it acts on (the
-beam splitter block by block over its conserved total photon number) and
-applied to those legs only; moments contract single-mode quadrature factors
-against the density tensor.
+The circuit carries a factor A of rho = A A^dagger, a tensor with one row leg
+per mode and one column per input level, starting as the diagonal root of the
+thermal input.  A gate U maps A to U A: it is exponentiated on the factor of
+the modes it acts on (the beam splitter block by block over its conserved
+total photon number) and applied to those row legs only.  Single-mode gates
+before the first two-mode gate act on per-mode factors, joined at that gate
+(or at the end) into the Kronecker product's columns of input weight above
+INPUT_WEIGHT_FLOOR.  rho is formed only when read: the trace deficit is
+1 - ||A||_F^2, the populations are A's squared row norms, F is the nuclear norm
+of A1^dagger A2, and a moment reads bands rho[n + d, n] = <A[n], A[n + d]>.
 """
 
 from __future__ import annotations
@@ -60,23 +56,32 @@ INPUT_WEIGHT_FLOOR = 1e-24
 SAMPLING_RANGES = {1: (0.6, 0.4, 0.8), 2: (0.35, 0.25, 0.5)}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FockDensityMatrix:
-    """A truncated density matrix.  Equality compares every field but
-    ``factor`` (a derived quantity), ``rho`` entry by entry; ``rho`` is a plain
-    writable array, so instances are not hashable."""
+    """A truncated density matrix given as ``rho``, as a ``factor`` A with rho =
+    A A^dagger, or as both; a built state holds A alone and forms ``rho`` on first
+    read.  tr rho is the given rho's trace, else ||A||_F^2.  Equality compares every
+    field but ``factor``, and ``rho`` (a writable array: no hash) entry by entry."""
 
     n_modes: int
     cutoffs: tuple
-    rho: np.ndarray
     trace_deficit: float
     top_level_population: float = 0.0
-    #: A factor of ``rho`` (rho = factor @ factor^dagger), set by
-    #: :func:`build_circuit_state`; without it the Uhlmann fidelity
-    #: diagonalises rho.
+    #: A with rho = A A^dagger, set by :func:`build_circuit_state`.
     factor: np.ndarray | None = field(default=None, repr=False)
 
     __hash__ = None
+
+    def __init__(self, n_modes, cutoffs, rho, trace_deficit, top_level_population=0.0,
+                 factor=None):
+        if rho is None and factor is None:
+            raise InvalidParameter("a density matrix needs rho or a factor of it")
+        self.__dict__.update(n_modes=n_modes, cutoffs=cutoffs, trace_deficit=trace_deficit,
+                             top_level_population=top_level_population, factor=factor, _rho=rho)
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        return _hermitise(self.factor @ self.factor.conj().T) if self._rho is None else self._rho
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -122,12 +127,6 @@ class BuildResult(NamedTuple):
 
 def destroy(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
-
-
-def _quadratures(a_ops: list) -> list:
-    """(x_1..x_n, p_1..p_n) with x = (a + a')/sqrt(2) from the a_k."""
-    return ([(a + a.conj().T) / np.sqrt(2.0) for a in a_ops]
-            + [-1j * (a - a.conj().T) / np.sqrt(2.0) for a in a_ops])
 
 
 def _unitary_from_generator(K: np.ndarray) -> np.ndarray:
@@ -265,9 +264,10 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
                         deficit_budget: float = TRACE_DEFICIT_BUDGET) -> BuildResult:
     """Build the same state as a truncated density matrix and as exact moments.
 
-    The density matrix carries the factor tracked through the gates as
-    ``fock.factor``.  Raises :class:`TruncationError` when the final trace
-    deficit exceeds the budget; raise the cutoff in that case.
+    The density matrix holds the factor tracked through the gates as
+    ``fock.factor`` and forms ``fock.rho`` only when it is read.  Raises
+    :class:`TruncationError` when the final trace deficit exceeds the budget;
+    raise the cutoff in that case.
     """
     _validate_circuit(circuit)
     n = circuit.n_modes
@@ -277,9 +277,8 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
         raise InvalidParameter("cutoff must be at least 4")
     cutoffs = (cutoff,) * n
 
-    # per-mode factors until the first two-mode gate
     inputs = [thermal_fock(nb, cutoff) for nb in circuit.thermal_nbar]
-    factors = [np.sqrt(rho_in) for rho_in in inputs]
+    factors = [np.sqrt(rho_in) for rho_in in inputs]  # per mode until a two-mode gate
     A = None
     u = np.zeros(2 * n)
     V = np.diag(np.concatenate([np.asarray(circuit.thermal_nbar)] * 2) + 0.5)
@@ -295,36 +294,31 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
         u = S @ u + d
         V = S @ V @ S.T
     A = (_join(factors, inputs) if A is None else A).reshape(cutoff ** n, -1)
-    rho = _hermitise(A @ A.conj().T)
-
-    deficit = float(1.0 - np.trace(rho).real)
-    top = _top_level_population(rho, cutoffs)
+    population = _populations(A)
+    deficit = float(1.0 - population.sum())
     if deficit > deficit_budget:
         raise TruncationError(
             f"trace deficit {deficit:.3e} exceeds budget {deficit_budget:.1e}; "
             "raise the cutoff")
-    fock = FockDensityMatrix(n_modes=n, cutoffs=cutoffs, rho=rho,
-                             trace_deficit=max(deficit, 0.0),
-                             top_level_population=top, factor=A)
+    top = population[np.any(np.indices(cutoffs).reshape(n, -1) == cutoff - 1, axis=0)].sum()
+    fock = FockDensityMatrix(n, cutoffs, None, max(deficit, 0.0), float(top), factor=A)
     return BuildResult(fock=fock, gaussian=GaussianState(n, u, V))
 
 
 def _join(factors, inputs) -> np.ndarray:
-    """Kronecker product of the per-mode factors, without the columns whose
-    input weight is at most INPUT_WEIGHT_FLOOR."""
-    weight = functools.reduce(np.kron, [rho_in.diagonal().real for rho_in in inputs])
-    return functools.reduce(np.kron, factors)[:, weight > INPUT_WEIGHT_FLOOR]
+    """The columns of the per-mode factors' Kronecker product whose input
+    weight exceeds INPUT_WEIGHT_FLOOR, built without the other columns."""
+    weight = functools.reduce(np.multiply.outer, [rho_in.diagonal().real for rho_in in inputs])
+    kept = np.argwhere(weight > INPUT_WEIGHT_FLOOR)  # input levels per mode, in kron order
+    A = factors[0][:, kept[:, 0]]
+    for f, levels in zip(factors[1:], kept.T[1:]):
+        A = (A[:, None, :] * f[:, levels]).reshape(-1, len(kept))
+    return A
 
 
-def _top_level_population(rho: np.ndarray, cutoffs) -> float:
-    dims = tuple(cutoffs)
-    diag = np.diag(rho).real.reshape(dims)
-    mask = np.zeros(dims, dtype=bool)
-    for axis, c in enumerate(dims):
-        sl = [slice(None)] * len(dims)
-        sl[axis] = c - 1
-        mask[tuple(sl)] = True
-    return float(diag[mask].sum())
+def _populations(A: np.ndarray) -> np.ndarray:
+    """rho's diagonal, A's squared row norms (their sum errs by ~1e-16, a flat vdot's by 4e-14)."""
+    return np.einsum("ij,ij->i", A.real, A.real) + np.einsum("ij,ij->i", A.imag, A.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -332,63 +326,69 @@ def _top_level_population(rho: np.ndarray, cutoffs) -> float:
 # ---------------------------------------------------------------------------
 
 def uhlmann_fidelity_matrix(r1: FockDensityMatrix, r2: FockDensityMatrix) -> float:
-    """F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) = ||A1^dagger A2||_1 / sqrt(tr rho1
-    tr rho2) for any rho_k = A_k A_k^dagger (Uhlmann).  A_k is ``r_k.factor``
-    (every built state has one), else from an eigendecomposition of rho_k.
-    """
-    if r1.rho.shape != r2.rho.shape:
-        raise InvalidParameter("density matrices have different dimensions")
-    f = fidelity_of_matrices(r1.rho, r2.rho, r1.factor, r2.factor)
+    """F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) = ||A1^dagger A2||_1 / sqrt(tr rho1 tr rho2)
+    for any rho_k = A_k A_k^dagger (Uhlmann): ``r_k.factor``, else from eigh of rho_k."""
+    f = fidelity_of_matrices(r1._rho, r2._rho, r1.factor, r2.factor)
     if f > 1.0 + 1e-8:
         raise NumericalError(f"fidelity {f} exceeds 1 beyond tolerance")
     return min(f, 1.0)
 
 
-def fidelity_of_matrices(rho1: np.ndarray, rho2: np.ndarray,
+def fidelity_of_matrices(rho1: np.ndarray | None, rho2: np.ndarray | None,
                          factor1=None, factor2=None) -> float:
-    """Uhlmann fidelity of two raw Hermitian PSD matrices (trace-normalized)
-    as the singular-value sum of A1^dagger A2; ``factor_k`` (rho_k = factor_k
-    factor_k^dagger) replaces the eigendecomposition of rho_k."""
-    a1, a2 = (_normalised_factor(rho, a) for rho, a in ((rho1, factor1), (rho2, factor2)))
-    return float(np.sum(np.linalg.svd(a1.conj().T @ a2, compute_uv=False)))
+    """Uhlmann fidelity of two Hermitian PSD matrices (trace-normalized), the
+    singular-value sum of A1^dagger A2 over sqrt(tr rho1 tr rho2); ``factor_k``
+    (rho_k = A_k A_k^dagger) spares the eigendecomposition, and rho_k may be None."""
+    (a1, t1), (a2, t2) = _root(rho1, factor1), _root(rho2, factor2)
+    if a1.shape[0] != a2.shape[0]:
+        raise InvalidParameter("density matrices have different dimensions")
+    return float(np.sum(np.linalg.svd(a1.conj().T @ a2, compute_uv=False)) / np.sqrt(t1 * t2))
 
 
-def _normalised_factor(rho: np.ndarray, factor: np.ndarray | None) -> np.ndarray:
-    """A factor of rho / tr rho: the given one rescaled, else U sqrt(w) from
-    the eigendecomposition, eigenvalues clipped at 0."""
+def _root(rho: np.ndarray | None, factor: np.ndarray | None) -> tuple:
+    """(A, t) with A A^dagger / t = rho / tr rho: ``factor`` with t = tr rho (||factor||_F^2
+    when rho is None), else U sqrt(w) from eigh of rho / tr rho, w clipped at 0, and t = 1."""
     if factor is not None:
-        return np.asarray(factor) / np.sqrt(np.trace(rho).real)
+        return factor, float(_populations(factor).sum() if rho is None else np.trace(rho).real)
     w, U = np.linalg.eigh(_hermitise(np.asarray(rho) / np.trace(rho)))
     if w[0] < -1e-8:
         raise NumericalError(f"eigenvalue {w[0]:.3e} below -1e-8")
-    return U * np.sqrt(np.clip(w, 0.0, None))
-
-
-def _expectation(rho_t: np.ndarray, factors: dict) -> complex:
-    """Tr(rho A) for A the tensor product of ``factors[mode]`` (identity elsewhere)."""
-    n = rho_t.ndim // 2
-    rows = [chr(ord("a") + m) for m in range(n)]
-    cols = [chr(ord("A") + m) if m in factors else rows[m] for m in range(n)]
-    subscripts = ",".join(["".join(rows + cols)] + [cols[m] + rows[m] for m in factors])
-    return complex(np.einsum(subscripts + "->", rho_t, *factors.values()))
+    return U * np.sqrt(np.clip(w, 0.0, None)), 1.0
 
 
 def moments_from_fock(r: FockDensityMatrix) -> GaussianState:
-    """Mean and covariance of a Fock-space state from quadrature expectations.
+    """Mean and covariance from ladder-operator expectations on a factor A of
+    rho (as for the fidelity): a product X of ladder operators shifts number
+    states by some d, so Tr(rho X) reads only the band rho[n + d, n] =
+    <A[n], A[n + d]>, weighted by X's own truncated matrix elements."""
+    n, cutoffs = r.n_modes, tuple(r.cutoffs)
+    A, trace = _root(r._rho, r.factor)
+    A = A.reshape(cutoffs + (-1,))
+    A_bar, bands = A.conj(), {}
 
-    Each expectation contracts single-mode quadrature factors against the
-    density tensor; quadratures of one mode multiply on their factor.
-    """
-    n = r.n_modes
-    rho_t = (r.rho / np.trace(r.rho)).reshape(tuple(r.cutoffs) * 2)
-    Q = list(zip(list(range(n)) * 2, _quadratures([destroy(c) for c in r.cutoffs])))
-    u = np.array([_expectation(rho_t, {k: q}).real for k, q in Q])
-    M = np.empty((2 * n, 2 * n))
-    for i, (k, qi) in enumerate(Q):
-        for j, (m, qj) in enumerate(Q):
-            M[i, j] = _expectation(rho_t, {k: qi @ qj} if k == m else {k: qi, m: qj}).real
-    V = 0.5 * (M + M.T) - np.outer(u, u)
-    return GaussianState(r.n_modes, u, V)
+    def expectation(ops: list) -> complex:
+        """Tr(rho X) / tr rho, X the product of ops = [(d_m, X_m)], X_m a band at d_m."""
+        d = tuple(dm for dm, _ in ops)
+        if d not in bands:
+            rows = tuple(slice(max(-dm, 0), c - max(dm, 0)) for dm, c in zip(d, cutoffs))
+            shifted = tuple(slice(max(dm, 0), c - max(-dm, 0)) for dm, c in zip(d, cutoffs))
+            bands[d] = np.einsum("...j,...j->...", A_bar[rows], A[shifted])
+        value = bands[d]
+        for dm, X in reversed(ops):
+            value = value @ np.diagonal(X, dm)
+        return value / trace
+
+    # (a_1 .. a_n, a_1^dagger .. a_n^dagger): a shifts n_m by +1, a^dagger by -1
+    a = [destroy(c) for c in cutoffs]
+    ladders = [[(s, a[m] if s == 1 else a[m].T) if k == m else (0, np.eye(c))
+                for k, c in enumerate(cutoffs)] for s in (1, -1) for m in range(n)]
+    first = np.array([expectation(b) for b in ladders])
+    second = np.array([[expectation([(d + e, X @ Y) for (d, X), (e, Y) in zip(b, c)])
+                        for c in ladders] for b in ladders])
+    # x = (a + a^dagger) / sqrt(2), p = -i (a - a^dagger) / sqrt(2)
+    T = np.kron([[1.0, 1.0], [-1j, 1j]], np.eye(n)) / np.sqrt(2.0)
+    u, M = (T @ first).real, (T @ second @ T.T).real
+    return GaussianState(n, u, 0.5 * (M + M.T) - np.outer(u, u))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ what makes the formula valid for pure and mixed states alike).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -189,6 +190,9 @@ def qfi_scalar(family: Callable[[float], GaussianState], theta0: float,
         return 4.0 * bures_metric(base, du, dV).ds2
     if mode == "finite_difference":
         step = _step(h, DEFAULT_FD_STEP)
+        if not sys.float_info.min <= step * step < math.inf:
+            raise InvalidParameter(f"finite-difference step h = {step} has h^2 = {step * step}, "
+                                   "which is not a normal float")
         f = fidelity(family(theta0), family(theta0 + step)).F
         return 8.0 * (1.0 - f) / step ** 2
     raise InvalidParameter(f"unknown QFI mode {mode!r}")

@@ -189,10 +189,14 @@ def random_state(n: int, seed: int, max_squeeze: float = 1.0, max_thermal: float
     A thermal Williamson core with occupations uniform in [0, max_thermal]
     (exact vacuum when ``pure``) is conjugated by a random circuit of
     rotations, squeezers and beam splitters, then randomly displaced.  The
-    symplectic spectrum therefore lies in [1/2, max_thermal + 1/2].
+    symplectic spectrum therefore lies in [1/2, max_thermal + 1/2].  The
+    seed must be a non-negative integer and the bounds finite and >= 0.
     """
-    if min(max_squeeze, max_thermal, max_disp) < 0:
-        raise InvalidParameter("sampling bounds must be non-negative")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be non-negative, got {seed}")
+    if not all(0 <= bound < np.inf for bound in (max_squeeze, max_thermal, max_disp)):
+        raise InvalidParameter("sampling bounds must be finite and non-negative, got "
+                               f"{max_squeeze}, {max_thermal}, {max_disp}")
     rng = np.random.default_rng(seed)
     nbar = np.zeros(n) if pure else rng.uniform(0.0, max_thermal, n)
     state = apply_symplectic(thermal(nbar), random_symplectic(n, rng, max_squeeze))

@@ -36,7 +36,7 @@ from gaussfid.fidelity import (
     _gamma,
     _solve_v_sum,
 )
-from gaussfid.fock import _quadratures, destroy
+from gaussfid.fock import destroy
 
 
 DEFAULT_PURE_GAP = 1e-9       # minimum nu - 1/2 for Gibbs conversions
@@ -434,5 +434,8 @@ def mode_operators(cutoffs: Sequence[int]) -> list:
 
 
 def quadrature_operators(cutoffs: Sequence[int]) -> list:
-    """Quadratures (x_1..x_n, p_1..p_n) on the full tensor-product space."""
-    return _quadratures(mode_operators(cutoffs))
+    """Quadratures (x_1..x_n, p_1..p_n) on the full tensor-product space,
+    x = (a + a^dagger) / sqrt(2) and p = -i (a - a^dagger) / sqrt(2)."""
+    a_ops = mode_operators(cutoffs)
+    return ([(a + a.conj().T) / np.sqrt(2.0) for a in a_ops]
+            + [-1j * (a - a.conj().T) / np.sqrt(2.0) for a in a_ops])

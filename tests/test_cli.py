@@ -379,6 +379,38 @@ class TestCommands:
         assert code == 2
 
 
+#: Refused inputs, "{tmp}" standing for a temporary directory.  The first six
+#: escaped as numpy's ValueError or OverflowError, or as a ZeroDivisionError.
+REFUSED_ARGV = [
+    "oracle-check --modes 1 --seed -1",
+    "random --modes 2 --seed -1 -o {tmp}/x.json",
+    "random --modes 2 --seed 1 --max-disp inf -o {tmp}/x.json",
+    "random --modes 2 --seed 1 --max-squeeze nan -o {tmp}/x.json",
+    "qfi --family thermal-nbar --theta 1 --mode finite_difference --h 1e-170",
+    "qfi --family thermal-nbar --theta 1 --mode finite_difference --h 1e160",
+    "random --modes 2 --seed 1 --max-thermal -1 -o {tmp}/x.json",
+    "random --modes 0 --seed 1 -o {tmp}/x.json",
+    "qfi --family squeeze-r --theta 0.3 --h 0",
+    "qfi --family squeeze-r --theta 0.3 --mode finite_difference --h nan",
+    "qfi --family thermal-nbar --theta 1e-4",
+    "qfi --family nope --theta 1",
+    "bounds --fidelity 1.5 --copies 8",
+    "oracle-check --modes 1 --seed 7 --cutoff 2",
+    "oracle-check --modes 1 --seed 7 --cutoff 5",
+    "fidelity {tmp}/nope.json {tmp}/nope.json",
+]
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+@pytest.mark.parametrize("argv", REFUSED_ARGV)
+def test_refusal_is_a_message_not_a_traceback(capsys, tmp_path, argv, as_json):
+    # an exception escaping main() is what prints a traceback
+    code, out, err = run(capsys, argv.format(tmp=tmp_path).split() + ["--json"] * as_json)
+    assert code in (2, 3) and out == ""
+    assert any(line.startswith("gaussfid: ") for line in err.splitlines()), err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # schema stability and tolerance plumbing
 # ---------------------------------------------------------------------------

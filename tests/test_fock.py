@@ -1,5 +1,7 @@
 """Truncated Fock-space oracle: operators, circuits, moments, fidelity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -233,14 +235,58 @@ class TestTensorLayout:
         cutoff = DEFAULT_CUTOFFS[1] if circuit.n_modes == 1 else 12
         built = build_circuit_state(circuit, cutoff, deficit_budget=1.0)
         rho = _dense_state(circuit, cutoff)
+        # the factor route's moments, deficit and top-level population,
+        # read before rho is formed
+        measured = moments_from_fock(built.fock)
+        u, V = _dense_moments(rho, built.fock.cutoffs)
+        np.testing.assert_allclose(measured.u, u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(measured.V, V, rtol=0, atol=1e-13)
+        assert abs(built.fock.trace_deficit - max(1.0 - np.trace(rho).real, 0.0)) < 1e-13
+        populations = np.diag(rho).real.reshape(built.fock.cutoffs)
+        inner = populations[tuple(slice(cutoff - 1) for _ in built.fock.cutoffs)]
+        top = populations.sum() - inner.sum()
+        assert abs(built.fock.top_level_population - top) < 1e-13
+        # a bare rho takes the same moments route through its eigh factor
+        bare = FockDensityMatrix(circuit.n_modes, built.fock.cutoffs, rho.copy(), 0.0)
+        measured = moments_from_fock(bare)
+        np.testing.assert_allclose(measured.u, u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(measured.V, V, rtol=0, atol=1e-13)
         assert np.max(np.abs(built.fock.rho - rho)) < 1e-13
         # the tracked factor reproduces the dense rho
         factor = built.fock.factor
         assert np.max(np.abs(factor @ factor.conj().T - rho)) < 1e-13
-        u, V = _dense_moments(built.fock.rho, built.fock.cutoffs)
-        measured = moments_from_fock(built.fock)
-        np.testing.assert_allclose(measured.u, u, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(measured.V, V, rtol=0, atol=1e-13)
+
+
+class TestFactorOnly:
+    """The build, F and the moments work on the factors alone: rho, which
+    has cutoff^(2n) entries, is formed only for a caller that reads it."""
+
+    def test_two_mode_check_never_forms_rho(self, monkeypatch):
+        rng = np.random.default_rng(4242)
+        circuits = [random_circuit(2, rng) for _ in range(2)]
+        monkeypatch.setattr(FockDensityMatrix, "rho", property(
+            lambda self: pytest.fail("rho was formed")))
+        tracemalloc.start()
+        try:
+            a, b = (build_circuit_state(c, 25).fock for c in circuits)
+            uhlmann_fidelity_matrix(a, b)
+            moments_from_fock(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        factor_bytes = a.factor.nbytes + b.factor.nbytes
+        # 2.0x here; forming rho and the full Kronecker product reads 4.1x
+        assert peak <= 3 * factor_bytes, f"peak {peak / factor_bytes:.2f}x the factors' bytes"
+
+    def test_rho_is_formed_once_on_read(self):
+        a = build_circuit_state(random_circuit(1, np.random.default_rng(4752))).fock
+        assert "rho" not in vars(a)
+        assert a.rho is a.rho
+        np.testing.assert_array_equal(a.rho, a.rho.conj().T)
+
+    def test_needs_rho_or_factor(self):
+        with pytest.raises(InvalidParameter, match="rho or a factor"):
+            FockDensityMatrix(1, (4,), None, 0.0)
 
 
 class TestUhlmannFidelity:
@@ -293,13 +339,16 @@ class TestUhlmannFidelity:
 def _eigh_route_fidelity(rho1, r2):
     """The Uhlmann fidelity with the factor of rho1 from a Hermitian
     eigendecomposition, step by step as fidelity_of_matrices takes it when
-    no factor is given, against r2's own factor."""
+    no factor is given, against r2's own factor (a built state, whose trace
+    is the sum of its factor's squared row norms)."""
     herm1 = rho1 / np.trace(rho1)
     herm1 = (herm1 + herm1.conj().T) * 0.5
     w1, U1 = np.linalg.eigh(herm1)
     a1 = U1 * np.sqrt(np.clip(w1, 0.0, None))
-    a2 = r2.factor / np.sqrt(np.trace(r2.rho).real)
-    return float(np.sum(np.linalg.svd(a1.conj().T @ a2, compute_uv=False)))
+    a2 = r2.factor
+    trace2 = (np.einsum("ij,ij->i", a2.real, a2.real)
+              + np.einsum("ij,ij->i", a2.imag, a2.imag)).sum()
+    return float(np.sum(np.linalg.svd(a1.conj().T @ a2, compute_uv=False)) / np.sqrt(trace2))
 
 
 @pytest.fixture(scope="module")
