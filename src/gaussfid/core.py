@@ -223,81 +223,79 @@ def require_physical(state: GaussianState) -> None:
 # symplectic frame and Williamson decomposition
 # ---------------------------------------------------------------------------
 
-def _sym_eig_sqrt(V: np.ndarray):
-    """Principal square root (and inverse root) of a symmetric PSD matrix.
+def _cholesky(V) -> np.ndarray:
+    """The lower-triangular L with V = L L^T, read from V's lower triangle: the
+    one factorisation behind every symplectic spectrum and frame.
 
-    Eigenvalues are clamped at 0; the inverse root requires strict positivity.
+    A V that is not a square matrix of even dimension, or that has a NaN or
+    infinite entry, is refused with :class:`InvalidParameter`; one that is not
+    positive definite to working precision with :class:`NumericalError`.
     """
-    w, U = np.linalg.eigh(0.5 * (V + V.T))
-    if w[-1] <= 0:
-        raise NumericalError("matrix is not positive semidefinite")
-    w = np.clip(w, 0.0, None)
-    root = (U * np.sqrt(w)) @ U.T
-    if w[0] <= 0:
-        return root, None
-    inv_root = (U / np.sqrt(w)) @ U.T
-    return root, inv_root
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2 or not V.size:
+        raise InvalidParameter(
+            f"expected a square matrix of even dimension, got shape {V.shape}")
+    if not np.isfinite(V).all():
+        raise InvalidParameter("matrix has a non-finite entry")
+    try:
+        return np.linalg.cholesky(V)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("matrix is not positive definite to working precision") from exc
 
 
 def symplectic_frame(V: np.ndarray):
-    """The frame (V^{1/2}, V^{-1/2}, mu, psi) of a symmetric positive-definite V,
-    in which :func:`williamson` and the Bures metric both work.
+    """The frame (L, L^{-1}, mu, psi) of a positive-definite V = L L^T, in which
+    :func:`williamson` and the Bures metric both work.
 
-    mu (ascending, the pairs +-nu_k) and psi are the eigenvalues and vectors of
-    i V^{1/2} Omega V^{1/2} from one ``eigh``.  Raises :class:`NumericalError`
-    unless V is positive definite.
+    L is :func:`_cholesky`'s factor; mu (ascending, the pairs +-nu_k) and psi
+    are the eigenvalues and vectors of the Hermitian i L^T Omega L from one
+    ``eigh``.
     """
-    root, inv_root = _sym_eig_sqrt(V)
-    if inv_root is None:  # the smallest eigenvalue of V is <= 0
-        raise NumericalError("matrix is not positive definite")
-    omega = make_symplectic_form(V.shape[0] // 2)
-    mu, psi = np.linalg.eigh(1j * root @ omega @ root)
-    return root, inv_root, mu, psi
+    low = _cholesky(V)
+    omega = make_symplectic_form(low.shape[0] // 2)
+    mu, psi = np.linalg.eigh(1j * low.T @ omega @ low)
+    return low, np.linalg.inv(low), mu, psi
 
 
 def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of V as the positive eigenvalues of i V^{1/2} Omega V^{1/2}.
+    """Symplectic spectrum of a positive-definite V, in descending order.
 
-    Returned in descending order.
+    With V = L L^T, L^T Omega L = L^{-1} (V Omega) L is real antisymmetric,
+    so its singular values are the nu, each twice; over L's row blocks it is
+    X - X^T with X = L_x^T L_p, L being :func:`_cholesky`'s factor.
     """
-    n = V.shape[0] // 2
-    root = _sym_eig_sqrt(V)[0]
-    eig = np.linalg.eigvalsh(1j * root @ make_symplectic_form(n) @ root)
-    return eig[n:][::-1].copy()
+    low = _cholesky(V)
+    n = low.shape[0] // 2
+    k = low[:n].T @ low[n:]
+    k -= k.T
+    return np.linalg.svd(k, compute_uv=False)[::2]
 
 
 def williamson(V: np.ndarray) -> WilliamsonDecomposition:
-    """Williamson normal form of a symmetric positive-definite matrix.
+    """Williamson normal form of a positive-definite matrix V.
 
-    The symplectic matrix is assembled from the eigenvectors of the Hermitian
-    matrix i V^{1/2} Omega V^{1/2} (see :func:`symplectic_frame`): an
-    eigenvector psi = (a + ib)/sqrt(2) for eigenvalue nu_k > 0 supplies two
-    orthonormal real columns, and S = V^{1/2} [b | a] (D + D)^{-1/2}.  Both
-    defining identities (S Omega S^T = Omega and S (D+D) S^T = V) are
-    verified to DEFAULT_RECON_TOL before returning.
+    The symplectic matrix is assembled in the frame of V = L L^T (see
+    :func:`symplectic_frame`): an eigenvector psi = (a + ib)/sqrt(2) of
+    i L^T Omega L for eigenvalue nu_k > 0 supplies two orthonormal real
+    columns, and S = L [b | a] (D + D)^{-1/2} (S is not unique).  Both
+    defining identities (S Omega S^T = Omega and S (D+D) S^T = V, all of V)
+    are verified to DEFAULT_RECON_TOL before returning; a NaN fails them.
     """
     V = np.asarray(V, dtype=float)
-    n2 = V.shape[0]
-    if V.ndim != 2 or V.shape[0] != V.shape[1] or n2 % 2:
-        raise InvalidParameter("expected a square matrix of even dimension")
-    n = n2 // 2
+    low, _, mu, psi = symplectic_frame(V)
+    n = V.shape[0] // 2
     omega = make_symplectic_form(n)
-    root, _, mu, psi = symplectic_frame(V)
-    nu = mu[n:]
-    vecs = psi[:, n:]
-    order = np.argsort(nu)[::-1]
-    nu = nu[order]
-    vecs = vecs[:, order]
+    nu, vecs = mu[n:][::-1], psi[:, n:][:, ::-1]  # eigh's mu ascends
     ortho = np.sqrt(2.0) * np.hstack([vecs.imag, vecs.real])
     D = np.concatenate([nu, nu])
-    S = (root @ ortho) * D ** -0.5
+    S = (low @ ortho) * D ** -0.5
 
-    vscale = max(1.0, float(np.max(np.abs(V))))
+    tol = DEFAULT_RECON_TOL * max(1.0, float(np.max(np.abs(V))))
     resid_symp = float(np.max(np.abs(S @ omega @ S.T - omega)))
-    if resid_symp > DEFAULT_RECON_TOL * vscale:
+    if not resid_symp <= tol:
         raise NumericalError("assembled matrix fails S Omega S^T = Omega")
     resid_recon = float(np.max(np.abs((S * D) @ S.T - V)))
-    if resid_recon > DEFAULT_RECON_TOL * vscale:
+    if not resid_recon <= tol:
         raise NumericalError("assembled decomposition fails to reconstruct V")
     return WilliamsonDecomposition(S=S, nu=nu, residual_symplectic=resid_symp,
                                    residual_reconstruction=resid_recon)

@@ -34,7 +34,8 @@ from E's Hermitian eigendecomposition instead.
 
 A pair of equal states needs neither.  There F = 1, and the W_aux pairs are
 w_k = nu_k + 1/(4 nu_k) over the symplectic eigenvalues nu_k of V, so that
-Ftot = prod_k (2 nu_k)^{1/2} = det(2V)^{1/4}.  With V = L L^T, the real
+Ftot = prod_k (2 nu_k)^{1/2} = det(2V)^{1/4}.  The nu_k come from
+:func:`gaussfid.core.symplectic_eigenvalues`: with V = L L^T, the real
 antisymmetric L^T Omega L is similar to V Omega, and its singular values are
 the nu_k, each twice.
 """
@@ -47,7 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianState, make_symplectic_form, require_physical, validate_state
+from .core import (
+    GaussianState,
+    make_symplectic_form,
+    require_physical,
+    symplectic_eigenvalues,
+    validate_state,
+)
 from .errors import InvalidParameter, NumericalError
 
 #: Pairs with |w - 1| below this are treated as pure-mode pairs and discarded.
@@ -213,24 +220,6 @@ def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
     return v_sum, retained, solved_du
 
 
-def _symplectic_spectrum(V: np.ndarray) -> np.ndarray:
-    """The symplectic eigenvalues nu of a covariance, one per pair.
-
-    With V = L L^T, L^T Omega L = L^{-1} (V Omega) L is real antisymmetric,
-    so its singular values are the nu, each twice; over L's row blocks it is
-    X - X^T with X = L_x^T L_p.  A V whose Cholesky factorisation fails is
-    refused: 2V = V1 + V2 is then singular to working precision.
-    """
-    n = V.shape[0] // 2
-    try:
-        low = np.linalg.cholesky(V)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("V1 + V2 is singular to working precision: %s" % exc) from exc
-    k = low[:n].T @ low[n:]
-    k -= k.T
-    return np.linalg.svd(k, compute_uv=False)[::2]
-
-
 def _purity_invariant(V: np.ndarray) -> float:
     """t(V) = -(2/n) Tr((V Omega)^2) = (4/n) sum_k nu_k^2 of a symmetric xxpp
     covariance.
@@ -352,7 +341,11 @@ def _log_det(v_sum: np.ndarray):
 
 def _self_pair(s1: GaussianState, s2: GaussianState, pure: bool) -> FidelityReport:
     """The report of two equal states: F = F0 = F_raw = 1 (see :func:`fidelity`)."""
-    nu = None if pure else _symplectic_spectrum(s1.V)
+    try:
+        nu = None if pure else symplectic_eigenvalues(s1.V)
+    except NumericalError as exc:  # V has no Cholesky factor: 2V = V1 + V2 is singular
+        raise NumericalError("V1 + V2 is singular to working precision: %s"
+                             % exc.__cause__) from exc.__cause__
     det_v_sum, logdet = _log_det(s1.V + s2.V)
     _checked_lambda(s1._lambda_factor, s1._lambda_factor, s1.V, s2.V)
     if pure:

@@ -364,7 +364,7 @@ def moments_from_fock(r: FockDensityMatrix) -> GaussianState:
     n, cutoffs = r.n_modes, tuple(r.cutoffs)
     A, trace = _root(r._rho, r.factor)
     A = A.reshape(cutoffs + (-1,))
-    A_bar, bands = A.conj(), {}
+    bands = {}
 
     def expectation(ops: list) -> complex:
         """Tr(rho X) / tr rho, X the product of ops = [(d_m, X_m)], X_m a band at d_m."""
@@ -372,7 +372,7 @@ def moments_from_fock(r: FockDensityMatrix) -> GaussianState:
         if d not in bands:
             rows = tuple(slice(max(-dm, 0), c - max(dm, 0)) for dm, c in zip(d, cutoffs))
             shifted = tuple(slice(max(dm, 0), c - max(-dm, 0)) for dm, c in zip(d, cutoffs))
-            bands[d] = np.einsum("...j,...j->...", A_bar[rows], A[shifted])
+            bands[d] = np.vecdot(A[rows], A[shifted])  # conjugates its first argument
         value = bands[d]
         for dm, X in reversed(ops):
             value = value @ np.diagonal(X, dm)

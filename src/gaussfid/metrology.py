@@ -84,15 +84,16 @@ def _solve_covariance(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NumericalError("V is singular to working precision: %s" % exc) from exc
 
 
-def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray]):
+def _metric_form(frame, dVs: Sequence[np.ndarray]):
     """The Bures metric's bilinear form delta(dV_i, dV_j) on every pair of ``dVs``,
     each summed as in :func:`bures_metric_delta` in the one :func:`symplectic_frame`
     of V, with the number of entries skipped per pair."""
-    omega = make_symplectic_form(V.shape[0] // 2)
-    root, inv_root, halves, U = symplectic_frame(V)
-    # W = V^{1/2} U diag(w) U^+ V^{-1/2} with i V^{1/2} Omega V^{1/2} = U diag(w/2) U^+
+    low, inv_low, halves, U = frame
+    omega = make_symplectic_form(low.shape[0] // 2)
+    # W = -L U diag(w) U^+ L^{-1} with V = L L^T and i L^T Omega L = U diag(w/2) U^+;
+    # the sum is even in w
     w = 2.0 * halves
-    dWts = [U.conj().T @ inv_root @ (-2.0j * dV @ omega) @ root @ U for dV in dVs]
+    dWts = [U.conj().T @ inv_low @ (-2.0j * dV @ omega) @ low @ U for dV in dVs]
     denom = np.outer(w, w) - 1.0
     keep = np.abs(denom) > DEFAULT_METRIC_TOL
     form = np.empty((len(dVs), len(dVs)))
@@ -111,11 +112,12 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
     dV is mapped to dW = -2 dV i Omega, rotated to the eigenbasis of W and
     summed as dW_ij dW_ji / (w_i w_j - 1) over index pairs with
     |w_i w_j - 1| > DEFAULT_METRIC_TOL; the number of skipped entries is
-    returned alongside.
+    returned alongside.  V is read and refused as by
+    :func:`gaussfid.core.symplectic_frame`, from its lower triangle.
     """
-    V = np.asarray(V, dtype=float)
+    frame = symplectic_frame(V)
     dV = np.asarray(dV, dtype=float)
-    if dV.shape != V.shape:
+    if dV.shape != frame[0].shape:
         raise InvalidParameter("dV shape does not match V")
     peak = float(np.max(np.abs(dV)))  # NaN or inf exactly when an entry is one
     if not math.isfinite(peak):
@@ -123,7 +125,7 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
     scale = max(1.0, peak)
     if np.max(np.abs(dV - dV.T)) > 1e-8 * scale:
         raise InvalidParameter("dV must be symmetric")
-    form, skipped = _metric_form(V, [dV])
+    form, skipped = _metric_form(frame, [dV])
     return DeltaResult(delta=float(form[0, 0]), skipped=skipped)
 
 
@@ -220,7 +222,7 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     base = family(theta0)
     dus, dVs = zip(*(_moment_derivatives(family, theta0, h, axis) for axis in np.eye(m)))
     X = _solve_covariance(base.V, np.column_stack(dus))
-    delta, _ = _metric_form(base.V, dVs)
+    delta, _ = _metric_form(symplectic_frame(base.V), dVs)
     H = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):

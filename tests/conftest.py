@@ -1,10 +1,11 @@
 import tempfile
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import configuration, settings
 
-from gaussfid import GaussianState, random_state
+from gaussfid import GaussianState, make_symplectic_form, random_state
 from gaussfid.core import xxpp_to_xpxp_indices
 from gaussfid.states import random_symplectic
 
@@ -83,3 +84,15 @@ def random_symplectic_factory():
     def factory(n, seed, max_squeeze=1.0):
         return random_symplectic(n, np.random.default_rng(seed), max_squeeze)
     return factory
+
+
+def symplectic_spectrum_mp(V):
+    """The symplectic eigenvalues of V at 60 digits, ascending, one per pair:
+    the square roots of the eigenvalues of K^T K, K = L^T Omega L with L the
+    Cholesky factor of V, each counted twice."""
+    n = V.shape[0] // 2
+    with mp.workdps(60):
+        om = mp.matrix(np.asarray(make_symplectic_form(n)).tolist())
+        low = mp.cholesky(mp.matrix(V.tolist()))
+        k = low.T * om * low
+        return sorted(mp.sqrt(x) for x in mp.eigsy(k.T * k, eigvals_only=True))[::2]

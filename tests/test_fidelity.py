@@ -32,7 +32,15 @@ from gaussfid.fidelity import (
 from gaussfid.core import DEFAULT_PHYS_TOL, require_physical
 from gaussfid.states import random_symplectic
 
-from conftest import COMPLEX, REAL, count_linalg_calls, mixed_pair, record_calls, via_xpxp
+from conftest import (
+    COMPLEX,
+    REAL,
+    count_linalg_calls,
+    mixed_pair,
+    record_calls,
+    symplectic_spectrum_mp,
+    via_xpxp,
+)
 from reference_routes import (
     _char_coeffs_from_traces,
     alt_ftot_v12,
@@ -701,18 +709,6 @@ class TestParallelSumRoute:
             _parallel_sum_spectrum(a.V, b.V, b.u - a.u)
 
 
-def _symplectic_spectrum_mp(V):
-    """The symplectic eigenvalues of V at 60 digits, ascending, one per pair:
-    the square roots of the eigenvalues of K^T K, K = L^T Omega L with L the
-    Cholesky factor of V, each counted twice."""
-    n = V.shape[0] // 2
-    with mp.workdps(60):
-        om = mp.matrix(np.asarray(make_symplectic_form(n)).tolist())
-        low = mp.cholesky(mp.matrix(V.tolist()))
-        k = low.T * om * low
-        return sorted(mp.sqrt(x) for x in mp.eigsy(k.T * k, eigvals_only=True))[::2]
-
-
 class TestSelfPairRoute:
     """Equal states: F = 1 exactly, with the W_aux pairs w = nu + 1/(4 nu)
     over V's symplectic eigenvalues and Ftot = det(V1 + V2)^{1/4}."""
@@ -756,7 +752,7 @@ class TestSelfPairRoute:
                 kwargs = {} if max_squeeze is None else {"max_squeeze": max_squeeze}
                 s = random_state(n, 3300 + 10 * n + seed, **kwargs)
                 rep = fidelity(s, s)
-                nu = _symplectic_spectrum_mp(s.V)
+                nu = symplectic_spectrum_mp(s.V)
                 with mp.workdps(60):
                     ftot = float(mp.sqrt(mp.fprod(2 * x for x in nu)))
                     w = [float(x + 1 / (4 * x)) for x in nu if x + 1 / (4 * x) - 1 > 1e-9]

@@ -299,10 +299,13 @@ class TestQfiMatrix:
             shift[3] = theta[2] if m == 3 else 0.0
             return displace(apply_symplectic(base, S), shift)
 
-        eigh_calls = count_linalg_calls(monkeypatch, "eigh")
+        calls = {name: count_linalg_calls(monkeypatch, name)
+                 for name in ("cholesky", "eigh", "eigvalsh")}
         qfi_matrix(family, [0.1, 0.2, -0.3][:m])
-        # V's symmetric eigh and the one Hermitian eigh of its symplectic frame
-        assert eigh_calls == [((4, 4), REAL), ((4, 4), COMPLEX)]
+        # V = L L^T and the one Hermitian eigh of its symplectic frame
+        # i L^T Omega L; no real eigh of V
+        assert calls == {"cholesky": [((4, 4), REAL)], "eigh": [((4, 4), COMPLEX)],
+                         "eigvalsh": []}
         assert len(evaluations) == 4 * m + 1
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
