@@ -282,9 +282,10 @@ def williamson(V: np.ndarray) -> WilliamsonDecomposition:
     are verified to DEFAULT_RECON_TOL before returning; a NaN fails them.
     """
     V = np.asarray(V, dtype=float)
-    low, _, mu, psi = symplectic_frame(V)
+    low = _cholesky(V)
     n = V.shape[0] // 2
     omega = make_symplectic_form(n)
+    mu, psi = np.linalg.eigh(1j * low.T @ omega @ low)  # the frame, without L^{-1}
     nu, vecs = mu[n:][::-1], psi[:, n:][:, ::-1]  # eigh's mu ascends
     ortho = np.sqrt(2.0) * np.hstack([vecs.imag, vecs.real])
     D = np.concatenate([nu, nu])

@@ -101,12 +101,14 @@ def coherent(alpha: Sequence[complex]) -> GaussianState:
     return displace(vacuum(len(alpha)), np.sqrt(2.0) * np.concatenate([alpha.real, alpha.imag]))
 
 
-def _vacuum_through(S: np.ndarray, **params) -> GaussianState:
-    """The vacuum conjugated by an S that is symplectic by construction."""
-    V = S @ (0.5 * np.eye(len(S))) @ S.T
-    if not np.isfinite(V).all():
-        raise InvalidParameter(f"{params}: non-finite or overflowing covariance")
-    return GaussianState(len(S) // 2, np.zeros(len(S)), V)
+def _through(S: np.ndarray, core=None, u=None, **params) -> GaussianState:
+    """The state (u, S core S^T) for a symplectic S; by default u = 0, core = I/2."""
+    V = S @ (0.5 * np.eye(len(S)) if core is None else core) @ S.T
+    del S, core  # so that the state's copy of V takes the lowest free block
+    if not (np.isfinite(V).all() and (u is None or np.isfinite(u).all())):
+        raise InvalidParameter(
+            f"{params or 'conjugation'}: non-finite or overflowing covariance or mean vector")
+    return GaussianState(len(V) // 2, np.zeros(len(V)) if u is None else u, V)
 
 
 def squeezed(r: Sequence[float], phi: Sequence[float] | None = None) -> GaussianState:
@@ -119,12 +121,12 @@ def squeezed(r: Sequence[float], phi: Sequence[float] | None = None) -> Gaussian
     S = np.eye(2 * n)
     for k in range(n):  # squeezer k acts on rows and columns k, k + n alone
         S[k::n, k::n] = squeeze_block(r[k], phi[k])
-    return _vacuum_through(S, r=r, phi=phi)
+    return _through(S, r=r, phi=phi)
 
 
 def two_mode_squeezed(r: float, n: int = 2, modes: Sequence[int] = (0, 1)) -> GaussianState:
     """Two-mode squeezed vacuum on the given mode pair of an n-mode register."""
-    return _vacuum_through(embed_symplectic(two_mode_squeeze_block(r), list(modes), n), r=r)
+    return _through(embed_symplectic(two_mode_squeeze_block(r), list(modes), n), r=r)
 
 
 def displace(state: GaussianState, d: Sequence[float]) -> GaussianState:
@@ -139,15 +141,15 @@ def displace(state: GaussianState, d: Sequence[float]) -> GaussianState:
 
 
 def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
-    """Conjugate the state by a symplectic matrix: u -> S u, V -> S V S^T."""
+    """Conjugate the state by a symplectic S: u -> S u, V -> S V S^T, refusing overflow."""
     S = np.asarray(S, dtype=float)
     if S.shape != (2 * state.n,) * 2:
         raise InvalidParameter("symplectic matrix shape does not match the state")
     omega = make_symplectic_form(state.n)
-    St = S.T
-    if not np.abs(S @ omega @ St - omega).max() <= 1e-8 * max(1.0, np.abs(S).max() ** 2):
+    resid = np.abs(S @ omega @ S.T - omega).max()  # within 1e-8 * max(1, max|S|^2)
+    if not (resid <= 1e-8 or resid <= 1e-8 * np.abs(S).max() ** 2):
         raise InvalidParameter("matrix is not symplectic (S Omega S^T != Omega)")
-    return GaussianState(state.n, S @ state.u, S @ state.V @ St)
+    return _through(S, state.V, S @ state.u)
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -167,37 +169,34 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 
 def random_symplectic(n: int, rng: np.random.Generator,
                       max_squeeze: float = 1.0) -> np.ndarray:
-    """Random symplectic from two layers of rotations, squeezers and beam splitters."""
-    S = np.eye(2 * n)
+    """Random symplectic from two layers of rotations, squeezers and beam splitters,
+    each gate applied to its own rows of S: bit for bit their embedded product."""
+    S, tau = np.eye(2 * n), 2 * np.pi
     for _ in range(2):
         for k in range(n):
-            S = embed_symplectic(rotation_block(rng.uniform(0, 2 * np.pi)), [k], n) @ S
-            S = embed_symplectic(
-                squeeze_block(rng.uniform(-max_squeeze, max_squeeze),
-                              rng.uniform(0, 2 * np.pi)), [k], n) @ S
+            S[k::n] = rotation_block(rng.uniform(0, tau)) @ S[k::n]
+            S[k::n] = squeeze_block(rng.uniform(-max_squeeze, max_squeeze),
+                                    rng.uniform(0, tau)) @ S[k::n]
         for k in range(n - 1):
-            S = embed_symplectic(
-                beamsplitter_block(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
-                [k, k + 1], n) @ S
+            idx = [k, k + 1, k + n, k + 1 + n]
+            S[idx] = beamsplitter_block(rng.uniform(0, tau), rng.uniform(0, tau)) @ S[idx]
     return S
 
 
 def random_state(n: int, seed: int, max_squeeze: float = 1.0, max_thermal: float = 2.0,
                  max_disp: float = 1.0, pure: bool = False) -> GaussianState:
-    """Deterministic random physical state.
-
-    A thermal Williamson core with occupations uniform in [0, max_thermal]
-    (exact vacuum when ``pure``) is conjugated by a random circuit of
-    rotations, squeezers and beam splitters, then randomly displaced.  The
-    symplectic spectrum therefore lies in [1/2, max_thermal + 1/2].  The
-    seed must be a non-negative integer and the bounds finite and >= 0.
-    """
-    if seed < 0:
-        raise InvalidParameter(f"seed must be non-negative, got {seed}")
-    if not all(0 <= bound < np.inf for bound in (max_squeeze, max_thermal, max_disp)):
-        raise InvalidParameter("sampling bounds must be finite and non-negative, got "
-                               f"{max_squeeze}, {max_thermal}, {max_disp}")
+    """Deterministic random physical state: a thermal Williamson core, occupations
+    uniform in [0, max_thermal] (vacuum when ``pure``), conjugated by
+    :func:`random_symplectic` and displaced; its symplectic spectrum lies in
+    [1/2, max_thermal + 1/2].  Seed and bounds must be >= 0, each bound with a
+    finite width 2 * bound; overflow is refused with :class:`InvalidParameter`."""
+    bounds = (max_squeeze, max_thermal, max_disp)
+    if seed < 0 or not all(0 <= 2 * bound < np.inf for bound in bounds):
+        raise InvalidParameter(f"seed {seed} and sampling bounds {bounds} must be >= 0, "
+                               "each bound with a finite width 2 * bound")
     rng = np.random.default_rng(seed)
     nbar = np.zeros(n) if pure else rng.uniform(0.0, max_thermal, n)
-    state = apply_symplectic(thermal(nbar), random_symplectic(n, rng, max_squeeze))
-    return displace(state, rng.uniform(-max_disp, max_disp, 2 * n))
+    # the arguments draw in order: the circuit, then the shift
+    return _through(random_symplectic(n, rng, max_squeeze),
+                    np.diag(np.concatenate([nbar, nbar]) + 0.5),
+                    rng.uniform(-max_disp, max_disp, 2 * n), seed=seed, max_squeeze=max_squeeze)

@@ -316,6 +316,17 @@ class TestCommands:
         np.testing.assert_array_equal(loaded.u, expected.u)
         np.testing.assert_array_equal(loaded.V, expected.V)
 
+    def test_random_file_is_the_product_chains_byte_for_byte(self, capsys, tmp_path):
+        # the row-wise sampler writes the file of the embedded product chain
+        from test_states import _product_random_state
+
+        code, report, _ = run_json(capsys, [
+            "random", "--modes", "64", "--seed", "7", "-o", str(tmp_path / "rand.json")])
+        assert code == 0
+        write_state_file(tmp_path / "product.json", _product_random_state(64, 7))
+        digest = hashlib.sha256((tmp_path / "product.json").read_bytes()).hexdigest()
+        assert report["sha256"] == digest
+
     def test_oracle_check_passes(self, capsys):
         code, report, _ = run_json(capsys, ["oracle-check", "--seed", "7", "--modes", "1"])
         assert code == 0
@@ -381,6 +392,8 @@ class TestCommands:
 
 #: Refused inputs, "{tmp}" standing for a temporary directory.  The first six
 #: escaped as numpy's ValueError or OverflowError, or as a ZeroDivisionError.
+#: Of the last two, one escaped as numpy's OverflowError, and one wrote an
+#: overflowing state file and exited 0.
 REFUSED_ARGV = [
     "oracle-check --modes 1 --seed -1",
     "random --modes 2 --seed -1 -o {tmp}/x.json",
@@ -398,6 +411,8 @@ REFUSED_ARGV = [
     "oracle-check --modes 1 --seed 7 --cutoff 2",
     "oracle-check --modes 1 --seed 7 --cutoff 5",
     "fidelity {tmp}/nope.json {tmp}/nope.json",
+    "random --modes 2 --seed 1 --max-disp 1e308 -o {tmp}/x.json",
+    "random --modes 2 --seed 1 --max-squeeze 400 -o {tmp}/x.json",
 ]
 
 

@@ -450,11 +450,12 @@ class TestWilliamson:
     def test_one_cholesky_and_one_hermitian_eigendecomposition(self, n, monkeypatch):
         V = random_state(n, 80 + n).V
         calls = {name: count_linalg_calls(monkeypatch, name)
-                 for name in ("cholesky", "eigh", "eigvalsh")}
+                 for name in ("cholesky", "eigh", "eigvalsh", "inv")}
         williamson(V)
-        # V = L L^T and the Hermitian i L^T Omega L; no real eigh of V
+        # V = L L^T and the Hermitian i L^T Omega L; no real eigh of V, no L^{-1}
         m = (2 * n, 2 * n)
-        assert calls == {"cholesky": [(m, REAL)], "eigh": [(m, COMPLEX)], "eigvalsh": []}
+        assert calls == {"cholesky": [(m, REAL)], "eigh": [(m, COMPLEX)], "eigvalsh": [],
+                         "inv": []}
 
 
 class TestSymplecticFrame:

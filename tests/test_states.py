@@ -1,5 +1,7 @@
 """Builders, elementary symplectics, tensor products and the xpxp boundary constructor."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -238,8 +240,38 @@ class TestNonFiniteParameters:
         with pytest.raises(InvalidParameter, match="non-finite or overflowing covariance"):
             two_mode_squeezed(r, 3, (2, 0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("state, S", [
+        (vacuum(1), np.diag([1e200, 1e-200])),  # symplectic to the last bit; V overflows
+        (GaussianState(1, [1e300, 0.0], 0.5 * np.eye(2)), np.diag([1e10, 1e-10])),
+        (GaussianState(1, [np.inf, 0.0], 0.5 * np.eye(2)), np.eye(2)),
+        (GaussianState(1, np.zeros(2), [[np.nan, 0.0], [0.0, 0.5]]), np.eye(2)),
+    ])
+    def test_apply_symplectic(self, state, S):
+        with pytest.raises(InvalidParameter, match="conjugation: non-finite or overflowing"):
+            apply_symplectic(state, S)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n, kwargs", [
+        (2, {"max_squeeze": 400.0}),
+        (1, {"max_squeeze": 400.0, "pure": True}),
+        (2, {"max_thermal": 8e307}),
+    ])
+    def test_random_state_that_overflows(self, n, kwargs):
+        with pytest.raises(InvalidParameter, match="overflowing covariance or mean vector"):
+            random_state(n, 1, **kwargs)
+
+    @pytest.mark.parametrize("bound", ["max_squeeze", "max_thermal", "max_disp"])
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf, 1e308])
+    def test_random_state_bounds(self, bound, value):
+        # 1e308 is finite, but the width of its draw, 2e308, is not
+        with pytest.raises(InvalidParameter, match="sampling bounds"):
+            random_state(2, 1, **{bound: value})
+
     def test_large_finite_parameters_are_kept(self):
         assert np.isfinite(squeezed([300.0]).V).all()
+        assert apply_symplectic(vacuum(1), np.diag([1e150, 1e-150])).V[0, 0] > 1e299
+        assert np.isfinite(random_state(2, 1, max_thermal=1e300, max_disp=8e307).V).all()
         assert displace(vacuum(1), [1e308, -1e308]).u[1] == -1e308
         assert thermal([1e300]).V[0, 0] == 1e300
 
@@ -287,12 +319,8 @@ def _product_squeezed(r, phi=None):
     return _product_apply(state, S)
 
 
-def _product_random_state(n, seed, max_squeeze=1.0, max_thermal=2.0, max_disp=1.0,
-                          pure=False):
-    """random_state as it was, its symplectic built from _product_embed."""
-    rng = np.random.default_rng(seed)
-    nbar = np.zeros(n) if pure else rng.uniform(0.0, max_thermal, n)
-    state = GaussianState(n, np.zeros(2 * n), np.diag(np.concatenate([nbar + 0.5] * 2)))
+def _product_random_symplectic(n, rng, max_squeeze=1.0):
+    """random_symplectic as it was: a chain of products of _product_embed gates."""
     S = np.eye(2 * n)
     for _ in range(2):
         for k in range(n):
@@ -302,7 +330,16 @@ def _product_random_state(n, seed, max_squeeze=1.0, max_thermal=2.0, max_disp=1.
         for k in range(n - 1):
             S = _product_embed(beamsplitter_block(rng.uniform(0, 2 * np.pi),
                                                   rng.uniform(0, 2 * np.pi)), [k, k + 1], n) @ S
-    state = _product_apply(state, S)
+    return S
+
+
+def _product_random_state(n, seed, max_squeeze=1.0, max_thermal=2.0, max_disp=1.0,
+                          pure=False):
+    """random_state as it was: the thermal core through _product_apply, then a shift."""
+    rng = np.random.default_rng(seed)
+    nbar = np.zeros(n) if pure else rng.uniform(0.0, max_thermal, n)
+    state = GaussianState(n, np.zeros(2 * n), np.diag(np.concatenate([nbar + 0.5] * 2)))
+    state = _product_apply(state, _product_random_symplectic(n, rng, max_squeeze))
     d = rng.uniform(-max_disp, max_disp, 2 * n)
     return GaussianState(n, state.u + d, state.V)
 
@@ -360,10 +397,17 @@ class TestBitIdentity:
         for theta in (0.0, 0.3, 0.95, 1.7, 2.6):
             _assert_same(FAMILIES[name](theta), _PRODUCT_FAMILIES[name](theta))
 
-    @pytest.mark.parametrize("n", [1, 3, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 32, 64])
     def test_random_state(self, n):
-        for seed, kwargs in ((n, {}), (n + 1, {"pure": True}), (n + 2, {"max_squeeze": 4.0})):
-            _assert_same(random_state(n, seed, **kwargs), _product_random_state(n, seed, **kwargs))
+        # the row-wise gates against the chain of embedded products
+        for seed, max_squeeze in enumerate((0.0, 1.0, 4.0, 8.0), start=10 * n):
+            assert np.array_equal(
+                random_symplectic(n, np.random.default_rng(seed), max_squeeze),
+                _product_random_symplectic(n, np.random.default_rng(seed), max_squeeze))
+            for pure in (False, True):
+                kwargs = {"max_squeeze": max_squeeze, "pure": pure}
+                _assert_same(random_state(n, seed, **kwargs),
+                             _product_random_state(n, seed, **kwargs))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("r, phi", [
@@ -436,6 +480,39 @@ class TestConstructionBudget:
         built = record_calls(monkeypatch, GaussianState, "__post_init__")
         squeezed([0.3, -0.2, 1.1], [0.1, 0.0, 2.0])
         assert (embeds, applies, len(built)) == ([], [], 1)
+
+    def test_random_symplectic_places_its_gates(self, monkeypatch):
+        embeds = record_calls(monkeypatch, states, "embed_symplectic")
+        random_symplectic(5, np.random.default_rng(3))
+        assert embeds == []
+
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_random_state_builds_one_state(self, pure, monkeypatch):
+        calls = [record_calls(monkeypatch, states, name)
+                 for name in ("embed_symplectic", "apply_symplectic", "thermal", "displace")]
+        built = record_calls(monkeypatch, GaussianState, "__post_init__")
+        random_state(5, 3, pure=pure)
+        assert (calls, len(built)) == ([[]] * 4, 1)
+
+    def test_random_state_frees_its_symplectic_before_the_copy(self, monkeypatch):
+        # the one state copies V after S is freed, so that at n = 64 the copy
+        # takes the lowest free block and S's block rejoins the free top
+        made, freed = [], []
+        sample, post_init = states.random_symplectic, GaussianState.__post_init__
+
+        def sampling(*args):
+            S = sample(*args)
+            made.append(weakref.ref(S))
+            return S
+
+        def building(state):
+            freed.append(made[0]() is None)
+            post_init(state)
+
+        monkeypatch.setattr(states, "random_symplectic", sampling)
+        monkeypatch.setattr(GaussianState, "__post_init__", building)
+        random_state(8, 5)
+        assert freed == [True]
 
     #: GaussianState constructions per family call
     FAMILY_STATES = {
