@@ -433,7 +433,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     args = build_parser().parse_args(argv)
     try:
-        fields, warnings, code = HANDLERS[args.command](args)
+        # every non-finite number is refused below, as an invalid parameter or
+        # as a non-finite report, so numpy's warnings would only precede that
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fields, warnings, code = HANDLERS[args.command](args)
         # a report with a non-finite number is refused before any of it is printed
         _emit({"command": args.command, **fields, "tolerances": TOLERANCES,
                "warnings": warnings}, args.json)

@@ -73,7 +73,8 @@ class GaussianState:
     pickles are rebuilt through the constructor, which freezes them again.
     Two states are equal when their mode count and arrays are equal entry by
     entry; equal states hash alike, so states can be set members and dict
-    keys.
+    keys.  Each instance computes its hash once, and states whose hashes
+    differ compare unequal without reading their arrays again.
     """
 
     n: int
@@ -126,15 +127,22 @@ class GaussianState:
         """
         return self._lambda_factor_of(self.V)
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The hash of the mode count and arrays, computed on first access and
+        kept outside the fields like :attr:`_lambda_factor`."""
+        # adding 0.0 turns -0.0 into 0.0, which array_equal counts as equal
+        return hash((self.n, (self.u + 0.0).tobytes(), (self.V + 0.0).tobytes()))
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n == other.n
+        # states that hash apart differ; a NaN entry keeps a state unequal even to itself
+        return (self._hash == other._hash and self.n == other.n
                 and np.array_equal(self.u, other.u) and np.array_equal(self.V, other.V))
 
     def __hash__(self):
-        # adding 0.0 turns -0.0 into 0.0, which array_equal counts as equal
-        return hash((self.n, (self.u + 0.0).tobytes(), (self.V + 0.0).tobytes()))
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,13 @@ Ftot = prod_k (2 nu_k)^{1/2} = det(2V)^{1/4}.  The nu_k come from
 :func:`gaussfid.core.symplectic_eigenvalues`: with V = L L^T, the real
 antisymmetric L^T Omega L is similar to V Omega, and its singular values are
 the nu_k, each twice.
+
+When one of two distinct states is pure, F is the root overlap
+det(V1 + V2)^{-1/4} exp[-du^T (V1 + V2)^{-1} du / 4], and both of its terms
+come from one real Cholesky factor of V1 + V2 bordered by the unit vector
+along du = u2 - u1: the leading block gives log det(V1 + V2), the last row
+the displacement term.  That factorisation is also the test that V1 + V2 is
+positive definite.
 """
 
 from __future__ import annotations
@@ -339,6 +346,36 @@ def _log_det(v_sum: np.ndarray):
     return float(sign * np.exp(logdet)), logdet
 
 
+def _root_overlap_terms(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
+    """(log det(V1 + V2), du^T (V1 + V2)^{-1} du) from one real Cholesky factor.
+
+    The factor is that of V1 + V2 bordered by the unit vector e = du / |du|
+    (zeros when du = 0) and an infinite corner, [[V1 + V2, e], [e^T, inf]].
+    Its leading block is the factor L of V1 + V2, so log det(V1 + V2) is
+    2 sum log L_ii; its last row is L^{-1} e, so the quadratic form is
+    |du|^2 |L^{-1} e|^2.  The corner enters only the last pivot, which stays
+    infinite, so the factorisation fails exactly when V1 + V2 is not positive
+    definite; that is refused with NumericalError.  A unit border keeps the
+    last row finite however large du is, and |du| is taken by math.hypot,
+    which does not overflow.
+    """
+    m = du.size
+    length = math.hypot(*du.tolist())
+    bordered = np.empty((m + 1, m + 1))
+    np.add(V1, V2, out=bordered[:m, :m])
+    # np.linalg.cholesky reads the lower triangle only
+    bordered[m, :m] = du / length if length else 0.0
+    bordered[m, m] = np.inf
+    try:
+        low = np.linalg.cholesky(bordered)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "V1 + V2 is not positive definite to working precision: %s" % exc) from exc
+    row = low[m, :m]
+    root = length * math.sqrt(row @ row)
+    return 2.0 * float(np.log(low.diagonal()[:m]).sum()), root * root
+
+
 def _self_pair(s1: GaussianState, s2: GaussianState, pure: bool) -> FidelityReport:
     """The report of two equal states: F = F0 = F_raw = 1 (see :func:`fidelity`)."""
     try:
@@ -405,6 +442,11 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
       ``waux_spectrum`` is empty, ``discarded_pairs`` is n, ``Ftot`` is 1 and
       F is the root overlap
       sqrt(Tr rho1 rho2) = det(V1+V2)^{-1/4} exp[-du^T (V1+V2)^{-1} du / 4].
+      Both terms come from one real Cholesky factor of V1 + V2 bordered by
+      du / |du| (see :func:`_root_overlap_terms`), and a V1 + V2 that the
+      factorisation finds not positive definite is refused with
+      NumericalError.  A displacement term that overflows a float gives
+      ``disp_exponent`` = -inf and F = 0.
     * Mixed-mixed pairs: the W_aux pairs are w = sqrt(1 + 4 sigma^2) over the
       singular values sigma of Q = G^T Omega^T G, where G G^H = E is the
       parallel sum conj(P1) (V1+V2)^{-1} P2 with P_k = V_k + i Omega/2 (see
@@ -439,15 +481,15 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     if pure:
         # sqrt(rho1) rho2 sqrt(rho1) has rank one: every W_aux pair is a
         # unit pair, Ftot = 1 and F is the root overlap sqrt(Tr rho1 rho2)
-        v_sum = s1.V + s2.V
-        solved_du = _solve_v_sum(v_sum, du)
         retained, ftot = np.empty(0), 1.0
+        logdet, quadratic = _root_overlap_terms(s1.V, s2.V, du)
+        det_v_sum = float(np.exp(logdet))
     else:
         v_sum, retained, solved_du = _parallel_sum_spectrum(s1.V, s2.V, du)
         ftot = ftot_from_spectrum(retained)
-
-    det_v_sum, logdet = _log_det(v_sum)
-    disp_exponent = float(-0.25 * du @ solved_du)
+        det_v_sum, logdet = _log_det(v_sum)
+        quadratic = du @ solved_du
+    disp_exponent = float(-0.25 * quadratic)
 
     # The refusal the report's invariants would make on stiff inputs, made
     # before the value is judged; the invariants themselves are left to the

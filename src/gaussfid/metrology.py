@@ -87,21 +87,42 @@ def _solve_covariance(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _metric_form(frame, dVs: Sequence[np.ndarray]):
     """The Bures metric's bilinear form delta(dV_i, dV_j) on every pair of ``dVs``,
     each summed as in :func:`bures_metric_delta` in the one :func:`symplectic_frame`
-    of V, with the number of entries skipped per pair."""
+    of V, with the number of entries skipped per pair.
+
+    delta(dV, dV) >= 0 in exact arithmetic for a symmetric dV.  A diagonal
+    entry below -k eps sum|terms|, k the number of terms summed, is more
+    negative than the rounding of its own sum explains and is refused with
+    NumericalError.
+    Such entries have no correct digit: a dV that leaves the pure manifold,
+    where the metric diverges, leaves terms that cancel to a delta of either
+    sign (-9.7e15 on a pure state at max_squeeze 4, -6e-32 on one at
+    max_squeeze 0), and so do the terms of strongly squeezed mixed states.
+    A positive delta of that kind is not detected.
+    """
     low, inv_low, halves, U = frame
     omega = make_symplectic_form(low.shape[0] // 2)
     # W = -L U diag(w) U^+ L^{-1} with V = L L^T and i L^T Omega L = U diag(w/2) U^+;
     # the sum is even in w
     w = 2.0 * halves
-    dWts = [U.conj().T @ inv_low @ (-2.0j * dV @ omega) @ low @ U for dV in dVs]
+    # each dV enters through its symmetric part (dV + dV^T)/2: an antisymmetric
+    # part, such as the roundoff of a finite difference, has a negative
+    # definite delta of its own and no cross term with the symmetric one
+    dWts = [U.conj().T @ inv_low @ (-1.0j * (dV + dV.T) @ omega) @ low @ U for dV in dVs]
     denom = np.outer(w, w) - 1.0
     keep = np.abs(denom) > DEFAULT_METRIC_TOL
     form = np.empty((len(dVs), len(dVs)))
     for i, dWt in enumerate(dWts):
         for j in range(i, len(dVs)):
-            total = complex(np.sum((dWt * dWts[j].T)[keep] / denom[keep]))
+            terms = (dWt * dWts[j].T)[keep] / denom[keep]
+            total = complex(np.sum(terms))
             if abs(total.imag) > 1e-7 * max(1.0, abs(total.real)):
                 raise NumericalError("metric sum has imaginary residue %.3e" % total.imag)
+            if i == j and total.real < 0.0:
+                magnitude = float(np.sum(np.abs(terms)))
+                if total.real < -terms.size * np.finfo(float).eps * magnitude:
+                    raise NumericalError(
+                        "metric delta %.3e is negative beyond the rounding of its terms "
+                        "(sum of |terms| %.3e)" % (total.real, magnitude))
             form[i, j] = form[j, i] = total.real
     return form, int(keep.size - keep.sum())
 
@@ -113,7 +134,9 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
     summed as dW_ij dW_ji / (w_i w_j - 1) over index pairs with
     |w_i w_j - 1| > DEFAULT_METRIC_TOL; the number of skipped entries is
     returned alongside.  V is read and refused as by
-    :func:`gaussfid.core.symplectic_frame`, from its lower triangle.
+    :func:`gaussfid.core.symplectic_frame`, from its lower triangle.  A delta
+    that comes out negative beyond the rounding of its own terms is refused
+    with NumericalError.
     """
     frame = symplectic_frame(V)
     dV = np.asarray(dV, dtype=float)
@@ -210,7 +233,8 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     one symplectic frame of V; a one-parameter family gives qfi_scalar's value.
     ``theta0`` must be a non-empty 1-D vector and ``labels``, if given, one
     name per parameter.  A V that is singular to working precision is
-    refused with NumericalError.
+    refused with NumericalError, and so is a diagonal delta(dV_i, dV_i) that
+    comes out negative beyond the rounding of its terms.
     """
     theta0 = np.asarray(theta0, dtype=float)
     m = theta0.size

@@ -212,7 +212,6 @@ class TestCommands:
         assert abs(report["chi1_identity_residual"]) <= 1e-8 * max(
             abs(report["Lambda"]), 1e-6 * abs(report["Gamma"]))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("as_json", [True, False])
     def test_non_finite_report_refused(self, tmp_path, capsys, as_json):
         # det(V1 + V2) of this n = 64 pair overflows: exit 3 and no report
@@ -481,17 +480,32 @@ class TestSchemaStability:
             assert [run(capsys, argv)[:2] for argv in commands] == expected
 
 
-def _fresh_python(code: str) -> str:
-    """Standard output of ``code`` run by a new interpreter on this gaussfid,
-    with the test-side modules importable."""
+def _fresh_run(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter on this gaussfid, with the
+    test-side modules importable and numpy's warnings shown as by default."""
     import gaussfid
     src = str(Path(gaussfid.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, tests, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    return done.stdout.strip()
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=check)
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by :func:`_fresh_run`."""
+    return _fresh_run("-c", code).stdout.strip()
+
+
+def test_refusal_is_the_only_line_on_stderr(tmp_path):
+    # building this state overflows in numpy; the RuntimeWarning and its
+    # source line used to be printed before the refusal
+    done = _fresh_run("-m", "gaussfid", "random", "--modes", "2", "--seed", "1",
+                      "--max-squeeze", "400", "-o", str(tmp_path / "x.json"), check=False)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("gaussfid: "), \
+        done.stderr
 
 
 def test_import_does_not_load_scipy():

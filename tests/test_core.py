@@ -194,13 +194,44 @@ class TestStateEquality:
         assert vacuum(1) != "vacuum"
 
     def test_cached_lambda_factor_is_invisible(self):
-        # the factor lives in the instance dict, outside the dataclass fields
+        # the factor and the hash live in the instance dict, outside the
+        # dataclass fields
         state, fresh = random_state(3, 44), random_state(3, 44)
         fidelity(state, state)
-        assert "_lambda_factor" in vars(state) and "_lambda_factor" not in vars(fresh)
-        assert state == fresh and hash(state) == hash(fresh)
+        hash(state)
+        assert {"_lambda_factor", "_hash"} <= set(vars(state))
+        assert not {"_lambda_factor", "_hash"} & set(vars(fresh))
         assert repr(state) == repr(fresh)
+        assert state == fresh and hash(state) == hash(fresh)
         assert [f.name for f in dataclasses.fields(state)] == ["n", "u", "V"]
+
+    def test_hashed_states_differ_without_comparing_arrays(self, monkeypatch):
+        # equal means, unequal covariances: once both are hashed, the hashes
+        # alone decide, where two np.array_equal calls did before
+        a, b = random_state(2, 3, max_disp=0.0), random_state(2, 4, max_disp=0.0)
+        np.testing.assert_array_equal(a.u, b.u)
+        hash(a), hash(b)
+        calls = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *args: calls.append(args) or array_equal(*args))
+        assert a != b and not a == b
+        assert calls == []
+        assert a == random_state(2, 3, max_disp=0.0) and len(calls) == 2
+
+    def test_nan_state_is_unequal_to_itself(self):
+        state = GaussianState(1, np.array([np.nan, 0.0]), np.diag([0.5, 0.5]))
+        assert hash(state) == hash(state)
+        assert state != state and state != GaussianState(1, state.u, state.V)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_drop_the_cached_hash(self, copier):
+        state = random_state(2, 46)
+        hash(state)
+        twin = copier(state)
+        assert "_hash" in vars(state) and "_hash" not in vars(twin)
+        assert hash(twin) == hash(state) and twin == state
 
     def test_set_members_and_dict_keys(self):
         states = {vacuum(1), vacuum(1), thermal([0.5]), random_state(2, 45), random_state(2, 45)}

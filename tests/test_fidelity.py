@@ -323,7 +323,9 @@ class TestLeanHotPath:
         # mixed-mixed pairs (the first two of each group of four) take their
         # spectrum from the parallel sum: their F, F0 and Ftot are checked
         # against 60 digits, where the eigvals of the separate solves err by
-        # up to 1.4e-13 at n = 16
+        # up to 1.4e-13 at n = 16.  The pure-member pair (the third) takes
+        # det_v_sum and disp_exponent from a Cholesky factor, not from LU
+        # solves: those two are checked against 60 digits
         a, b = _ensemble()[index]
         rep = fidelity(a, b)
         expected = {name: pytest.approx(value, rel=1e-14, abs=1e-14)
@@ -331,6 +333,9 @@ class TestLeanHotPath:
         if index % 4 < 2:
             expected.update((name, pytest.approx(value, rel=1e-14, abs=0.0))
                             for name, value in _fidelity_parts_mp(a, b, hermitian=True).items())
+        if index % 4 == 2:
+            expected.update((name, pytest.approx(value, rel=_ROOT_OVERLAP_REL, abs=0.0))
+                            for name, value in _root_overlap_mp(a, b).items())
         for name, value in expected.items():
             assert getattr(rep, name) == value, name
 
@@ -361,17 +366,25 @@ class TestLeanHotPath:
         # the report's traces and coefficients come from its W_aux pairs, the
         # reference's from powers of 2 V_aux Omega and Newton's identities;
         # they agree within 1e-10 (3.4e-12 at worst over 120 pairs per n,
-        # pure and squeezed partners included).  Gamma, Lambda and Delta are
-        # the same determinants on both routes.
+        # pure and squeezed partners included).  Gamma and Lambda are the same
+        # determinants on both routes, and so is Delta on a mixed-mixed pair;
+        # the pure partner's Delta comes from a Cholesky factor, and both
+        # Deltas are checked against 60 digits there
         a, b = mixed_pair(n, 2600 + n)
-        for other in (b, random_state(n, 2700 + n, pure=True),
-                      random_state(n, 2800 + n, max_squeeze=2.0)):
+        pure = random_state(n, 2700 + n, pure=True)
+        for other in (b, pure, random_state(n, 2800 + n, max_squeeze=2.0)):
             inv = fidelity(a, other).invariants
             ref = invariant_set(a.V, other.V)
             np.testing.assert_allclose(inv.i2k, ref.i2k, rtol=1e-10, atol=0.0)
             np.testing.assert_allclose(inv.char_coeffs, ref.char_coeffs, rtol=0.0,
                                        atol=1e-10 * np.max(np.abs(ref.char_coeffs)))
-            assert (inv.gamma, inv.lam, inv.delta) == (ref.gamma, ref.lam, ref.delta)
+            assert (inv.gamma, inv.lam) == (ref.gamma, ref.lam)
+            if other is pure:
+                exact = pytest.approx(_root_overlap_mp(a, other)["det_v_sum"],
+                                      rel=_ROOT_OVERLAP_REL, abs=0.0)
+                assert inv.delta == exact and ref.delta == exact
+            else:
+                assert inv.delta == ref.delta
 
     def test_lambda_residue_refusal_kept(self):
         for seed in (34, 359, 498):
@@ -462,6 +475,28 @@ def _fidelity_mp(a, b):
     return _fidelity_parts_mp(a, b)["F"]
 
 
+#: Relative error of det(V1 + V2) and du^T (V1 + V2)^{-1} du against 60
+#: digits on the pure-member pairs checked here, up to n = 16.  The bordered
+#: Cholesky factor errs by up to 6.2e-15 on them, and the LU solve and
+#: slogdet it replaced by up to 1.2e-14.  The one n = 64 pair allows 1e-13:
+#: the factor errs by up to 8.4e-16 there, LU by up to 8.6e-14.
+_ROOT_OVERLAP_REL = 2e-14
+
+
+def _root_overlap_mp(a, b):
+    """det_v_sum = det(V1 + V2) and disp_exponent = -du^T (V1 + V2)^{-1} du / 4
+    at 60 digits, the float inputs converted exactly, from the Cholesky factor
+    L of V1 + V2 and the forward substitution y = L^{-1} du."""
+    with mp.workdps(60):
+        low = mp.cholesky(mp.matrix(a.V.tolist()) + mp.matrix(b.V.tolist()))
+        du = mp.matrix(b.u.tolist()) - mp.matrix(a.u.tolist())
+        y = []
+        for i in range(low.rows):
+            y.append((du[i] - mp.fdot((low[i, j] for j in range(i)), y)) / low[i, i])
+        return {"det_v_sum": float(mp.fprod(low[i, i] for i in range(low.rows)) ** 2),
+                "disp_exponent": float(-mp.fdot(y, y) / 4)}
+
+
 class TestPureMemberRoute:
     """A pair with a pure member skips the W_aux eigenproblem: F is the root overlap."""
 
@@ -469,8 +504,10 @@ class TestPureMemberRoute:
     def test_eigvals_only_on_mixed_pairs(self, n, monkeypatch):
         # the LAPACK budget of a call once both factors of Lambda are cached:
         # one complex Cholesky accept test per state (one for two equal
-        # states) and one slogdet of V1 + V2.  Two distinct states add one
-        # solve of V1 + V2, and on a mixed-mixed pair the complex Cholesky
+        # states).  Two distinct states with a pure member add one real
+        # Cholesky factor of V1 + V2 bordered by du, of order 2n + 1, and
+        # nothing else.  Every other pair makes one slogdet of V1 + V2; a
+        # mixed-mixed pair adds one solve of V1 + V2, the complex Cholesky
         # factor of E and one complex svd of Q.  Equal states make no solve;
         # a mixed one adds the real Cholesky factor of V and one real svd.
         # The nonsymmetric eigvals and the eigh fallback are never called
@@ -489,22 +526,41 @@ class TestPureMemberRoute:
                     del recorded[:]
                 fidelity(a, b)
                 same = a == b
+                bordered = not (same or spectrum)
                 accept = [(m, COMPLEX)] * (1 if same else 2)
                 dtype = REAL if same else COMPLEX
                 seen.add((same, spectrum))
                 assert len(calls["det"]) <= 1 - spectrum
-                assert calls == {"cholesky": accept + [(m, dtype)] * spectrum,
-                                 "solve": [] if same else [(m, REAL)],
-                                 "slogdet": [(m, REAL)], "det": calls["det"],
+                assert calls == {"cholesky": accept + [(m, dtype)] * spectrum
+                                 + [((2 * n + 1, 2 * n + 1), REAL)] * bordered,
+                                 "solve": [(m, REAL)] * (spectrum and not same),
+                                 "slogdet": [(m, REAL)] * (not bordered), "det": calls["det"],
                                  "svd": [(m, dtype)] * spectrum,
                                  "eigvals": [], "eigh": []}
         assert len(seen) == 4
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
     def test_matches_spectrum_route(self, n):
-        for a, b in _route_pairs(n)[0]:
+        # det_v_sum and disp_exponent of distinct states come from a Cholesky
+        # factor, and the LU route's values from solve and slogdet: both are
+        # checked against 60 digits instead.  (a, p) and (via_xpxp(p), a)
+        # share V1 + V2 and have opposite du, so one 60-digit evaluation
+        # serves both; it is the only one at n = 64 (1.2 s), where (p, b) and
+        # (p, q) keep det_v_sum within the sum of both routes' 60-digit
+        # bounds of the LU route's value
+        with_pure = _route_pairs(n)[0]
+        shared = _root_overlap_mp(*with_pure[1])
+        rel = _ROOT_OVERLAP_REL if n <= 16 else 1e-13
+        for index, (a, b) in enumerate(with_pure):
             rep = fidelity(a, b)
             expected, spectrum = _spectrum_route(a, b)
+            if a != b:
+                exact = shared if index in (1, 4) else _root_overlap_mp(a, b) if n <= 16 else {}
+                for name, value in exact.items():
+                    assert getattr(rep, name) == pytest.approx(value, rel=rel, abs=0.0), name
+                    assert expected.pop(name) == pytest.approx(value, rel=rel, abs=0.0), name
+                if not exact:
+                    assert rep.det_v_sum == pytest.approx(expected.pop("det_v_sum"), rel=2 * rel)
             for name, value in expected.items():
                 assert getattr(rep, name) == pytest.approx(value, rel=1e-14), name
             assert rep.Ftot == 1.0
@@ -552,6 +608,30 @@ class TestPureMemberRoute:
                     assert len(calls) == (0 if eta <= 1e-13 else 1), eta
                     assert eigvals == [], eta
                     assert f == pytest.approx(_fidelity_mp(a, b), rel=1e-12), eta
+
+    def test_far_displaced_pair_vanishes(self):
+        # the squared length of du = 1e160 per entry overflows, the unit border
+        # of the factorisation does not: F = 0, as the LU route read it
+        p, q = random_state(2, 8100, pure=True), random_state(2, 8101)
+        rep = fidelity(p, GaussianState(2, np.full(4, 1e160), q.V))
+        assert (rep.F, rep.F_raw, rep.disp_exponent) == (0.0, 0.0, -np.inf)
+        assert rep.F0 == fidelity(p, q).F0
+
+    def test_equal_means_give_no_displacement_term(self):
+        p, q = random_state(3, 8102, pure=True), random_state(3, 8103)
+        for a, b in ((p, GaussianState(3, p.u, q.V)), (GaussianState(3, q.u, p.V), q)):
+            assert fidelity(a, b).disp_exponent == 0.0
+
+    def test_v_sum_not_positive_definite_refused(self, monkeypatch):
+        # V1 + V2 = 2V of this state has a negative eigenvalue in floating
+        # point.  Read as pure, the pair takes the root overlap, whose
+        # Cholesky factor refuses it
+        module = importlib.import_module("gaussfid.fidelity")
+        monkeypatch.setattr(module, "_purity_invariant", lambda V: 1.0)
+        s = random_state(1, 9113, pure=True, max_squeeze=8.0)
+        with pytest.raises(NumericalError, match="V1 \\+ V2 is not positive definite") as exc:
+            fidelity(s, displace(s, [1.0, 0.0]))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_lambda_check_runs_on_the_pure_member_route(self, monkeypatch):
         calls = _record_calls(monkeypatch, "_checked_lambda")

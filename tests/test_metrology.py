@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussfid import (
+    GaussianState,
     InvalidParameter,
     NumericalError,
     apply_symplectic,
@@ -115,6 +116,30 @@ class TestBuresMetricDelta:
         dV[entry] = dV[entry[::-1]] = bad
         with pytest.raises(InvalidParameter, match="dV has a non-finite entry"):
             bures_metric_delta(np.eye(2), dV)
+
+
+class TestNegativeDeltaRefused:
+    """A diagonal delta below -k eps sum|terms| is refused, not returned."""
+
+    _V = random_state(1, 521, pure=True, max_squeeze=4.0).V
+    _DV = np.array([[1.0, 0.3], [0.3, -0.5]])
+
+    def test_off_manifold_squeezed_pure_state(self):
+        # this delta came back as -9.66e15, with its terms summing to 9.66e15
+        # in absolute value
+        with pytest.raises(NumericalError, match="metric delta -9.66.e\\+15 is negative"):
+            bures_metric_delta(self._V, self._DV)
+
+    def test_qfi_matrix_diagonal(self):
+        def family(theta):
+            return GaussianState(1, np.zeros(2), self._V + theta[0] * self._DV)
+        with pytest.raises(NumericalError, match="metric delta .* is negative"):
+            qfi_matrix(family, [0.0])
+
+    def test_negative_off_diagonal_kept(self):
+        # n = theta_0 - theta_1 of a thermal state: H = [[1, -1], [-1, 1]] / (n (n + 1))
+        H = qfi_matrix(lambda theta: thermal([theta[0] - theta[1]]), [1.0, 0.5]).H
+        np.testing.assert_allclose(H, np.array([[1.0, -1.0], [-1.0, 1.0]]) / 0.75, rtol=1e-8)
 
 
 class TestBuresMetric:
