@@ -8,8 +8,9 @@ whose spectrum (in the form of the eigenvalue pairs +-w of W_aux = -2 V_aux i Om
 all with |w| >= 1) determines the covariance part of the fidelity:
 
     F = Ftot * det(V1 + V2)^{-1/4} * exp[-(u2-u1)^T (V1+V2)^{-1} (u2-u1) / 4],
-    Ftot = prod_k [w_k + sqrt(w_k^2 - 1)]^{1/2}.
+    Ftot = prod_k [w_k + sqrt(w_k^2 - 1)]^{1/2},
 
+F = Ftot times the root overlap, and only Ftot depends on the kind of pair.
 Unit pairs (w = 1) arise from pure modes and do not contribute; they are
 discarded and counted.  When one state of the pair is pure, every pair is a
 unit pair and Ftot = 1, so :func:`fidelity` does not compute the spectrum.
@@ -39,18 +40,18 @@ Ftot = prod_k (2 nu_k)^{1/2} = det(2V)^{1/4}.  The nu_k come from
 antisymmetric L^T Omega L is similar to V Omega, and its singular values are
 the nu_k, each twice.
 
-When one of two distinct states is pure, F is the root overlap
-det(V1 + V2)^{-1/4} exp[-du^T (V1 + V2)^{-1} du / 4], and both of its terms
-come from one real Cholesky factor of V1 + V2 bordered by the unit vector
-along du = u2 - u1: the leading block gives log det(V1 + V2), the last row
-the displacement term.  That factorisation is also the test that V1 + V2 is
-positive definite.
+For two distinct states, both terms of the root overlap
+det(V1 + V2)^{-1/4} exp[-du^T (V1 + V2)^{-1} du / 4] come from one real
+Cholesky factor of V1 + V2 bordered by the unit vector along du = u2 - u1:
+the leading block gives log det(V1 + V2), the last row the displacement
+term.  That factorisation is also the test that V1 + V2 is positive definite.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,9 @@ _SELF_PAIR_GAP_TOL = 1e-6
 #: DEFAULT_PURE_TOL: a state whose t cannot be resolved this finely (strong
 #: squeezing) fails the test and takes the W_aux spectrum route.
 _PURITY_TOL = 1e-12
+
+#: log of the largest float; np.exp overflows exactly above it.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -169,29 +173,26 @@ def _solve_v_sum(v_sum: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NumericalError("V1 + V2 is singular to working precision: %s" % exc) from exc
 
 
-def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
+def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     """W_aux spectrum of a pair from the parallel sum E (see the module docstring).
 
-    One solve of V1 + V2 for [V2 | Omega | du] supplies E and the displacement
-    term.  G is the Cholesky factor of E's Hermitian part.  When that fails,
-    as it does when a state has an exactly pure mode (E is then singular), G
-    is U diag(sqrt(lambda)) from E's eigendecomposition with the
-    roundoff-negative eigenvalues set to 0, and an eigenvalue below
-    -_BREAKDOWN_LIMIT * max(lambda) is refused with NumericalError.
-    Returns (V1 + V2, the retained pairs w, (V1 + V2)^{-1} du); the other
+    One solve of V1 + V2 for [V2 | Omega] supplies E.  G is the Cholesky
+    factor of E's Hermitian part.  When that fails, as it does when a state
+    has an exactly pure mode (E is then singular), G is U diag(sqrt(lambda))
+    from E's eigendecomposition with the roundoff-negative eigenvalues set to
+    0, and an eigenvalue below -_BREAKDOWN_LIMIT * max(lambda) is refused
+    with NumericalError.  Returns the retained pairs w; the other
     n - retained.size pairs are unit pairs.
     """
     n = V1.shape[0] // 2
     m = 2 * n
-    v_sum = V1 + V2
-    x = _solve_v_sum(v_sum, np.column_stack((V2, make_symplectic_form(n), du)))
-    solved_du = x[:, -1].copy()
+    x = _solve_v_sum(V1 + V2, np.hstack((V2, make_symplectic_form(n))))
     # E = (V1 - i Omega/2)(a + i b/2) with [a | b] = (V1+V2)^{-1} [V2 | Omega];
     # Omega @ [a | b] is a signed swap of its row blocks.  Each 2n x 2n
     # temporary is dropped once used, which keeps the peak memory of a call
     # near that of the V_aux route.
-    prod = V1 @ x[:, :-1]
-    swapped = np.concatenate((x[n:, :-1], -x[:n, :-1]))
+    prod = V1 @ x
+    swapped = np.concatenate((x[n:], -x[:n]))
     del x
     re, im = prod[:, :m], prod[:, m:]
     re += 0.25 * swapped[:, m:]
@@ -223,8 +224,7 @@ def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
     four_s2 = two_sigma * two_sigma
     w = np.sqrt(1.0 + four_s2)
     # w - 1 without cancellation
-    retained = w[four_s2 / (w + 1.0) > DEFAULT_PURE_TOL]
-    return v_sum, retained, solved_du
+    return w[four_s2 / (w + 1.0) > DEFAULT_PURE_TOL]
 
 
 def _purity_invariant(V: np.ndarray) -> float:
@@ -338,16 +338,14 @@ def _accepted_excess(s1: GaussianState, s2: GaussianState) -> float:
     return c ** (s1.n / 2.0) - 1.0
 
 
-def _log_det(v_sum: np.ndarray):
-    """(det(V1 + V2), log det(V1 + V2)); a determinant that is not positive is refused."""
-    sign, logdet = np.linalg.slogdet(v_sum)
-    if sign <= 0:
-        raise NumericalError("det(V1 + V2) is not positive")
-    return float(sign * np.exp(logdet)), logdet
+def _det_from_log(logdet: float) -> float:
+    """np.exp(logdet), and inf without a warning where np.exp overflows."""
+    return float(np.exp(logdet)) if logdet <= _LOG_FLOAT_MAX else math.inf
 
 
-def _root_overlap_terms(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
-    """(log det(V1 + V2), du^T (V1 + V2)^{-1} du) from one real Cholesky factor.
+def _root_overlap_terms(s1: GaussianState, s2: GaussianState):
+    """(log det(V1 + V2), du^T (V1 + V2)^{-1} du), du = u2 - u1, of two distinct
+    states of any kind from one real Cholesky factor.
 
     The factor is that of V1 + V2 bordered by the unit vector e = du / |du|
     (zeros when du = 0) and an infinite corner, [[V1 + V2, e], [e^T, inf]].
@@ -355,16 +353,24 @@ def _root_overlap_terms(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
     2 sum log L_ii; its last row is L^{-1} e, so the quadratic form is
     |du|^2 |L^{-1} e|^2.  The corner enters only the last pivot, which stays
     infinite, so the factorisation fails exactly when V1 + V2 is not positive
-    definite; that is refused with NumericalError.  A unit border keeps the
-    last row finite however large du is, and |du| is taken by math.hypot,
-    which does not overflow.
+    definite; that is refused with NumericalError.  du and |du| are taken in
+    Python floats and by math.hypot, which do not warn, and e from du / 2^k
+    when |du| overflows; a quadratic form past the float range is inf.
     """
-    m = du.size
-    length = math.hypot(*du.tolist())
+    u1, u2 = s1.u.tolist(), s2.u.tolist()
+    m = len(u1)
+    du = list(map(operator.sub, u2, u1))
+    length = math.hypot(*du)
+    scale = 1.0
+    if length == math.inf:
+        # 2^k exceeds 2 sqrt(m), so that neither du / 2^k nor its length overflows
+        scale = 2.0 ** (m.bit_length() + 1)
+        du = [b / scale - a / scale for a, b in zip(u1, u2)]
+        length = math.hypot(*du)
     bordered = np.empty((m + 1, m + 1))
-    np.add(V1, V2, out=bordered[:m, :m])
+    bordered[:m, :m] = s1.V + s2.V
     # np.linalg.cholesky reads the lower triangle only
-    bordered[m, :m] = du / length if length else 0.0
+    bordered[m, :m] = [d / length for d in du] if length else 0.0
     bordered[m, m] = np.inf
     try:
         low = np.linalg.cholesky(bordered)
@@ -372,7 +378,7 @@ def _root_overlap_terms(V1: np.ndarray, V2: np.ndarray, du: np.ndarray):
         raise NumericalError(
             "V1 + V2 is not positive definite to working precision: %s" % exc) from exc
     row = low[m, :m]
-    root = length * math.sqrt(row @ row)
+    root = scale * length * math.sqrt(np.dot(row, row))
     return 2.0 * float(np.log(low.diagonal()[:m]).sum()), root * root
 
 
@@ -383,7 +389,10 @@ def _self_pair(s1: GaussianState, s2: GaussianState, pure: bool) -> FidelityRepo
     except NumericalError as exc:  # V has no Cholesky factor: 2V = V1 + V2 is singular
         raise NumericalError("V1 + V2 is singular to working precision: %s"
                              % exc.__cause__) from exc.__cause__
-    det_v_sum, logdet = _log_det(s1.V + s2.V)
+    # LU: a log det off V's Cholesky factor would share the rounding of nu
+    sign, logdet = np.linalg.slogdet(s1.V + s2.V)
+    if sign <= 0:
+        raise NumericalError("det(V1 + V2) is not positive")
     _checked_lambda(s1._lambda_factor, s1._lambda_factor, s1.V, s2.V)
     if pure:
         retained, ftot = np.empty(0), 1.0
@@ -400,7 +409,7 @@ def _self_pair(s1: GaussianState, s2: GaussianState, pure: bool) -> FidelityRepo
         F=1.0,
         F0=1.0,
         Ftot=ftot,
-        det_v_sum=det_v_sum,
+        det_v_sum=_det_from_log(logdet),
         disp_exponent=0.0,
         waux_spectrum=retained,
         discarded_pairs=s1.n - retained.size,
@@ -422,7 +431,12 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     (kappa1 + kappa2), kappa the condition number of V, and nothing for a
     physical pair.  A larger F_raw is refused with NumericalError.
 
-    The call takes one of three routes.
+    F is Ftot times the root overlap, whose terms come, for two distinct
+    states, from one bordered Cholesky factor (:func:`_root_overlap_terms`):
+    a V1 + V2 it finds not positive definite is refused with NumericalError,
+    a displacement term that overflows (u2 - u1 included) gives
+    ``disp_exponent`` = -inf and F = 0, and a det(V1 + V2) past the float
+    range gives ``det_v_sum`` = inf.  The three routes differ only in Ftot.
 
     * Equal states (``s2 is s1`` or ``s2 == s1``): F, F0 and F_raw are
       exactly 1 and ``clamped`` is False; no solve is made.  When the state
@@ -440,22 +454,15 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
       t(V) = (4/n) sum_k nu_k^2 lies within 1e-12 of 1): the W_aux
       eigenproblem is skipped, since every pair is a unit pair, so
       ``waux_spectrum`` is empty, ``discarded_pairs`` is n, ``Ftot`` is 1 and
-      F is the root overlap
-      sqrt(Tr rho1 rho2) = det(V1+V2)^{-1/4} exp[-du^T (V1+V2)^{-1} du / 4].
-      Both terms come from one real Cholesky factor of V1 + V2 bordered by
-      du / |du| (see :func:`_root_overlap_terms`), and a V1 + V2 that the
-      factorisation finds not positive definite is refused with
-      NumericalError.  A displacement term that overflows a float gives
-      ``disp_exponent`` = -inf and F = 0.
+      F is the root overlap sqrt(Tr rho1 rho2).
     * Mixed-mixed pairs: the W_aux pairs are w = sqrt(1 + 4 sigma^2) over the
-      singular values sigma of Q = G^T Omega^T G, where G G^H = E is the
-      parallel sum conj(P1) (V1+V2)^{-1} P2 with P_k = V_k + i Omega/2 (see
-      the module docstring).  G is a Cholesky factor; when the factorisation
-      fails (a state with an exactly pure mode makes E singular), G comes
-      from E's eigendecomposition with its roundoff-negative eigenvalues set
-      to 0, and an eigenvalue below -1e-6 times the largest is refused with
-      NumericalError.  Pairs with w - 1 = 4 sigma^2 / (w + 1) <=
-      DEFAULT_PURE_TOL are discarded as unit pairs.
+      singular values sigma of Q = G^T Omega^T G, G G^H = E the parallel sum
+      (see the module docstring) from one solve of V1 + V2 for [V2 | Omega].
+      When E's Cholesky factorisation fails (a state with an exactly pure
+      mode makes E singular), G comes from E's eigendecomposition with its
+      roundoff-negative eigenvalues set to 0, and an eigenvalue below -1e-6
+      times the largest is refused with NumericalError.  Pairs with
+      w - 1 = 4 sigma^2 / (w + 1) <= DEFAULT_PURE_TOL are discarded.
 
     The thresholds are fixed: both states must pass :func:`require_physical`
     at DEFAULT_PHYS_TOL, and a Lambda whose relative imaginary residue
@@ -463,8 +470,7 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     judged.  The physicality check and the purity invariant run once per
     state for two distinct states and once for two equal ones, the Lambda
     check on every call; only each state's factor det(V + i Omega/2) of
-    Lambda is kept on the state object.  A V1 + V2 that is singular to
-    working precision is refused with NumericalError.
+    Lambda is kept on the state object.
     """
     if s1.n != s2.n:
         raise InvalidParameter(f"mode counts differ: {s1.n} vs {s2.n}")
@@ -477,18 +483,11 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     if same:
         return _self_pair(s1, s2, pure)
 
-    du = s2.u - s1.u
-    if pure:
-        # sqrt(rho1) rho2 sqrt(rho1) has rank one: every W_aux pair is a
-        # unit pair, Ftot = 1 and F is the root overlap sqrt(Tr rho1 rho2)
-        retained, ftot = np.empty(0), 1.0
-        logdet, quadratic = _root_overlap_terms(s1.V, s2.V, du)
-        det_v_sum = float(np.exp(logdet))
-    else:
-        v_sum, retained, solved_du = _parallel_sum_spectrum(s1.V, s2.V, du)
-        ftot = ftot_from_spectrum(retained)
-        det_v_sum, logdet = _log_det(v_sum)
-        quadratic = du @ solved_du
+    logdet, quadratic = _root_overlap_terms(s1, s2)
+    # with a pure state sqrt(rho1) rho2 sqrt(rho1) has rank one: every W_aux
+    # pair is a unit pair, Ftot = 1 and F is the root overlap sqrt(Tr rho1 rho2)
+    retained = np.empty(0) if pure else _parallel_sum_spectrum(s1.V, s2.V)
+    ftot = 1.0 if pure else ftot_from_spectrum(retained)
     disp_exponent = float(-0.25 * quadratic)
 
     # The refusal the report's invariants would make on stiff inputs, made
@@ -506,7 +505,7 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
         F=f,
         F0=f0,
         Ftot=ftot,
-        det_v_sum=det_v_sum,
+        det_v_sum=_det_from_log(logdet),
         disp_exponent=disp_exponent,
         waux_spectrum=retained,
         discarded_pairs=s1.n - retained.size,

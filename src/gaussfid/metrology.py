@@ -76,14 +76,6 @@ def bures_distance(s1: GaussianState, s2: GaussianState) -> float:
     return 2.0 * (1.0 - fidelity(s1, s2).F)
 
 
-def _solve_covariance(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """V^{-1} rhs; a V singular to working precision is refused."""
-    try:
-        return np.linalg.solve(V, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("V is singular to working precision: %s" % exc) from exc
-
-
 def _metric_form(frame, dVs: Sequence[np.ndarray]):
     """The Bures metric's bilinear form delta(dV_i, dV_j) on every pair of ``dVs``,
     each summed as in :func:`bures_metric_delta` in the one :func:`symplectic_frame`
@@ -138,7 +130,10 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
     that comes out negative beyond the rounding of its own terms is refused
     with NumericalError.
     """
-    frame = symplectic_frame(V)
+    return _delta_in_frame(symplectic_frame(V), dV)
+
+
+def _delta_in_frame(frame, dV) -> DeltaResult:
     dV = np.asarray(dV, dtype=float)
     if dV.shape != frame[0].shape:
         raise InvalidParameter("dV shape does not match V")
@@ -155,15 +150,19 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
 def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray) -> MetricEvaluation:
     """ds^2 = du^T V^{-1} du / 4 + delta / 8 for a state perturbed by (du, dV).
 
-    A V that is singular to working precision is refused with NumericalError.
+    Both parts come from one :func:`symplectic_frame` of V = L L^T, the mean
+    part as |L^{-1} du|^2 / 4; V and dV are refused as by
+    :func:`bures_metric_delta`.
     """
     du = np.asarray(du, dtype=float)
     if du.shape != s.u.shape:
         raise InvalidParameter("du length does not match the state")
     if not np.isfinite(du).all():
         raise InvalidParameter("du has a non-finite entry")
-    mean_part = float(0.25 * du @ _solve_covariance(s.V, du))
-    delta, skipped = bures_metric_delta(s.V, dV)
+    frame = symplectic_frame(s.V)
+    y = frame[1] @ du
+    mean_part = float(0.25 * (y @ y))
+    delta, skipped = _delta_in_frame(frame, dV)
     cov_part = delta / 8.0
     return MetricEvaluation(ds2=mean_part + cov_part, mean_part=mean_part,
                             cov_part=cov_part, skipped_terms=skipped)
@@ -229,12 +228,12 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     """QFI matrix H_ij = 4 g_ij of a vector-parametrized Gaussian family.
 
     g is the metric's bilinear form on the axis moment derivatives,
-    g_ij = du_i^T V^{-1} du_j / 4 + delta(dV_i, dV_j) / 8, from one solve and
-    one symplectic frame of V; a one-parameter family gives qfi_scalar's value.
-    ``theta0`` must be a non-empty 1-D vector and ``labels``, if given, one
-    name per parameter.  A V that is singular to working precision is
-    refused with NumericalError, and so is a diagonal delta(dV_i, dV_i) that
-    comes out negative beyond the rounding of its terms.
+    g_ij = du_i^T V^{-1} du_j / 4 + delta(dV_i, dV_j) / 8, from one
+    symplectic frame of V, the mean part by its L^{-1}; a one-parameter family
+    gives qfi_scalar's value.  ``theta0`` must be a non-empty 1-D vector and
+    ``labels``, if given, one name per parameter.  V is refused as by
+    :func:`symplectic_frame`, and a diagonal delta(dV_i, dV_i) that comes
+    out negative beyond the rounding of its terms with NumericalError.
     """
     theta0 = np.asarray(theta0, dtype=float)
     m = theta0.size
@@ -245,12 +244,13 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     h = _step(h, DEFAULT_MOMENT_STEP)
     base = family(theta0)
     dus, dVs = zip(*(_moment_derivatives(family, theta0, h, axis) for axis in np.eye(m)))
-    X = _solve_covariance(base.V, np.column_stack(dus))
-    delta, _ = _metric_form(symplectic_frame(base.V), dVs)
+    frame = symplectic_frame(base.V)
+    Y = frame[1] @ np.column_stack(dus)
+    delta, _ = _metric_form(frame, dVs)
     H = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            H[i, j] = H[j, i] = 4.0 * (0.25 * dus[i] @ X[:, j] + delta[i, j] / 8.0)
+            H[i, j] = H[j, i] = 4.0 * (0.25 * Y[:, i] @ Y[:, j] + delta[i, j] / 8.0)
     labels = tuple(f"theta_{i}" for i in range(m)) if labels is None else tuple(labels)
     return QfiMatrix(H=H, labels=labels)
 

@@ -323,9 +323,9 @@ class TestLeanHotPath:
         # mixed-mixed pairs (the first two of each group of four) take their
         # spectrum from the parallel sum: their F, F0 and Ftot are checked
         # against 60 digits, where the eigvals of the separate solves err by
-        # up to 1.4e-13 at n = 16.  The pure-member pair (the third) takes
-        # det_v_sum and disp_exponent from a Cholesky factor, not from LU
-        # solves: those two are checked against 60 digits
+        # up to 1.4e-13 at n = 16.  Distinct pairs (the first and the third)
+        # take det_v_sum and disp_exponent from a Cholesky factor, not from
+        # LU solves: those two are checked against 60 digits
         a, b = _ensemble()[index]
         rep = fidelity(a, b)
         expected = {name: pytest.approx(value, rel=1e-14, abs=1e-14)
@@ -333,7 +333,7 @@ class TestLeanHotPath:
         if index % 4 < 2:
             expected.update((name, pytest.approx(value, rel=1e-14, abs=0.0))
                             for name, value in _fidelity_parts_mp(a, b, hermitian=True).items())
-        if index % 4 == 2:
+        if index % 4 in (0, 2):
             expected.update((name, pytest.approx(value, rel=_ROOT_OVERLAP_REL, abs=0.0))
                             for name, value in _root_overlap_mp(a, b).items())
         for name, value in expected.items():
@@ -367,24 +367,23 @@ class TestLeanHotPath:
         # reference's from powers of 2 V_aux Omega and Newton's identities;
         # they agree within 1e-10 (3.4e-12 at worst over 120 pairs per n,
         # pure and squeezed partners included).  Gamma and Lambda are the same
-        # determinants on both routes, and so is Delta on a mixed-mixed pair;
-        # the pure partner's Delta comes from a Cholesky factor, and both
-        # Deltas are checked against 60 digits there
+        # determinants on both routes; the report's Delta comes from a
+        # Cholesky factor and the reference's from LU, and both Deltas are
+        # checked against 60 digits.  Against the squeezed partner they err
+        # by up to 4.3e-14 (factor) and 2.2e-14 (LU), at n = 4
         a, b = mixed_pair(n, 2600 + n)
         pure = random_state(n, 2700 + n, pure=True)
-        for other in (b, pure, random_state(n, 2800 + n, max_squeeze=2.0)):
+        squeezed_partner = random_state(n, 2800 + n, max_squeeze=2.0)
+        for other in (b, pure, squeezed_partner):
             inv = fidelity(a, other).invariants
             ref = invariant_set(a.V, other.V)
             np.testing.assert_allclose(inv.i2k, ref.i2k, rtol=1e-10, atol=0.0)
             np.testing.assert_allclose(inv.char_coeffs, ref.char_coeffs, rtol=0.0,
                                        atol=1e-10 * np.max(np.abs(ref.char_coeffs)))
             assert (inv.gamma, inv.lam) == (ref.gamma, ref.lam)
-            if other is pure:
-                exact = pytest.approx(_root_overlap_mp(a, other)["det_v_sum"],
-                                      rel=_ROOT_OVERLAP_REL, abs=0.0)
-                assert inv.delta == exact and ref.delta == exact
-            else:
-                assert inv.delta == ref.delta
+            rel = 1e-13 if other is squeezed_partner else _ROOT_OVERLAP_REL
+            exact = pytest.approx(_root_overlap_mp(a, other)["det_v_sum"], rel=rel, abs=0.0)
+            assert inv.delta == exact and ref.delta == exact
 
     def test_lambda_residue_refusal_kept(self):
         for seed in (34, 359, 498):
@@ -476,10 +475,11 @@ def _fidelity_mp(a, b):
 
 
 #: Relative error of det(V1 + V2) and du^T (V1 + V2)^{-1} du against 60
-#: digits on the pure-member pairs checked here, up to n = 16.  The bordered
-#: Cholesky factor errs by up to 6.2e-15 on them, and the LU solve and
-#: slogdet it replaced by up to 1.2e-14.  The one n = 64 pair allows 1e-13:
-#: the factor errs by up to 8.4e-16 there, LU by up to 8.6e-14.
+#: digits on the distinct pairs checked here in random_state's default range,
+#: up to n = 16.  The bordered Cholesky factor errs by up to 6.9e-15 on them,
+#: and the LU solve and slogdet it replaced by up to 1.4e-14.  The one n = 64
+#: pair allows 1e-13: the factor errs by up to 8.4e-16 there, LU by up to
+#: 8.6e-14.
 _ROOT_OVERLAP_REL = 2e-14
 
 
@@ -504,12 +504,12 @@ class TestPureMemberRoute:
     def test_eigvals_only_on_mixed_pairs(self, n, monkeypatch):
         # the LAPACK budget of a call once both factors of Lambda are cached:
         # one complex Cholesky accept test per state (one for two equal
-        # states).  Two distinct states with a pure member add one real
-        # Cholesky factor of V1 + V2 bordered by du, of order 2n + 1, and
-        # nothing else.  Every other pair makes one slogdet of V1 + V2; a
-        # mixed-mixed pair adds one solve of V1 + V2, the complex Cholesky
-        # factor of E and one complex svd of Q.  Equal states make no solve;
-        # a mixed one adds the real Cholesky factor of V and one real svd.
+        # states).  Two distinct states add one real Cholesky factor of
+        # V1 + V2 bordered by du, of order 2n + 1, and no slogdet; a
+        # mixed-mixed pair adds one solve of V1 + V2 for [V2 | Omega], the
+        # complex Cholesky factor of E and one complex svd of Q.  Equal states
+        # make one slogdet of V1 + V2 and no solve; a mixed one adds the real
+        # Cholesky factor of V and one real svd.
         # The nonsymmetric eigvals and the eigh fallback are never called
         # here.  Lambda vanishes when a state is pure, so the Lambda check may
         # floor its residue with Gamma, one real det, on a pair with a pure
@@ -526,15 +526,15 @@ class TestPureMemberRoute:
                     del recorded[:]
                 fidelity(a, b)
                 same = a == b
-                bordered = not (same or spectrum)
+                bordered = not same
                 accept = [(m, COMPLEX)] * (1 if same else 2)
                 dtype = REAL if same else COMPLEX
                 seen.add((same, spectrum))
                 assert len(calls["det"]) <= 1 - spectrum
-                assert calls == {"cholesky": accept + [(m, dtype)] * spectrum
-                                 + [((2 * n + 1, 2 * n + 1), REAL)] * bordered,
+                assert calls == {"cholesky": accept + [((2 * n + 1, 2 * n + 1), REAL)] * bordered
+                                 + [(m, dtype)] * spectrum,
                                  "solve": [(m, REAL)] * (spectrum and not same),
-                                 "slogdet": [(m, REAL)] * (not bordered), "det": calls["det"],
+                                 "slogdet": [(m, REAL)] * same, "det": calls["det"],
                                  "svd": [(m, dtype)] * spectrum,
                                  "eigvals": [], "eigh": []}
         assert len(seen) == 4
@@ -648,6 +648,39 @@ class TestPureMemberRoute:
             fidelity(p, q)
 
 
+class TestRootOverlapTerms:
+    """Every pair of distinct states takes det(V1 + V2) and the displacement
+    term from one bordered Cholesky factor; the routes differ only in Ftot.
+    Tier-1 turns a RuntimeWarning into an error, so none may be raised here."""
+
+    @pytest.mark.parametrize("scale", [0.5, 1.5])
+    @pytest.mark.parametrize("ua, ub", [([-1e308, 0.0], [1e308, 0.0]),
+                                        ([0.0, 0.0], [1.5e308, 1.5e308])])
+    def test_overflowing_du_vanishes(self, ua, ub, scale):
+        # u2 - u1 = 2e308 overflows a float, which read F = NaN with numpy
+        # warnings; (1.5e308, 1.5e308) is finite but its length is not.
+        # V = I/2 takes the pure-member route, V = 1.5 I the mixed one; both
+        # read F = 0 in both orders
+        a = GaussianState(1, ua, np.eye(2))
+        b = GaussianState(1, ub, scale * np.eye(2))
+        centred = fidelity(GaussianState(1, np.zeros(2), a.V), GaussianState(1, np.zeros(2), b.V))
+        for x, y in ((a, b), (b, a)):
+            rep = fidelity(x, y)
+            assert (rep.F, rep.F_raw, rep.disp_exponent) == (0.0, 0.0, -np.inf)
+            assert (rep.F0, rep.det_v_sum) == (centred.F0, centred.det_v_sum)
+            assert rep.waux_spectrum.size == (scale > 0.5)
+
+    def test_overflowing_det_v_sum_is_inf(self):
+        # det(V1 + V2) of this n = 64 pair exceeds the float range, which
+        # warned in np.exp: det_v_sum is inf, and F0 comes from the log det
+        p = random_state(64, 9741, pure=True)
+        q = random_state(64, 9743, pure=True, max_squeeze=8.0)
+        for a, b in ((p, q), (q, p)):
+            rep = fidelity(a, b)
+            assert rep.det_v_sum == np.inf
+            assert 0.0 < rep.F < rep.F0 < 1.0
+
+
 def _outcome(a, b):
     """Every field of fidelity(a, b) as bytes, or the type and message of its refusal."""
     try:
@@ -726,18 +759,22 @@ class TestParallelSumRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
     def test_spectrum_matches_eigvals_route(self, n):
+        # the report's det_v_sum and disp_exponent against 60 digits; (a, b)
+        # and (b, a) share V1 + V2 and have opposite du, so one 60-digit
+        # evaluation serves both
         for seed in range(3):
             a, b = mixed_pair(n, 8500 + 10 * n + seed)
+            exact = {name: pytest.approx(value, rel=_ROOT_OVERLAP_REL, abs=0.0)
+                     for name, value in _root_overlap_mp(a, b).items()}
             for x, y in ((a, b), (b, a), (a, a)):
-                _, retained, solved = _parallel_sum_spectrum(x.V, y.V, y.u - x.u)
+                retained = _parallel_sum_spectrum(x.V, y.V)
                 ref = aux_spectrum(aux_matrix(x.V, y.V))
-                solved_ref = np.linalg.solve(x.V + y.V, y.u - x.u)
                 assert n - retained.size == ref.discarded_pairs == 0
                 np.testing.assert_allclose(retained, ref.retained, rtol=1e-12)
-                # a column of a solve depends on the block it is solved in
-                # at the roundoff level, so this is relative to the largest entry
-                np.testing.assert_allclose(solved, solved_ref, rtol=0,
-                                           atol=1e-14 * np.abs(solved_ref).max())
+                if x is not y:
+                    rep = fidelity(x, y)
+                    for name, value in exact.items():
+                        assert getattr(rep, name) == value, name
 
     def test_pure_mode_pairs_take_both_factorisations(self, monkeypatch):
         # E is singular when a state has an exactly pure mode: its Cholesky
@@ -786,7 +823,7 @@ class TestParallelSumRoute:
         monkeypatch.setattr(np.linalg, "eigh", indefinite)
         a, b = mixed_pair(2, 8600)
         with pytest.raises(NumericalError, match="not positive semidefinite"):
-            _parallel_sum_spectrum(a.V, b.V, b.u - a.u)
+            _parallel_sum_spectrum(a.V, b.V)
 
 
 class TestSelfPairRoute:

@@ -155,12 +155,26 @@ class TestBuresMetric:
             bures_metric(vacuum(1), np.array([bad, 0.0]), np.zeros((2, 2)))
 
     def test_singular_covariance_refused(self):
-        # V of this strongly squeezed pure state is singular to working
-        # precision; the solve's LinAlgError is refused as a NumericalError
+        # V of this strongly squeezed pure state is not positive definite to
+        # working precision; the frame's LinAlgError is refused as a
+        # NumericalError
         s = random_state(1, 9113, pure=True, max_squeeze=8.0)
-        with pytest.raises(NumericalError, match="V is singular") as exc:
+        with pytest.raises(NumericalError, match="not positive definite") as exc:
             bures_metric(s, [0.3, 0.0], np.eye(2))
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    def test_one_frame_and_no_solve(self, monkeypatch):
+        # V = L L^T and the one Hermitian eigh of its symplectic frame; the
+        # mean part is |L^{-1} du|^2 / 4 from the same frame, with no solve
+        s = random_state(2, 32)
+        du = np.array([0.3, -0.2, 0.1, 0.4])
+        expected = 0.25 * du @ np.linalg.solve(s.V, du)
+        calls = {name: count_linalg_calls(monkeypatch, name)
+                 for name in ("cholesky", "eigh", "eigvalsh", "solve")}
+        ev = bures_metric(s, du, np.eye(4))
+        assert calls == {"cholesky": [((4, 4), REAL)], "eigh": [((4, 4), COMPLEX)],
+                         "eigvalsh": [], "solve": []}
+        assert ev.mean_part == pytest.approx(expected, rel=1e-14)
 
     def test_thermal_family(self):
         v = 1.0
@@ -275,7 +289,7 @@ class TestQfiScalar:
 class TestQfiMatrix:
     def test_singular_covariance_refused(self):
         s = random_state(1, 9113, pure=True, max_squeeze=8.0)
-        with pytest.raises(NumericalError, match="V is singular") as exc:
+        with pytest.raises(NumericalError, match="not positive definite") as exc:
             qfi_matrix(lambda theta: displace(s, [theta[0], 0.0]), [0.0])
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
@@ -325,12 +339,13 @@ class TestQfiMatrix:
             return displace(apply_symplectic(base, S), shift)
 
         calls = {name: count_linalg_calls(monkeypatch, name)
-                 for name in ("cholesky", "eigh", "eigvalsh")}
+                 for name in ("cholesky", "eigh", "eigvalsh", "solve")}
         qfi_matrix(family, [0.1, 0.2, -0.3][:m])
         # V = L L^T and the one Hermitian eigh of its symplectic frame
-        # i L^T Omega L; no real eigh of V
+        # i L^T Omega L; no real eigh of V, and no solve: the mean part is
+        # read off the frame's L^{-1}
         assert calls == {"cholesky": [((4, 4), REAL)], "eigh": [((4, 4), COMPLEX)],
-                         "eigvalsh": []}
+                         "eigvalsh": [], "solve": []}
         assert len(evaluations) == 4 * m + 1
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))

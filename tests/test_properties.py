@@ -106,7 +106,7 @@ def test_monotone_under_pure_loss(pair, eta):
 @given(mixed_pairs())
 def test_parallel_sum_spectrum_matches_eigvals(pair):
     a, b = pair
-    _, retained, _ = _parallel_sum_spectrum(a.V, b.V, b.u - a.u)
+    retained = _parallel_sum_spectrum(a.V, b.V)
     ref = aux_spectrum(aux_matrix(a.V, b.V))
     assert a.n - retained.size == ref.discarded_pairs
     assert np.allclose(retained, ref.retained, rtol=SPECTRUM_RTOL, atol=0.0)
