@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -119,10 +120,10 @@ def _input_entry(path: str | Path) -> dict:
 
 def _parse_array_arg(value: str, what: str) -> np.ndarray:
     """Accept an inline JSON array or a path to a JSON file holding one."""
-    candidate = Path(value)
     try:
-        if candidate.exists():
-            payload = json.loads(candidate.read_text(encoding="utf-8"))
+        # False, where Path.exists raises, on a name too long to be a path
+        if os.path.exists(value):
+            payload = json.loads(Path(value).read_text(encoding="utf-8"))
         else:
             payload = json.loads(value)
     except (OSError, json.JSONDecodeError) as exc:

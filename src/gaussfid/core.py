@@ -252,17 +252,17 @@ def _cholesky(V) -> np.ndarray:
 
 
 def symplectic_frame(V: np.ndarray):
-    """The frame (L, L^{-1}, mu, psi) of a positive-definite V = L L^T, in which
+    """The frame (L, mu, psi) of a positive-definite V = L L^T, in which
     :func:`williamson` and the Bures metric both work.
 
     L is :func:`_cholesky`'s factor; mu (ascending, the pairs +-nu_k) and psi
     are the eigenvalues and vectors of the Hermitian i L^T Omega L from one
-    ``eigh``.
+    ``eigh``.  L^{-1} is left to the metric, the one caller that needs it.
     """
     low = _cholesky(V)
     omega = make_symplectic_form(low.shape[0] // 2)
     mu, psi = np.linalg.eigh(1j * low.T @ omega @ low)
-    return low, np.linalg.inv(low), mu, psi
+    return low, mu, psi
 
 
 def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
@@ -290,10 +290,9 @@ def williamson(V: np.ndarray) -> WilliamsonDecomposition:
     are verified to DEFAULT_RECON_TOL before returning; a NaN fails them.
     """
     V = np.asarray(V, dtype=float)
-    low = _cholesky(V)
+    low, mu, psi = symplectic_frame(V)
     n = V.shape[0] // 2
     omega = make_symplectic_form(n)
-    mu, psi = np.linalg.eigh(1j * low.T @ omega @ low)  # the frame, without L^{-1}
     nu, vecs = mu[n:][::-1], psi[:, n:][:, ::-1]  # eigh's mu ascends
     ortho = np.sqrt(2.0) * np.hstack([vecs.imag, vecs.real])
     D = np.concatenate([nu, nu])

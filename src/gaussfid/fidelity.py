@@ -382,8 +382,9 @@ def _root_overlap_terms(s1: GaussianState, s2: GaussianState):
     return 2.0 * float(np.log(low.diagonal()[:m]).sum()), root * root
 
 
-def _self_pair(s1: GaussianState, s2: GaussianState, pure: bool) -> FidelityReport:
-    """The report of two equal states: F = F0 = F_raw = 1 (see :func:`fidelity`)."""
+def _self_pair_terms(s1: GaussianState, s2: GaussianState, pure: bool):
+    """(log det(V1 + V2), retained W_aux pairs, Ftot) of two equal states (see
+    :func:`fidelity`)."""
     try:
         nu = None if pure else symplectic_eigenvalues(s1.V)
     except NumericalError as exc:  # V has no Cholesky factor: 2V = V1 + V2 is singular
@@ -395,28 +396,15 @@ def _self_pair(s1: GaussianState, s2: GaussianState, pure: bool) -> FidelityRepo
         raise NumericalError("det(V1 + V2) is not positive")
     _checked_lambda(s1._lambda_factor, s1._lambda_factor, s1.V, s2.V)
     if pure:
-        retained, ftot = np.empty(0), 1.0
-    else:
-        # log det(2V) = 2 sum_k log(2 nu_k) in exact arithmetic
-        gap = abs(2.0 * float(np.sum(np.log(2.0 * nu))) - logdet)
-        if gap > _SELF_PAIR_GAP_TOL:
-            raise NumericalError(
-                "symplectic spectrum of a self pair misses log det(V1 + V2) by %.3e" % gap)
-        # w - 1 = (2 nu - 1)^2 / (4 nu), without cancellation
-        retained = (nu + 0.25 / nu)[(2.0 * nu - 1.0) ** 2 / (4.0 * nu) > DEFAULT_PURE_TOL]
-        ftot = float(np.exp(0.25 * logdet))
-    return FidelityReport(
-        F=1.0,
-        F0=1.0,
-        Ftot=ftot,
-        det_v_sum=_det_from_log(logdet),
-        disp_exponent=0.0,
-        waux_spectrum=retained,
-        discarded_pairs=s1.n - retained.size,
-        F_raw=1.0,
-        clamped=False,
-        covariances=(s1.V, s2.V),
-    )
+        return logdet, np.empty(0), 1.0
+    # log det(2V) = 2 sum_k log(2 nu_k) in exact arithmetic
+    gap = abs(2.0 * float(np.sum(np.log(2.0 * nu))) - logdet)
+    if gap > _SELF_PAIR_GAP_TOL:
+        raise NumericalError(
+            "symplectic spectrum of a self pair misses log det(V1 + V2) by %.3e" % gap)
+    # w - 1 = (2 nu - 1)^2 / (4 nu), without cancellation
+    retained = (nu + 0.25 / nu)[(2.0 * nu - 1.0) ** 2 / (4.0 * nu) > DEFAULT_PURE_TOL]
+    return logdet, retained, float(np.exp(0.25 * logdet))
 
 
 def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
@@ -431,25 +419,26 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     (kappa1 + kappa2), kappa the condition number of V, and nothing for a
     physical pair.  A larger F_raw is refused with NumericalError.
 
-    F is Ftot times the root overlap, whose terms come, for two distinct
-    states, from one bordered Cholesky factor (:func:`_root_overlap_terms`):
-    a V1 + V2 it finds not positive definite is refused with NumericalError,
-    a displacement term that overflows (u2 - u1 included) gives
-    ``disp_exponent`` = -inf and F = 0, and a det(V1 + V2) past the float
-    range gives ``det_v_sum`` = inf.  The three routes differ only in Ftot.
+    F is Ftot times the root overlap.  Each of the three routes below yields
+    log det(V1 + V2), the retained W_aux pairs and Ftot, and one block then
+    judges F_raw, clamps it and builds the report.  For two distinct states
+    the root overlap's terms come from one bordered Cholesky factor
+    (:func:`_root_overlap_terms`): a V1 + V2 it finds not positive definite
+    is refused with NumericalError, a displacement term that overflows
+    (u2 - u1 included) gives ``disp_exponent`` = -inf and F = 0, and a
+    det(V1 + V2) past the float range gives ``det_v_sum`` = inf.
 
     * Equal states (``s2 is s1`` or ``s2 == s1``): F, F0 and F_raw are
-      exactly 1 and ``clamped`` is False; no solve is made.  When the state
-      is pure (see below), ``waux_spectrum`` is empty, ``discarded_pairs`` is
-      n and ``Ftot`` is 1.  Otherwise the W_aux pairs are
-      w = nu + 1/(4 nu) over the symplectic eigenvalues nu of V, taken from
-      the singular values of L^T Omega L with L the real Cholesky factor of V
-      (see the module docstring); a V whose factorisation fails is refused as
-      a singular V1 + V2.  Pairs with w - 1 = (2 nu - 1)^2 / (4 nu) <=
-      DEFAULT_PURE_TOL are discarded as unit pairs, and
-      Ftot = det(V1 + V2)^{1/4}, which the exact formula gives.  The spectrum
-      is refused with NumericalError when 2 sum log(2 nu) misses
-      log det(V1 + V2) by more than 1e-6 (``_SELF_PAIR_GAP_TOL``).
+      exactly 1, ``disp_exponent`` is +0.0 and ``clamped`` is False; no solve
+      is made (:func:`_self_pair_terms`).  When the state is pure (see
+      below), ``waux_spectrum`` is empty, ``discarded_pairs`` is n and
+      ``Ftot`` is 1.  Otherwise the W_aux pairs are w = nu + 1/(4 nu) over
+      the symplectic eigenvalues nu of V (see the module docstring); a V
+      without a Cholesky factor is refused as a singular V1 + V2.  Pairs with
+      w - 1 = (2 nu - 1)^2 / (4 nu) <= DEFAULT_PURE_TOL are discarded as unit
+      pairs, and Ftot = det(V1 + V2)^{1/4}, which the exact formula gives.
+      The spectrum is refused with NumericalError when 2 sum log(2 nu)
+      misses log det(V1 + V2) by more than 1e-6 (``_SELF_PAIR_GAP_TOL``).
     * A pure member (a state whose purity invariant
       t(V) = (4/n) sum_k nu_k^2 lies within 1e-12 of 1): the W_aux
       eigenproblem is skipped, since every pair is a unit pair, so
@@ -481,28 +470,26 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
         require_physical(s)
     pure = any(abs(_purity_invariant(s.V) - 1.0) <= _PURITY_TOL for s in states)
     if same:
-        return _self_pair(s1, s2, pure)
+        # Ftot = det(2V)^{1/4} cancels the root overlap: F0 and F_raw are exactly 1
+        logdet, retained, ftot = _self_pair_terms(s1, s2, pure)
+        f0, disp_exponent = 1.0, 0.0
+    else:
+        logdet, quadratic = _root_overlap_terms(s1, s2)
+        # with a pure state sqrt(rho1) rho2 sqrt(rho1) has rank one: every W_aux
+        # pair is a unit pair, Ftot = 1 and F is the root overlap sqrt(Tr rho1 rho2)
+        retained = np.empty(0) if pure else _parallel_sum_spectrum(s1.V, s2.V)
+        ftot = 1.0 if pure else ftot_from_spectrum(retained)
+        disp_exponent = float(-0.25 * quadratic)
+        # the refusal the report's invariants would make on stiff inputs, before
+        # F is judged; each state evaluates its factor of Lambda once
+        _checked_lambda(s1._lambda_factor, s2._lambda_factor, s1.V, s2.V)
+        f0 = float(ftot * np.exp(-0.25 * logdet))
 
-    logdet, quadratic = _root_overlap_terms(s1, s2)
-    # with a pure state sqrt(rho1) rho2 sqrt(rho1) has rank one: every W_aux
-    # pair is a unit pair, Ftot = 1 and F is the root overlap sqrt(Tr rho1 rho2)
-    retained = np.empty(0) if pure else _parallel_sum_spectrum(s1.V, s2.V)
-    ftot = 1.0 if pure else ftot_from_spectrum(retained)
-    disp_exponent = float(-0.25 * quadratic)
-
-    # The refusal the report's invariants would make on stiff inputs, made
-    # before the value is judged; the invariants themselves are left to the
-    # report's first access.  Each state evaluates its factor of Lambda once.
-    _checked_lambda(s1._lambda_factor, s2._lambda_factor, s1.V, s2.V)
-    f0 = float(ftot * np.exp(-0.25 * logdet))
     f_raw = float(f0 * np.exp(disp_exponent))
     if f_raw > 1.0 + 1e-10 and f_raw - 1.0 > _accepted_excess(s1, s2):
         raise NumericalError("fidelity %.12g exceeds 1 beyond tolerance" % f_raw)
-    clamped = f_raw > 1.0
-    f = min(f_raw, 1.0)
-
     return FidelityReport(
-        F=f,
+        F=min(f_raw, 1.0),
         F0=f0,
         Ftot=ftot,
         det_v_sum=_det_from_log(logdet),
@@ -510,6 +497,6 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
         waux_spectrum=retained,
         discarded_pairs=s1.n - retained.size,
         F_raw=f_raw,
-        clamped=clamped,
+        clamped=f_raw > 1.0,
         covariances=(s1.V, s2.V),
     )

@@ -149,40 +149,14 @@ def thermal_fock(nbar: float, cutoff: int) -> np.ndarray:
 # circuit construction
 # ---------------------------------------------------------------------------
 
-def _validate_circuit(circuit: CircuitSpec) -> None:
-    if circuit.n_modes not in (1, 2):
-        raise InvalidParameter("the oracle supports 1 or 2 modes only")
-    if len(circuit.thermal_nbar) != circuit.n_modes:
-        raise InvalidParameter("thermal_nbar length must match the mode count")
-    for nb in circuit.thermal_nbar:
-        if not 0 <= nb <= MAX_NBAR:
-            raise InvalidParameter(f"thermal occupation {nb} outside [0, {MAX_NBAR}]")
-    for op in circuit.ops:
-        kind = op[0]
-        if kind == "displace":
-            _, mode, alpha = op
-            if abs(alpha) > MAX_ALPHA:
-                raise InvalidParameter(f"|alpha| = {abs(alpha)} exceeds {MAX_ALPHA}")
-        elif kind == "squeeze":
-            _, mode, r, _ = op
-            if abs(r) > MAX_SQUEEZE:
-                raise InvalidParameter(f"|r| = {abs(r)} exceeds {MAX_SQUEEZE}")
-        elif kind == "phase":
-            _, mode, _ = op
-        elif kind == "beamsplitter":
-            _, modes, _, _ = op
-            if len(set(modes)) != 2 or any(not 0 <= m < circuit.n_modes for m in modes):
-                raise InvalidParameter("beamsplitter needs two distinct in-range modes")
-            continue
-        else:
-            raise InvalidParameter(f"unknown primitive {kind!r}")
-        if not 0 <= op[1] < circuit.n_modes:
-            raise InvalidParameter(f"mode index {op[1]} out of range")
+def _gate(op, n: int, cutoffs: Sequence[int]):
+    """A primitive's checks and both of its actions, as (modes, blocks, S, d).
 
-
-def _gate_blocks(op, cutoffs: Sequence[int]):
-    """Exact exponential of a primitive's truncated generator, as
-    (modes, [(indices, block), ...]) on the factor of the modes it acts on.
+    The primitive is refused with InvalidParameter when its kind is unknown,
+    a mode index is out of range (a beam splitter needs two distinct modes),
+    |alpha| > MAX_ALPHA or |r| > MAX_SQUEEZE.  ``blocks`` is the exact
+    exponential of its truncated generator on the factor of ``modes``, as
+    (indices, block) pairs, and (S, d) its exact xxpp action u -> S u + d.
 
     A single-mode gate is one c x c block.  The beam splitter on modes (j, k)
     acts on the flattened factor index n_j * c_k + n_k; its generator
@@ -193,6 +167,8 @@ def _gate_blocks(op, cutoffs: Sequence[int]):
     kind = op[0]
     if kind == "beamsplitter":
         _, modes, theta, phi = op
+        if len(set(modes)) != 2 or any(not 0 <= m < n for m in modes):
+            raise InvalidParameter("beamsplitter needs two distinct in-range modes")
         cj, ck = cutoffs[modes[0]], cutoffs[modes[1]]
         aj, ak = destroy(cj), destroy(ck)
         total = np.add.outer(np.arange(cj), np.arange(ck)).ravel()
@@ -203,19 +179,34 @@ def _gate_blocks(op, cutoffs: Sequence[int]):
             K = theta * (np.exp(1j * phi) * aj.conj().T[on_j] * ak[on_k]
                          - np.exp(-1j * phi) * aj[on_j] * ak.conj().T[on_k])
             blocks.append((idx, _unitary_from_generator(K)))
-        return list(modes), blocks
+        S = st.embed_symplectic(st.beamsplitter_block(theta, phi), modes, n)
+        return modes, blocks, S, np.zeros(2 * n)
+    if kind not in ("displace", "squeeze", "phase"):
+        raise InvalidParameter(f"unknown primitive {kind!r}")
     mode = op[1]
+    if not 0 <= mode < n:
+        raise InvalidParameter(f"mode index {mode} out of range")
     a = destroy(cutoffs[mode])
+    d = np.zeros(2 * n)
     if kind == "displace":
-        alpha = op[2]
+        _, _, alpha = op
+        if abs(alpha) > MAX_ALPHA:
+            raise InvalidParameter(f"|alpha| = {abs(alpha)} exceeds {MAX_ALPHA}")
         K = alpha * a.conj().T - np.conj(alpha) * a
+        S = np.eye(2 * n)
+        d[mode], d[n + mode] = np.sqrt(2.0) * np.real(alpha), np.sqrt(2.0) * np.imag(alpha)
     elif kind == "squeeze":
         _, _, r, phi = op
+        if abs(r) > MAX_SQUEEZE:
+            raise InvalidParameter(f"|r| = {abs(r)} exceeds {MAX_SQUEEZE}")
         xi = r * np.exp(1j * phi)
         K = 0.5 * (np.conj(xi) * a @ a - xi * a.conj().T @ a.conj().T)
+        S = st.embed_symplectic(st.squeeze_block(r, phi), [mode], n)
     else:
-        K = -1j * op[2] * a.conj().T @ a
-    return [mode], [(slice(None), _unitary_from_generator(K))]
+        _, _, phi = op
+        K = -1j * phi * a.conj().T @ a
+        S = st.embed_symplectic(st.rotation_block(phi), [mode], n)
+    return [mode], [(slice(None), _unitary_from_generator(K))], S, d
 
 
 def _apply_left(t: np.ndarray, legs: Sequence[int], blocks) -> np.ndarray:
@@ -242,37 +233,24 @@ def _hermitise(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _op_moment_action(op, n: int):
-    """Exact (S, d) action of a primitive on (u, V) in the xxpp layout."""
-    kind = op[0]
-    if kind == "displace":
-        _, mode, alpha = op
-        d = np.zeros(2 * n)
-        d[mode] = np.sqrt(2.0) * np.real(alpha)
-        d[n + mode] = np.sqrt(2.0) * np.imag(alpha)
-        return np.eye(2 * n), d
-    if kind == "squeeze":
-        block, modes = st.squeeze_block(*op[2:]), [op[1]]
-    elif kind == "phase":
-        block, modes = st.rotation_block(op[2]), [op[1]]
-    else:
-        block, modes = st.beamsplitter_block(*op[2:]), list(op[1])
-    return st.embed_symplectic(block, modes, n), np.zeros(2 * n)
-
-
-def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
-                        deficit_budget: float = TRACE_DEFICIT_BUDGET) -> BuildResult:
+def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None) -> BuildResult:
     """Build the same state as a truncated density matrix and as exact moments.
 
     The density matrix holds the factor tracked through the gates as
-    ``fock.factor`` and forms ``fock.rho`` only when it is read.  Raises
-    :class:`TruncationError` when the final trace deficit exceeds the budget;
-    raise the cutoff in that case.
+    ``fock.factor`` and forms ``fock.rho`` only when it is read.  The mode
+    count and thermal_nbar are checked before the first gate, each gate as
+    it is applied (:func:`_gate`).  Raises :class:`TruncationError` when the
+    final trace deficit exceeds TRACE_DEFICIT_BUDGET; raise the cutoff then.
     """
-    _validate_circuit(circuit)
     n = circuit.n_modes
-    if cutoff is None:
-        cutoff = DEFAULT_CUTOFFS[n]
+    if n not in (1, 2):
+        raise InvalidParameter("the oracle supports 1 or 2 modes only")
+    if len(circuit.thermal_nbar) != n:
+        raise InvalidParameter("thermal_nbar length must match the mode count")
+    for nb in circuit.thermal_nbar:
+        if not 0 <= nb <= MAX_NBAR:
+            raise InvalidParameter(f"thermal occupation {nb} outside [0, {MAX_NBAR}]")
+    cutoff = DEFAULT_CUTOFFS[n] if cutoff is None else cutoff
     if cutoff < 4:
         raise InvalidParameter("cutoff must be at least 4")
     cutoffs = (cutoff,) * n
@@ -283,22 +261,21 @@ def build_circuit_state(circuit: CircuitSpec, cutoff: int | None = None,
     u = np.zeros(2 * n)
     V = np.diag(np.concatenate([np.asarray(circuit.thermal_nbar)] * 2) + 0.5)
     for op in circuit.ops:
-        modes, blocks = _gate_blocks(op, cutoffs)
+        modes, blocks, S, d = _gate(op, n, cutoffs)
         if A is None and len(modes) == 1:
             factors[modes[0]] = _apply_left(factors[modes[0]], [0], blocks)
         else:
             if A is None:
                 A = _join(factors, inputs).reshape(cutoffs + (-1,))
             A = _apply_left(A, modes, blocks)
-        S, d = _op_moment_action(op, n)
         u = S @ u + d
         V = S @ V @ S.T
     A = (_join(factors, inputs) if A is None else A).reshape(cutoff ** n, -1)
     population = _populations(A)
     deficit = float(1.0 - population.sum())
-    if deficit > deficit_budget:
+    if deficit > TRACE_DEFICIT_BUDGET:
         raise TruncationError(
-            f"trace deficit {deficit:.3e} exceeds budget {deficit_budget:.1e}; "
+            f"trace deficit {deficit:.3e} exceeds budget {TRACE_DEFICIT_BUDGET:.1e}; "
             "raise the cutoff")
     top = population[np.any(np.indices(cutoffs).reshape(n, -1) == cutoff - 1, axis=0)].sum()
     fock = FockDensityMatrix(n, cutoffs, None, max(deficit, 0.0), float(top), factor=A)

@@ -76,10 +76,13 @@ def bures_distance(s1: GaussianState, s2: GaussianState) -> float:
     return 2.0 * (1.0 - fidelity(s1, s2).F)
 
 
-def _metric_form(frame, dVs: Sequence[np.ndarray]):
-    """The Bures metric's bilinear form delta(dV_i, dV_j) on every pair of ``dVs``,
-    each summed as in :func:`bures_metric_delta` in the one :func:`symplectic_frame`
-    of V, with the number of entries skipped per pair.
+def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray]):
+    """(L^{-1}, form, skipped) at V = L L^T from one :func:`symplectic_frame`
+    and one inverse, the kernel of the three metric entry points: the form
+    delta(dV_i, dV_j) on every pair of ``dVs``, summed as in
+    :func:`bures_metric_delta`, and the entries skipped per pair.  V is
+    refused as by the frame; a dV of another shape, with a NaN or infinite
+    entry, or not symmetric within 1e-8 max(1, max|dV|) with InvalidParameter.
 
     delta(dV, dV) >= 0 in exact arithmetic for a symmetric dV.  A diagonal
     entry below -k eps sum|terms|, k the number of terms summed, is more
@@ -91,7 +94,17 @@ def _metric_form(frame, dVs: Sequence[np.ndarray]):
     max_squeeze 0), and so do the terms of strongly squeezed mixed states.
     A positive delta of that kind is not detected.
     """
-    low, inv_low, halves, U = frame
+    low, halves, U = symplectic_frame(V)
+    inv_low = np.linalg.inv(low)
+    dVs = [np.asarray(dV, dtype=float) for dV in dVs]
+    for dV in dVs:
+        if dV.shape != low.shape:
+            raise InvalidParameter("dV shape does not match V")
+        peak = float(np.max(np.abs(dV)))  # NaN or inf exactly when an entry is one
+        if not math.isfinite(peak):
+            raise InvalidParameter("dV has a non-finite entry")
+        if np.max(np.abs(dV - dV.T)) > 1e-8 * max(1.0, peak):
+            raise InvalidParameter("dV must be symmetric")
     omega = make_symplectic_form(low.shape[0] // 2)
     # W = -L U diag(w) U^+ L^{-1} with V = L L^T and i L^T Omega L = U diag(w/2) U^+;
     # the sum is even in w
@@ -116,7 +129,7 @@ def _metric_form(frame, dVs: Sequence[np.ndarray]):
                         "metric delta %.3e is negative beyond the rounding of its terms "
                         "(sum of |terms| %.3e)" % (total.real, magnitude))
             form[i, j] = form[j, i] = total.real
-    return form, int(keep.size - keep.sum())
+    return inv_low, form, int(keep.size - keep.sum())
 
 
 def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
@@ -125,33 +138,19 @@ def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
     dV is mapped to dW = -2 dV i Omega, rotated to the eigenbasis of W and
     summed as dW_ij dW_ji / (w_i w_j - 1) over index pairs with
     |w_i w_j - 1| > DEFAULT_METRIC_TOL; the number of skipped entries is
-    returned alongside.  V is read and refused as by
-    :func:`gaussfid.core.symplectic_frame`, from its lower triangle.  A delta
-    that comes out negative beyond the rounding of its own terms is refused
-    with NumericalError.
+    returned alongside.  V and dV are refused as by the metric's kernel
+    :func:`_metric_form`, V read from its lower triangle, and a delta that
+    comes out negative beyond the rounding of its terms with NumericalError.
     """
-    return _delta_in_frame(symplectic_frame(V), dV)
-
-
-def _delta_in_frame(frame, dV) -> DeltaResult:
-    dV = np.asarray(dV, dtype=float)
-    if dV.shape != frame[0].shape:
-        raise InvalidParameter("dV shape does not match V")
-    peak = float(np.max(np.abs(dV)))  # NaN or inf exactly when an entry is one
-    if not math.isfinite(peak):
-        raise InvalidParameter("dV has a non-finite entry")
-    scale = max(1.0, peak)
-    if np.max(np.abs(dV - dV.T)) > 1e-8 * scale:
-        raise InvalidParameter("dV must be symmetric")
-    form, skipped = _metric_form(frame, [dV])
+    _, form, skipped = _metric_form(V, [dV])
     return DeltaResult(delta=float(form[0, 0]), skipped=skipped)
 
 
 def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray) -> MetricEvaluation:
     """ds^2 = du^T V^{-1} du / 4 + delta / 8 for a state perturbed by (du, dV).
 
-    Both parts come from one :func:`symplectic_frame` of V = L L^T, the mean
-    part as |L^{-1} du|^2 / 4; V and dV are refused as by
+    Both parts come from the one frame of V = L L^T of :func:`_metric_form`,
+    the mean part as |L^{-1} du|^2 / 4; V and dV are refused as by
     :func:`bures_metric_delta`.
     """
     du = np.asarray(du, dtype=float)
@@ -159,11 +158,10 @@ def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray) -> MetricEval
         raise InvalidParameter("du length does not match the state")
     if not np.isfinite(du).all():
         raise InvalidParameter("du has a non-finite entry")
-    frame = symplectic_frame(s.V)
-    y = frame[1] @ du
+    inv_low, form, skipped = _metric_form(s.V, [dV])
+    y = inv_low @ du
     mean_part = float(0.25 * (y @ y))
-    delta, skipped = _delta_in_frame(frame, dV)
-    cov_part = delta / 8.0
+    cov_part = float(form[0, 0]) / 8.0
     return MetricEvaluation(ds2=mean_part + cov_part, mean_part=mean_part,
                             cov_part=cov_part, skipped_terms=skipped)
 
@@ -228,12 +226,11 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     """QFI matrix H_ij = 4 g_ij of a vector-parametrized Gaussian family.
 
     g is the metric's bilinear form on the axis moment derivatives,
-    g_ij = du_i^T V^{-1} du_j / 4 + delta(dV_i, dV_j) / 8, from one
-    symplectic frame of V, the mean part by its L^{-1}; a one-parameter family
-    gives qfi_scalar's value.  ``theta0`` must be a non-empty 1-D vector and
-    ``labels``, if given, one name per parameter.  V is refused as by
-    :func:`symplectic_frame`, and a diagonal delta(dV_i, dV_i) that comes
-    out negative beyond the rounding of its terms with NumericalError.
+    g_ij = du_i^T V^{-1} du_j / 4 + delta(dV_i, dV_j) / 8, from the one frame
+    of V and its L^{-1} of :func:`_metric_form`; a one-parameter family gives
+    qfi_scalar's value.  ``theta0`` must be a non-empty 1-D vector and
+    ``labels``, if given, one name per parameter.  V and the dV_i are refused
+    as by :func:`_metric_form`, as in qfi_scalar's analytic mode.
     """
     theta0 = np.asarray(theta0, dtype=float)
     m = theta0.size
@@ -244,9 +241,8 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     h = _step(h, DEFAULT_MOMENT_STEP)
     base = family(theta0)
     dus, dVs = zip(*(_moment_derivatives(family, theta0, h, axis) for axis in np.eye(m)))
-    frame = symplectic_frame(base.V)
-    Y = frame[1] @ np.column_stack(dus)
-    delta, _ = _metric_form(frame, dVs)
+    inv_low, delta, _ = _metric_form(base.V, dVs)
+    Y = inv_low @ np.column_stack(dus)
     H = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
@@ -264,14 +260,19 @@ def error_bounds(F: float, N: int) -> ErrorBounds:
 
         (1 - sqrt(1 - F^{2N})) / 2  <=  p_err(N)  <=  F^N / 2
 
-    Multiplicativity under tensor products enters as F^N.
+    Multiplicativity under tensor products enters as F^N.  N must be a
+    positive integer; NaN, +-inf and an integer past the float range, where
+    F^N cannot be formed, are refused with InvalidParameter.
     """
     if not (-1e-12 <= F <= 1.0 + 1e-12):
         raise InvalidParameter(f"fidelity must lie in [0, 1], got {F}")
-    if N < 1 or int(N) != N:
+    if not 1 <= N < math.inf or int(N) != N:  # a NaN fails the first test
         raise InvalidParameter("copy count must be a positive integer")
     f = min(max(float(F), 0.0), 1.0)
-    fn = f ** N
+    try:
+        fn = f ** N
+    except OverflowError:  # an integer N too large to convert to a float
+        raise InvalidParameter("copy count exceeds the float range") from None
     lower = 0.5 * (1.0 - np.sqrt(max(1.0 - fn * fn, 0.0)))
     return ErrorBounds(lower=float(lower), upper=float(0.5 * fn),
                        copies=int(N), fidelity_used=f)

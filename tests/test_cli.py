@@ -239,6 +239,22 @@ class TestCommands:
         assert code == 0
         assert report["ds2"] == pytest.approx(0.5, rel=1e-12)
 
+    def test_metric_long_inline_array_matches_file(self, capsys, tmp_path):
+        # an inline --dv longer than a file name may be was refused as
+        # "cannot parse --dv": the existence test raised ENAMETOOLONG
+        state = tmp_path / "s3.json"
+        write_state_file(state, random_state(3, 9810))
+        rng = np.random.default_rng(9811)
+        dv = rng.normal(size=(6, 6))
+        inline = json.dumps((dv + dv.T).tolist())
+        assert len(inline) > 255
+        dv_file = tmp_path / "dv.json"
+        dv_file.write_text(inline)
+        argv = ["metric", str(state), "--du", "[0.1, 0, 0, 0, 0.2, 0]", "--json", "--dv"]
+        from_file = run(capsys, argv + [str(dv_file)])
+        assert from_file[0] == 0
+        assert run(capsys, argv + [inline]) == from_file
+
     @pytest.mark.parametrize("du, dv", [("[NaN, 0]", "[[0, 0], [0, 0]]"),
                                         ("[0, 0]", "[[Infinity, 0], [0, 0]]")])
     def test_metric_non_finite_perturbation_refused(self, capsys, vacuum_file, du, dv):
@@ -282,6 +298,12 @@ class TestCommands:
         assert code == 0
         assert report["lower"] == pytest.approx(0.0669872981077807, abs=1e-12)
         assert report["upper"] == 0.25
+
+    def test_bounds_copies_past_float_range_refused(self, capsys):
+        # ended in an OverflowError traceback with exit code 1
+        code, out, err = run(capsys, ["bounds", "--fidelity", "0.5",
+                                      "--copies", "1" + "0" * 400, "--json"])
+        assert (code, out, err) == (2, "", "gaussfid: copy count exceeds the float range\n")
 
     def test_bounds_golden_file(self, capsys):
         code, out, _ = run(capsys, ["bounds", "--fidelity", "0.5", "--copies", "1", "--json"])

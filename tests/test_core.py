@@ -493,11 +493,10 @@ class TestSymplecticFrame:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_defining_identities(self, n):
         V = random_state(n, 90 + n).V
-        low, inv_low, mu, psi = symplectic_frame(V)
+        low, mu, psi = symplectic_frame(V)
         # L is V's lower-triangular Cholesky factor
         np.testing.assert_array_equal(low, np.tril(low))
         np.testing.assert_allclose(low @ low.T, V, atol=1e-10)
-        np.testing.assert_allclose(low @ inv_low, np.eye(2 * n), atol=1e-10)
         herm = 1j * low.T @ make_symplectic_form(n) @ low
         np.testing.assert_allclose((psi * mu) @ psi.conj().T, herm, atol=1e-10)
         # mu ascending, the pairs -nu_k and +nu_k
@@ -508,7 +507,7 @@ class TestSymplecticFrame:
     def test_williamson_reads_the_frame(self, n):
         # nu is the frame's positive half, descending, to the last bit
         V = random_state(n, 70 + n).V
-        mu = symplectic_frame(V)[2]
+        mu = symplectic_frame(V)[1]
         np.testing.assert_array_equal(williamson(V).nu, mu[n:][::-1])
 
     @pytest.mark.parametrize("V", [np.diag([1.0, -0.5]), -np.eye(2), np.diag([1.0, 0.0])])

@@ -111,6 +111,59 @@ class TestBuildCircuitState:
             build_circuit_state(one_mode_circuit(nbar=1.5), cutoff=8)
 
 
+# (mode count, op, message) of every gate the oracle refuses
+REFUSED_GATES = {
+    "unknown primitive": (1, ("rotate", 0, 0.3), "unknown primitive 'rotate'"),
+    "mode above range": (1, ("phase", 1, 0.3), "mode index 1 out of range"),
+    "negative mode": (2, ("displace", -1, 0.2), "mode index -1 out of range"),
+    "beam splitter on one mode": (2, ("beamsplitter", (1, 1), 0.3, 0.2),
+                                  "beamsplitter needs two distinct in-range modes"),
+    "beam splitter leg out of range": (2, ("beamsplitter", (0, 2), 0.3, 0.2),
+                                       "beamsplitter needs two distinct in-range modes"),
+    "alpha": (1, ("displace", 0, 1.2 + 1.0j), "|alpha| = 1.5620499351813308 exceeds 1.5"),
+    "squeeze": (2, ("squeeze", 1, -0.81, 0.4), "|r| = 0.81 exceeds 0.8"),
+}
+# a valid gate of each mode count; on 2 modes it joins the per-mode factors
+VALID_GATE = {1: ("squeeze", 0, 0.2, 0.1), 2: ("beamsplitter", (0, 1), 0.3, 0.2)}
+
+REFUSED_CIRCUITS = {
+    "nbar above range": (CircuitSpec(1, (1.6,), ()), "thermal occupation 1.6 outside [0, 1.5]"),
+    "negative nbar": (CircuitSpec(2, (0.1, -0.1), ()),
+                      "thermal occupation -0.1 outside [0, 1.5]"),
+    "thermal_nbar length": (CircuitSpec(2, (0.1,), (VALID_GATE[2],)),
+                            "thermal_nbar length must match the mode count"),
+    "three modes": (CircuitSpec(3, (0.0,) * 3, (("phase", 0, 0.1),)),
+                    "the oracle supports 1 or 2 modes only"),
+}
+
+
+class TestCircuitRefusals:
+    """Every refusal of build_circuit_state, pinned by type and message."""
+
+    @staticmethod
+    def _refused(circuit, message):
+        with pytest.raises(InvalidParameter) as info:
+            build_circuit_state(circuit)
+        assert info.type is InvalidParameter
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("after_valid_gate", [False, True])
+    @pytest.mark.parametrize("case", sorted(REFUSED_GATES))
+    def test_gate(self, case, after_valid_gate):
+        n, op, message = REFUSED_GATES[case]
+        ops = (VALID_GATE[n], op) if after_valid_gate else (op,)
+        self._refused(CircuitSpec(n, (0.1,) * n, ops), message)
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_CIRCUITS))
+    def test_circuit(self, case):
+        self._refused(*REFUSED_CIRCUITS[case])
+
+    def test_circuit_checks_precede_the_gates(self):
+        # an unphysical thermal input is refused before a bad gate is looked at
+        self._refused(CircuitSpec(1, (2.0,), (("rotate", 0, 0.3),)),
+                      "thermal occupation 2.0 outside [0, 1.5]")
+
+
 class TestMomentsFromFock:
     def test_vacuum(self):
         built = build_circuit_state(CircuitSpec(1, (0.0,), ()), cutoff=12)
@@ -228,12 +281,13 @@ class TestTensorLayout:
     """Gates and moments on tensor legs against full-space dense operators."""
 
     @pytest.mark.parametrize("index", range(len(LAYOUT_CIRCUITS)))
-    def test_state_and_moments_match_dense_reference(self, index):
+    def test_state_and_moments_match_dense_reference(self, index, monkeypatch):
         circuit = LAYOUT_CIRCUITS[index]
         # small 2-mode cutoff keeps the dense reference cheap; the layout
         # does not depend on it, so the trace budget is lifted
         cutoff = DEFAULT_CUTOFFS[1] if circuit.n_modes == 1 else 12
-        built = build_circuit_state(circuit, cutoff, deficit_budget=1.0)
+        monkeypatch.setattr(fock, "TRACE_DEFICIT_BUDGET", 1.0)
+        built = build_circuit_state(circuit, cutoff)
         rho = _dense_state(circuit, cutoff)
         # the factor route's moments, deficit and top-level population,
         # read before rho is formed
@@ -358,8 +412,10 @@ def two_mode_pairs():
     pairs = []
     for seed, cutoff, budget in ((4800, None, TRACE_DEFICIT_BUDGET), (4801, 15, 1.0)):
         rng = np.random.default_rng(seed)
-        pairs.append([build_circuit_state(random_circuit(2, rng), cutoff, budget).fock
-                      for _ in range(2)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fock, "TRACE_DEFICIT_BUDGET", budget)
+            pairs.append([build_circuit_state(random_circuit(2, rng), cutoff).fock
+                          for _ in range(2)])
     return pairs
 
 

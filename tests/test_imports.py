@@ -128,12 +128,12 @@ def test_no_unreferenced_definitions():
 
 
 def tolerance_parameters(fn) -> list:
-    """Names of ``fn``'s parameters that set a tolerance."""
+    """Names of ``fn``'s parameters that set a tolerance or a budget."""
     try:
         params = inspect.signature(fn).parameters
     except (TypeError, ValueError):  # a callable without a readable signature
         return []
-    return [name for name in params if "tol" in name.lower()]
+    return [name for name in params if "tol" in name.lower() or "budget" in name.lower()]
 
 
 def option_strings(parser: argparse.ArgumentParser) -> list:
@@ -149,6 +149,8 @@ def option_strings(parser: argparse.ArgumentParser) -> list:
 
 def test_scans_find_a_tolerance_knob():
     assert tolerance_parameters(lambda x, phys_tol=1e-9, TOL=0: x) == ["phys_tol", "TOL"]
+    assert tolerance_parameters(lambda x, deficit_budget=1e-8, Budget=0: x) == [
+        "deficit_budget", "Budget"]
     parser = argparse.ArgumentParser()
     parser.add_subparsers().add_parser("cmd").add_argument("--tol-x")
     assert option_strings(parser) == ["-h", "--help", "-h", "--help", "--tol-x"]

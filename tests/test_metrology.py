@@ -1,5 +1,7 @@
 """Bures distance/metric, quantum Fisher information, discrimination bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,20 @@ class TestBuresMetric:
         assert calls == {"cholesky": [((4, 4), REAL)], "eigh": [((4, 4), COMPLEX)],
                          "eigvalsh": [], "solve": []}
         assert ev.mean_part == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("entry", ["bures_metric", "bures_metric_delta", "qfi_matrix"])
+    def test_kernel_takes_one_inverse(self, entry, monkeypatch):
+        # the metric's kernel takes L^{-1} once per call, whatever the entry point
+        s = random_state(2, 33)
+        call = {"bures_metric": lambda: bures_metric(s, [0.3, -0.2, 0.1, 0.4], np.eye(4)),
+                "bures_metric_delta": lambda: bures_metric_delta(s.V, np.eye(4)),
+                "qfi_matrix": lambda: qfi_matrix(
+                    lambda t: displace(s, [t[0], 0.0, t[1], 0.0]), [0.1, 0.2])}[entry]
+        calls = {name: count_linalg_calls(monkeypatch, name)
+                 for name in ("cholesky", "eigh", "inv", "solve")}
+        call()
+        assert calls == {"cholesky": [((4, 4), REAL)], "eigh": [((4, 4), COMPLEX)],
+                         "inv": [((4, 4), REAL)], "solve": []}
 
     def test_thermal_family(self):
         v = 1.0
@@ -427,6 +443,29 @@ class TestErrorBounds:
             error_bounds(1.5, 1)
         with pytest.raises(InvalidParameter):
             error_bounds(0.5, 0)
+
+    @pytest.mark.parametrize("N, message", [
+        (math.nan, "copy count must be a positive integer"),
+        (math.inf, "copy count must be a positive integer"),
+        (-math.inf, "copy count must be a positive integer"),
+        (10 ** 400, "copy count exceeds the float range"),
+        (2 ** 1024, "copy count exceeds the float range"),
+    ], ids=["nan", "inf", "-inf", "10**400", "2**1024"])
+    def test_rejects_copy_counts_without_a_float_power(self, N, message):
+        # NaN and inf raised ValueError and OverflowError from int(N), and an
+        # integer past the float range OverflowError from F^N
+        with pytest.raises(InvalidParameter) as info:
+            error_bounds(0.5, N)
+        assert info.type is InvalidParameter and str(info.value) == message
+
+    @pytest.mark.parametrize("N", [1, 3.0, True, np.int64(7), 10 ** 300, 1e300,
+                                   2 ** 1024 - 2 ** 970 - 1],
+                             ids=["1", "3.0", "True", "int64", "10**300", "1e300", "near-max"])
+    def test_copy_counts_within_the_float_range_accepted(self, N):
+        b = error_bounds(0.5, N)
+        fn = 0.5 ** float(N)
+        assert (b.lower, b.upper, b.copies) == (
+            0.5 * (1.0 - np.sqrt(max(1.0 - fn * fn, 0.0))), 0.5 * fn, int(N))
 
 
 class TestFamilies:
