@@ -75,6 +75,13 @@ class GaussianState:
     entry; equal states hash alike, so states can be set members and dict
     keys.  Each instance computes its hash once, and states whose hashes
     differ compare unequal without reading their arrays again.
+
+    Besides the hash, a state keeps three values that depend on V alone, each
+    computed on first use: its factor det(V + i Omega/2) of the invariant
+    Lambda, its symplectic spectrum nu (read-only) and the LU
+    ``slogdet(V + V)``.  None of the four is a field: equality, hashing,
+    ``repr``, copies and pickles do not see them.  A computation that raises
+    keeps nothing.
     """
 
     n: int
@@ -126,6 +133,24 @@ class GaussianState:
         not a field, so equality, hashing and ``repr`` do not see it.
         """
         return self._lambda_factor_of(self.V)
+
+    @functools.cached_property
+    def _symplectic_spectrum(self) -> np.ndarray:
+        """:func:`symplectic_eigenvalues` of this state's V, read-only, kept
+        like :attr:`_lambda_factor`.  A V it refuses caches nothing, so the
+        refusal repeats on every access."""
+        # the copy owns its data, so the view returned cannot be made writable
+        nu = symplectic_eigenvalues(self.V).copy()
+        nu.setflags(write=False)
+        return nu.view()
+
+    @functools.cached_property
+    def _slogdet_2v(self) -> tuple[float, float]:
+        """The LU ``slogdet(V + V)``, kept like :attr:`_lambda_factor`.  It is
+        the reference :attr:`_symplectic_spectrum` is checked against, so it
+        is not read off V's Cholesky factor, whose rounding nu shares."""
+        sign, logdet = np.linalg.slogdet(self.V + self.V)
+        return float(sign), float(logdet)
 
     @functools.cached_property
     def _hash(self) -> int:

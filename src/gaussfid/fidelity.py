@@ -38,7 +38,8 @@ w_k = nu_k + 1/(4 nu_k) over the symplectic eigenvalues nu_k of V, so that
 Ftot = prod_k (2 nu_k)^{1/2} = det(2V)^{1/4}.  The nu_k come from
 :func:`gaussfid.core.symplectic_eigenvalues`: with V = L L^T, the real
 antisymmetric L^T Omega L is similar to V Omega, and its singular values are
-the nu_k, each twice.
+the nu_k, each twice.  The nu_k and the LU log det(2V) depend on V alone, so
+each state computes them on its first self pair and keeps them.
 
 For two distinct states, both terms of the root overlap
 det(V1 + V2)^{-1/4} exp[-du^T (V1 + V2)^{-1} du / 4] come from one real
@@ -60,7 +61,6 @@ from .core import (
     GaussianState,
     make_symplectic_form,
     require_physical,
-    symplectic_eigenvalues,
     validate_state,
 )
 from .errors import InvalidParameter, NumericalError
@@ -131,7 +131,8 @@ class FidelityReport:
     ``invariants`` is built on first access and cached; :func:`fidelity`
     itself does not evaluate it.  Its traces and characteristic polynomial
     come from ``waux_spectrum``, each discarded pair as w = 1, its delta is
-    ``det_v_sum``, and gamma and lam are determinants of their own, so
+    ``det_v_sum``, gamma is a determinant of its own and lam is 4^n times
+    the product of ``lambda_factors``, neither read off the spectrum, so
     chi(0) (-1)^n delta = gamma and chi(1) (-1)^n delta = lam check the spectrum.
     """
 
@@ -146,6 +147,8 @@ class FidelityReport:
     clamped: bool
     #: The xxpp covariance matrices (V1, V2) the report was computed from.
     covariances: tuple = field(repr=False, compare=False)
+    #: Their factors det(V_k + i Omega/2) of Lambda, as fidelity() read them.
+    lambda_factors: tuple = field(repr=False, compare=False)
 
     @functools.cached_property
     def invariants(self) -> InvariantSet:
@@ -154,8 +157,7 @@ class FidelityReport:
         coeffs = np.zeros(2 * w2.size + 1)
         coeffs[::2] = np.poly(w2)  # the polynomial is even in lambda
         gamma = _gamma(V1, V2)
-        lam = _checked_lambda(GaussianState._lambda_factor_of(V1),
-                              GaussianState._lambda_factor_of(V2), V1, V2, gamma)
+        lam = _checked_lambda(*self.lambda_factors, V1, V2, gamma)
         return InvariantSet(
             i2k=2.0 * np.sum(np.power.outer(w2, np.arange(1, w2.size + 1)), axis=0),
             gamma=gamma, lam=lam, delta=self.det_v_sum, char_coeffs=coeffs, w_squared=w2)
@@ -382,19 +384,18 @@ def _root_overlap_terms(s1: GaussianState, s2: GaussianState):
     return 2.0 * float(np.log(low.diagonal()[:m]).sum()), root * root
 
 
-def _self_pair_terms(s1: GaussianState, s2: GaussianState, pure: bool):
-    """(log det(V1 + V2), retained W_aux pairs, Ftot) of two equal states (see
-    :func:`fidelity`)."""
+def _self_pair_terms(s: GaussianState, pure: bool):
+    """(log det(V + V), retained W_aux pairs, Ftot) of a state against an equal
+    one (see :func:`fidelity`), from the nu and log det(2V) kept on ``s``."""
     try:
-        nu = None if pure else symplectic_eigenvalues(s1.V)
+        nu = None if pure else s._symplectic_spectrum
     except NumericalError as exc:  # V has no Cholesky factor: 2V = V1 + V2 is singular
         raise NumericalError("V1 + V2 is singular to working precision: %s"
                              % exc.__cause__) from exc.__cause__
-    # LU: a log det off V's Cholesky factor would share the rounding of nu
-    sign, logdet = np.linalg.slogdet(s1.V + s2.V)
+    sign, logdet = s._slogdet_2v
     if sign <= 0:
         raise NumericalError("det(V1 + V2) is not positive")
-    _checked_lambda(s1._lambda_factor, s1._lambda_factor, s1.V, s2.V)
+    _checked_lambda(s._lambda_factor, s._lambda_factor, s.V, s.V)
     if pure:
         return logdet, np.empty(0), 1.0
     # log det(2V) = 2 sum_k log(2 nu_k) in exact arithmetic
@@ -430,9 +431,10 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
 
     * Equal states (``s2 is s1`` or ``s2 == s1``): F, F0 and F_raw are
       exactly 1, ``disp_exponent`` is +0.0 and ``clamped`` is False; no solve
-      is made (:func:`_self_pair_terms`).  When the state is pure (see
-      below), ``waux_spectrum`` is empty, ``discarded_pairs`` is n and
-      ``Ftot`` is 1.  Otherwise the W_aux pairs are w = nu + 1/(4 nu) over
+      is made, and the state's nu and log det(V + V) are computed on its
+      first self pair only (:func:`_self_pair_terms`).  When the state is
+      pure (see below), ``waux_spectrum`` is empty, ``discarded_pairs`` is n
+      and ``Ftot`` is 1.  Otherwise the W_aux pairs are w = nu + 1/(4 nu) over
       the symplectic eigenvalues nu of V (see the module docstring); a V
       without a Cholesky factor is refused as a singular V1 + V2.  Pairs with
       w - 1 = (2 nu - 1)^2 / (4 nu) <= DEFAULT_PURE_TOL are discarded as unit
@@ -456,10 +458,13 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     The thresholds are fixed: both states must pass :func:`require_physical`
     at DEFAULT_PHYS_TOL, and a Lambda whose relative imaginary residue
     exceeds LAMBDA_RESID_TOL is refused with NumericalError before F is
-    judged.  The physicality check and the purity invariant run once per
-    state for two distinct states and once for two equal ones, the Lambda
-    check on every call; only each state's factor det(V + i Omega/2) of
-    Lambda is kept on the state object.
+    judged.  The physicality check, the purity invariant and the Lambda
+    check run on every call, the first two once per state for two distinct
+    states and once for two equal ones.  What a state keeps (see
+    :class:`~gaussfid.core.GaussianState`) is its factor det(V + i Omega/2)
+    of Lambda and, for equal states, its nu and log det(V + V); the gap
+    check, the retained pairs, Ftot and every refusal are worked out from
+    them again on each call, and a factorisation that raised is retried.
     """
     if s1.n != s2.n:
         raise InvalidParameter(f"mode counts differ: {s1.n} vs {s2.n}")
@@ -471,8 +476,9 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     pure = any(abs(_purity_invariant(s.V) - 1.0) <= _PURITY_TOL for s in states)
     if same:
         # Ftot = det(2V)^{1/4} cancels the root overlap: F0 and F_raw are exactly 1
-        logdet, retained, ftot = _self_pair_terms(s1, s2, pure)
+        logdet, retained, ftot = _self_pair_terms(s1, pure)
         f0, disp_exponent = 1.0, 0.0
+        factors = (s1._lambda_factor,) * 2
     else:
         logdet, quadratic = _root_overlap_terms(s1, s2)
         # with a pure state sqrt(rho1) rho2 sqrt(rho1) has rank one: every W_aux
@@ -482,7 +488,8 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
         disp_exponent = float(-0.25 * quadratic)
         # the refusal the report's invariants would make on stiff inputs, before
         # F is judged; each state evaluates its factor of Lambda once
-        _checked_lambda(s1._lambda_factor, s2._lambda_factor, s1.V, s2.V)
+        factors = (s1._lambda_factor, s2._lambda_factor)
+        _checked_lambda(*factors, s1.V, s2.V)
         f0 = float(ftot * np.exp(-0.25 * logdet))
 
     f_raw = float(f0 * np.exp(disp_exponent))
@@ -499,4 +506,5 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
         F_raw=f_raw,
         clamped=f_raw > 1.0,
         covariances=(s1.V, s2.V),
+        lambda_factors=factors,
     )

@@ -63,6 +63,13 @@ def count_linalg_calls(monkeypatch, name):
     return calls
 
 
+def count_every_linalg_call(monkeypatch):
+    """:func:`count_linalg_calls` for every function of ``numpy.linalg``, by
+    name: a factorisation of any kind that a route adds shows up in it."""
+    return {name: count_linalg_calls(monkeypatch, name) for name in np.linalg.__all__
+            if not isinstance(getattr(np.linalg, name), type)}
+
+
 def via_xpxp(state):
     """``state`` rebuilt by GaussianState.from_xpxp from its interleaved arrays."""
     p = xxpp_to_xpxp_indices(state.n)

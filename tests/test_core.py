@@ -133,6 +133,10 @@ class TestSymplecticForm:
         random_state(1, 3)
 
 
+#: The values a state computes from V on first use, besides its hash.
+_PER_STATE = ("_lambda_factor", "_symplectic_spectrum", "_slogdet_2v")
+
+
 class TestFrozenState:
     def test_arrays_are_copied_and_read_only(self):
         u, V = np.array([0.1, -0.2]), np.diag([0.7, 0.9])
@@ -155,14 +159,15 @@ class TestFrozenState:
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_stay_read_only(self, copier):
         state = random_state(2, 3)
-        fidelity(state, state)  # fills the cached Lambda factor
+        fidelity(state, state)  # fills the Lambda factor, nu and log det(V + V)
+        assert set(_PER_STATE) <= set(vars(state))
         twin = copier(state)
         assert twin is not state and twin == state and hash(twin) == hash(state)
         for a in (twin.u, twin.V):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a.setflags(write=True)
-        assert "_lambda_factor" not in vars(twin)
+        assert not set(_PER_STATE) & set(vars(twin))
 
     def test_zero_modes_rejected(self):
         # a 0-mode state used to build, and fidelity() then failed in numpy
@@ -194,16 +199,27 @@ class TestStateEquality:
         assert vacuum(1) != "vacuum"
 
     def test_cached_lambda_factor_is_invisible(self):
-        # the factor and the hash live in the instance dict, outside the
-        # dataclass fields
+        # the Lambda factor, nu, log det(V + V) and the hash live in the
+        # instance dict, outside the dataclass fields
         state, fresh = random_state(3, 44), random_state(3, 44)
-        fidelity(state, state)
+        first = fidelity(state, state).waux_spectrum
         hash(state)
-        assert {"_lambda_factor", "_hash"} <= set(vars(state))
-        assert not {"_lambda_factor", "_hash"} & set(vars(fresh))
+        cached = set(_PER_STATE) | {"_hash"}
+        assert cached <= set(vars(state))
+        assert not cached & set(vars(fresh))
         assert repr(state) == repr(fresh)
         assert state == fresh and hash(state) == hash(fresh)
         assert [f.name for f in dataclasses.fields(state)] == ["n", "u", "V"]
+        # nu is read-only, and each call returns a fresh W_aux spectrum
+        nu = vars(state)["_symplectic_spectrum"]
+        np.testing.assert_array_equal(nu, symplectic_eigenvalues(state.V))
+        with pytest.raises(ValueError):
+            nu.setflags(write=True)
+        expected = first.copy()
+        first[:] = 0.0
+        again = fidelity(state, state).waux_spectrum
+        assert not np.shares_memory(again, first) and not np.shares_memory(again, nu)
+        np.testing.assert_array_equal(again, expected)
 
     def test_hashed_states_differ_without_comparing_arrays(self, monkeypatch):
         # equal means, unequal covariances: once both are hashed, the hashes
@@ -229,8 +245,10 @@ class TestStateEquality:
     def test_copies_drop_the_cached_hash(self, copier):
         state = random_state(2, 46)
         hash(state)
+        fidelity(state, state)
+        cached = set(_PER_STATE) | {"_hash"}
         twin = copier(state)
-        assert "_hash" in vars(state) and "_hash" not in vars(twin)
+        assert cached <= set(vars(state)) and not cached & set(vars(twin))
         assert hash(twin) == hash(state) and twin == state
 
     def test_set_members_and_dict_keys(self):

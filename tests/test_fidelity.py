@@ -35,6 +35,7 @@ from gaussfid.states import random_symplectic
 from conftest import (
     COMPLEX,
     REAL,
+    count_every_linalg_call,
     count_linalg_calls,
     mixed_pair,
     record_calls,
@@ -211,12 +212,19 @@ class TestFidelity:
 
     @pytest.mark.parametrize("n, seed", [(1, 9113), (4, 9143)])
     def test_singular_v_sum_refused(self, n, seed):
-        # V1 + V2 of this pure state is singular to working precision; the
-        # solve's LinAlgError is refused as a NumericalError
+        # V of this pure state has no Cholesky factor: 2V = V1 + V2 is
+        # singular to working precision, and the LinAlgError is refused as a
+        # NumericalError.  The failed factorisation keeps nothing on the
+        # state, so every call, a copy's included, refuses the same way
         s = random_state(n, seed, pure=True, max_squeeze=8.0)
-        with pytest.raises(NumericalError, match="V1 \\+ V2 is singular") as exc:
-            fidelity(s, s)
-        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+        twin = GaussianState(s.n, s.u, s.V)
+        for a, b in ((s, s), (s, s), (s, twin), (twin, twin)):
+            with pytest.raises(NumericalError) as exc:
+                fidelity(a, b)
+            assert str(exc.value) == ("V1 + V2 is singular to working precision: "
+                                      "Matrix is not positive definite")
+            assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+        assert "_symplectic_spectrum" not in vars(s)
 
 
 def _boundary_state(V0, frac):
@@ -502,21 +510,17 @@ class TestPureMemberRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
     def test_eigvals_only_on_mixed_pairs(self, n, monkeypatch):
-        # the LAPACK budget of a call once both factors of Lambda are cached:
-        # one complex Cholesky accept test per state (one for two equal
-        # states).  Two distinct states add one real Cholesky factor of
-        # V1 + V2 bordered by du, of order 2n + 1, and no slogdet; a
-        # mixed-mixed pair adds one solve of V1 + V2 for [V2 | Omega], the
-        # complex Cholesky factor of E and one complex svd of Q.  Equal states
-        # make one slogdet of V1 + V2 and no solve; a mixed one adds the real
-        # Cholesky factor of V and one real svd.
-        # The nonsymmetric eigvals and the eigh fallback are never called
-        # here.  Lambda vanishes when a state is pure, so the Lambda check may
-        # floor its residue with Gamma, one real det, on a pair with a pure
-        # member
+        # the LAPACK budget of a repeat call, every numpy.linalg function
+        # counted: one complex Cholesky accept test per state, one for two
+        # equal states, which read nu and log det(V + V) off the state and
+        # make nothing else.  Two distinct states add one real Cholesky
+        # factor of V1 + V2 bordered by du, of order 2n + 1; a mixed-mixed
+        # pair adds one solve of V1 + V2 for [V2 | Omega], the complex
+        # Cholesky factor of E and one complex svd of Q.  Lambda vanishes
+        # when a state is pure, so the Lambda check may floor its residue
+        # with Gamma, one real det, on a pair with a pure member
         with_pure, mixed = _route_pairs(n)
-        names = ("cholesky", "solve", "slogdet", "det", "svd", "eigvals", "eigh")
-        calls = {name: count_linalg_calls(monkeypatch, name) for name in names}
+        calls = count_every_linalg_call(monkeypatch)
         m = (2 * n, 2 * n)
         seen = set()
         for pairs, spectrum in ((with_pure, False), (mixed, True)):
@@ -526,17 +530,15 @@ class TestPureMemberRoute:
                     del recorded[:]
                 fidelity(a, b)
                 same = a == b
-                bordered = not same
-                accept = [(m, COMPLEX)] * (1 if same else 2)
-                dtype = REAL if same else COMPLEX
                 seen.add((same, spectrum))
+                solved = spectrum and not same
                 assert len(calls["det"]) <= 1 - spectrum
-                assert calls == {"cholesky": accept + [((2 * n + 1, 2 * n + 1), REAL)] * bordered
-                                 + [(m, dtype)] * spectrum,
-                                 "solve": [(m, REAL)] * (spectrum and not same),
-                                 "slogdet": [(m, REAL)] * same, "det": calls["det"],
-                                 "svd": [(m, dtype)] * spectrum,
-                                 "eigvals": [], "eigh": []}
+                expected = {"cholesky": [(m, COMPLEX)] * (1 if same else 2)
+                            + [((2 * n + 1, 2 * n + 1), REAL)] * (not same)
+                            + [(m, COMPLEX)] * solved,
+                            "solve": [(m, REAL)] * solved, "svd": [(m, COMPLEX)] * solved,
+                            "det": calls["det"]}
+                assert {name: c for name, c in calls.items() if c or name in expected} == expected
         assert len(seen) == 4
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 64])
@@ -706,10 +708,11 @@ def _cache_ensemble():
 
 
 class TestLambdaFactorCache:
-    """Each state evaluates det(V + i Omega/2) once; the Lambda check itself
-    runs on every call."""
+    """Each state evaluates det(V + i Omega/2) once, and on its first self
+    pair nu and log det(V + V); the checks that read them run on every call."""
 
     def test_det_once_per_state(self, monkeypatch):
+        # the report's invariants reuse both factors: Gamma is their one det
         a, b = mixed_pair(2, 9000)
         c = random_state(2, 9001)
         dets = count_linalg_calls(monkeypatch, "det")
@@ -720,6 +723,35 @@ class TestLambdaFactorCache:
         for _ in range(10):
             fidelity(c, c)
         assert len(dets) == 1
+        for x, y in ((a, b), (c, c)):
+            del dets[:]
+            inv = fidelity(x, y).invariants
+            assert dets == [((4, 4), REAL)]
+            reference = invariant_set(x.V, y.V)
+            assert (inv.lam, inv.gamma) == (reference.lam, reference.gamma)
+
+    def test_spectrum_once_per_state(self, monkeypatch):
+        # a mixed state's nu (a real Cholesky factor and an svd) and its
+        # log det(V + V) (an slogdet) are computed on its first self pair,
+        # and read by every later one, an equal copy as the second state
+        # included; a pure state computes its log det only
+        mixed, pure = random_state(2, 9002), random_state(2, 9003, pure=True)
+        calls = count_every_linalg_call(monkeypatch)
+        for s in (mixed, pure):
+            twin = GaussianState(s.n, s.u, s.V)
+            for recorded in calls.values():
+                del recorded[:]
+            for _ in range(10):
+                fidelity(s, s)
+                fidelity(s, twin)
+            spectrum = s is mixed
+            assert calls["cholesky"].count(((4, 4), REAL)) == spectrum
+            assert len(calls["svd"]) == spectrum
+            assert len(calls["slogdet"]) == 1
+            for recorded in calls.values():
+                del recorded[:]
+            fidelity(twin, s)  # the first self pair of the copy
+            assert len(calls["svd"]) == spectrum and len(calls["slogdet"]) == 1
 
     # the stiffest pure states overflow det and exp at n = 64 and are refused
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -891,10 +923,17 @@ class TestSelfPairRoute:
                 assert chi1 <= 1e-8, (seed, chi1)
 
     def test_spectrum_gap_refused(self):
-        # 2 sum log(2 nu) misses log det(2V) by 2.2e-6 on this stiff state
-        s = random_state(3, 0, max_squeeze=4.0)
-        with pytest.raises(NumericalError, match="symplectic spectrum of a self pair"):
-            fidelity(s, s)
+        # 2 sum log(2 nu) misses log det(2V) on these stiff states.  The gap
+        # is checked again on each call from the nu and log det kept on the
+        # state, so a repeat call, an equal copy and a fresh copy refuse alike
+        for n, seed, gap in ((3, 0, "2.185e-06"), (2, 4, "4.170e-05")):
+            s = random_state(n, seed, max_squeeze=4.0)
+            twin = GaussianState(s.n, s.u, s.V)
+            for a, b in ((s, s), (s, s), (s, twin), (twin, twin)):
+                with pytest.raises(NumericalError) as exc:
+                    fidelity(a, b)
+                assert str(exc.value) == (
+                    "symplectic spectrum of a self pair misses log det(V1 + V2) by " + gap)
 
 
 # ---------------------------------------------------------------------------
