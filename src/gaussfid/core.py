@@ -10,6 +10,7 @@ boundary only (see :meth:`GaussianState.from_xpxp`).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,24 @@ DEFAULT_RECON_TOL = 1e-8      # Williamson residual checks
 
 
 # ---------------------------------------------------------------------------
-# symplectic form and the interleaving permutation
+# counts, the symplectic form and the interleaving permutation
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
+def check_count(value, what: str = "mode count", least: int = 1) -> int:
+    """``value`` as a Python int, refused with :class:`InvalidParameter`
+    unless it is an integer (``operator.index`` accepts it) of at least
+    ``least``: the one check of a mode count, and of a seed."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{what} must be an integer, got {value!r}") from None
+    if count < least:
+        raise InvalidParameter(f"{what} must be >= {least}, got {count}")
+    return count
+
+
+# typed, so that a float n misses the cache of the int it equals and is refused
+@functools.lru_cache(maxsize=64, typed=True)
 def make_symplectic_form(n: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form Omega = [[0, I], [-I, 0]] encoding
     [Q, Q^T] = i*Omega.
@@ -33,8 +48,7 @@ def make_symplectic_form(n: int) -> np.ndarray:
     The array is built once per n, cached and read-only: writing to it, or
     re-enabling writes with ``setflags``, raises ``ValueError``.
     """
-    if n < 1:
-        raise InvalidParameter(f"mode count must be >= 1, got {n}")
+    n = check_count(n)
     eye = np.eye(n)
     zero = np.zeros((n, n))
     omega = np.block([[zero, eye], [-eye, zero]])
@@ -76,12 +90,13 @@ class GaussianState:
     keys.  Each instance computes its hash once, and states whose hashes
     differ compare unequal without reading their arrays again.
 
-    Besides the hash, a state keeps three values that depend on V alone, each
-    computed on first use: its factor det(V + i Omega/2) of the invariant
-    Lambda, its symplectic spectrum nu (read-only) and the LU
-    ``slogdet(V + V)``.  None of the four is a field: equality, hashing,
-    ``repr``, copies and pickles do not see them.  A computation that raises
-    keeps nothing.
+    The mode count must be an integer of at least 1, and is kept as a Python
+    int.  Besides the hash, a state keeps four values that depend on V alone,
+    each computed on first use: its purity invariant t(V), its factor
+    det(V + i Omega/2) of the invariant Lambda, its symplectic spectrum nu
+    (read-only) and the LU ``slogdet(V + V)``.  None of the five is a field:
+    equality, hashing, ``repr``, copies and pickles do not see them.  A
+    computation that raises keeps nothing.
     """
 
     n: int
@@ -89,8 +104,8 @@ class GaussianState:
     V: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameter(f"mode count must be >= 1, got {self.n}")
+        if type(self.n) is not int or self.n < 1:  # an int of at least 1 is kept as is
+            object.__setattr__(self, "n", check_count(self.n))
         u = np.array(self.u, dtype=float)
         V = np.array(self.V, dtype=float)
         if u.shape != (2 * self.n,):
@@ -119,6 +134,19 @@ class GaussianState:
 
     def __reduce__(self):
         return self.__class__, (self.n, self.u, self.V)
+
+    @functools.cached_property
+    def _purity_invariant(self) -> float:
+        """t(V) = -(2/n) Tr((V Omega)^2) = (4/n) sum_k nu_k^2, evaluated on
+        first access and kept like :attr:`_lambda_factor`.
+
+        t = 1 on a pure state and t > 1 on every other physical state.  With
+        V = [[a, b], [c, d]], Omega V Omega = [[-d, c], [b, -a]], so
+        Tr((V Omega)^2) = sum(V * Omega V Omega) = -2 (sum(a * d) - sum(b * c))
+        needs no matrix product.
+        """
+        n, V = self.n, self.V
+        return (4.0 / n) * float(np.vdot(V[:n, :n], V[n:, n:]) - np.vdot(V[:n, n:], V[n:, :n]))
 
     @staticmethod
     def _lambda_factor_of(V: np.ndarray) -> complex:

@@ -84,10 +84,11 @@ LAMBDA_RESID_TOL = 1e-8
 #: and a gap of 3.4e-5 came with an error of 1.0e-5.
 _SELF_PAIR_GAP_TOL = 1e-6
 
-#: |t(V) - 1| at or below this marks a covariance as pure (see
-#: :func:`_purity_invariant`).  It sits at working precision, apart from
-#: DEFAULT_PURE_TOL: a state whose t cannot be resolved this finely (strong
-#: squeezing) fails the test and takes the W_aux spectrum route.
+#: |t(V) - 1| at or below this marks a covariance as pure, t being the
+#: purity invariant a state keeps (see :class:`~gaussfid.core.GaussianState`).
+#: It sits at working precision, apart from DEFAULT_PURE_TOL: a state whose t
+#: cannot be resolved this finely (strong squeezing) fails the test and takes
+#: the W_aux spectrum route.
 _PURITY_TOL = 1e-12
 
 #: log of the largest float; np.exp overflows exactly above it.
@@ -229,19 +230,6 @@ def _parallel_sum_spectrum(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     return w[four_s2 / (w + 1.0) > DEFAULT_PURE_TOL]
 
 
-def _purity_invariant(V: np.ndarray) -> float:
-    """t(V) = -(2/n) Tr((V Omega)^2) = (4/n) sum_k nu_k^2 of a symmetric xxpp
-    covariance.
-
-    t = 1 on a pure state and t > 1 on every other physical state.  With
-    V = [[a, b], [c, d]], Omega V Omega = [[-d, c], [b, -a]], so
-    Tr((V Omega)^2) = sum(V * Omega V Omega) = -2 (sum(a * d) - sum(b * c))
-    needs no matrix product.
-    """
-    n = V.shape[0] // 2
-    return (4.0 / n) * float(np.vdot(V[:n, :n], V[n:, n:]) - np.vdot(V[:n, n:], V[n:, :n]))
-
-
 def ftot_from_spectrum(retained: np.ndarray) -> float:
     """Ftot = prod [w + sqrt(w^2-1)]^{1/2} = exp(sum arccosh(w) / 2)."""
     return float(np.exp(0.5 * np.sum(np.arccosh(np.clip(retained, 1.0, None)))))
@@ -251,10 +239,37 @@ def ftot_from_spectrum(retained: np.ndarray) -> float:
 # symplectic invariants
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _omega_conjugation(n: int):
+    """(index, sign), read-only, with ``V.take(index) * sign`` = Omega V Omega
+    = [[-d, c], [b, -a]] for V = [[a, b], [c, d]].  This signed block swap is
+    exact, as the two products with Omega are, so it can differ from them
+    only in the sign of a zero entry."""
+    m = 2 * n
+    swap = np.r_[n:m, :n]
+    index = np.arange(m * m).reshape(m, m)[swap[:, None], swap]
+    sign = np.ones((m, m))
+    sign[:n, :n] = sign[n:, n:] = -1.0
+    index.setflags(write=False)
+    sign.setflags(write=False)
+    return index, sign
+
+
 def _gamma(V1: np.ndarray, V2: np.ndarray) -> float:
+    """Gamma = 4^n det(Omega V1 Omega V2 - I/4) from the signed block swap of
+    V1 and one matrix product, with 1/4 taken off the diagonal in place.
+
+    A Gamma past the float range reads +-inf, without a warning.
+    """
     n = V1.shape[0] // 2
-    omega = make_symplectic_form(n)
-    return float(4.0 ** n * np.linalg.det(omega @ V1 @ omega @ V2 - 0.25 * np.eye(2 * n)))
+    index, sign = _omega_conjugation(n)
+    conjugated = V1.take(index)
+    conjugated *= sign
+    shifted = conjugated @ V2
+    diagonal = shifted.reshape(-1)[::2 * n + 1]
+    diagonal -= 0.25
+    with np.errstate(over="ignore"):
+        return float(4.0 ** n * np.linalg.det(shifted))
 
 
 def _checked_lambda(d1: complex, d2: complex, V1: np.ndarray, V2: np.ndarray,
@@ -458,11 +473,11 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     The thresholds are fixed: both states must pass :func:`require_physical`
     at DEFAULT_PHYS_TOL, and a Lambda whose relative imaginary residue
     exceeds LAMBDA_RESID_TOL is refused with NumericalError before F is
-    judged.  The physicality check, the purity invariant and the Lambda
-    check run on every call, the first two once per state for two distinct
-    states and once for two equal ones.  What a state keeps (see
-    :class:`~gaussfid.core.GaussianState`) is its factor det(V + i Omega/2)
-    of Lambda and, for equal states, its nu and log det(V + V); the gap
+    judged.  The physicality check and the Lambda check run on every call,
+    the first once per state for two distinct states and once for two equal
+    ones.  What a state keeps (see :class:`~gaussfid.core.GaussianState`) is
+    its purity invariant t(V), its factor det(V + i Omega/2) of Lambda and,
+    for equal states, its nu and log det(V + V); the purity test, the gap
     check, the retained pairs, Ftot and every refusal are worked out from
     them again on each call, and a factorisation that raised is retried.
     """
@@ -473,7 +488,7 @@ def fidelity(s1: GaussianState, s2: GaussianState) -> FidelityReport:
     states = (s1,) if same else (s1, s2)
     for s in states:
         require_physical(s)
-    pure = any(abs(_purity_invariant(s.V) - 1.0) <= _PURITY_TOL for s in states)
+    pure = any(abs(s._purity_invariant - 1.0) <= _PURITY_TOL for s in states)
     if same:
         # Ftot = det(2V)^{1/4} cancels the root overlap: F0 and F_raw are exactly 1
         logdet, retained, ftot = _self_pair_terms(s1, pure)

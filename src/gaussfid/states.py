@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GaussianState, make_symplectic_form
+from .core import GaussianState, check_count, make_symplectic_form
 from .errors import InvalidParameter
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def embed_symplectic(block: np.ndarray, modes: Sequence[int], n: int) -> np.ndar
 
     The block must use the sub-layout (x_{m1}..x_{mk}, p_{m1}..p_{mk}).
     """
-    modes = list(modes)
+    modes, n = list(modes), check_count(n)
     if len(set(modes)) != len(modes) or any(not 0 <= m < n for m in modes):
         raise InvalidParameter(f"invalid mode indices {modes} for n = {n}")
     if block.shape != (2 * len(modes),) * 2:
@@ -81,8 +81,7 @@ def embed_symplectic(block: np.ndarray, modes: Sequence[int], n: int) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def vacuum(n: int) -> GaussianState:
-    if n < 1:
-        raise InvalidParameter("mode count must be >= 1")
+    n = check_count(n)
     return GaussianState(n, np.zeros(2 * n), 0.5 * np.eye(2 * n))
 
 
@@ -171,6 +170,7 @@ def random_symplectic(n: int, rng: np.random.Generator,
                       max_squeeze: float = 1.0) -> np.ndarray:
     """Random symplectic from two layers of rotations, squeezers and beam splitters,
     each gate applied to its own rows of S: bit for bit their embedded product."""
+    n = check_count(n)
     S, tau = np.eye(2 * n), 2 * np.pi
     for _ in range(2):
         for k in range(n):
@@ -188,12 +188,14 @@ def random_state(n: int, seed: int, max_squeeze: float = 1.0, max_thermal: float
     """Deterministic random physical state: a thermal Williamson core, occupations
     uniform in [0, max_thermal] (vacuum when ``pure``), conjugated by
     :func:`random_symplectic` and displaced; its symplectic spectrum lies in
-    [1/2, max_thermal + 1/2].  Seed and bounds must be >= 0, each bound with a
-    finite width 2 * bound; overflow is refused with :class:`InvalidParameter`."""
+    [1/2, max_thermal + 1/2].  The seed must be an integer >= 0, and each bound
+    >= 0 with a finite width 2 * bound; overflow is refused with
+    :class:`InvalidParameter`."""
+    n, seed = check_count(n), check_count(seed, "seed", least=0)
     bounds = (max_squeeze, max_thermal, max_disp)
-    if seed < 0 or not all(0 <= 2 * bound < np.inf for bound in bounds):
-        raise InvalidParameter(f"seed {seed} and sampling bounds {bounds} must be >= 0, "
-                               "each bound with a finite width 2 * bound")
+    if not all(0 <= 2 * bound < np.inf for bound in bounds):
+        raise InvalidParameter(f"sampling bounds {bounds} must be >= 0, "
+                               "each with a finite width 2 * bound")
     rng = np.random.default_rng(seed)
     nbar = np.zeros(n) if pure else rng.uniform(0.0, max_thermal, n)
     # the arguments draw in order: the circuit, then the shift

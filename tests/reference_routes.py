@@ -4,7 +4,8 @@ Fock oracle.
 These exist to validate the production code in :mod:`gaussfid.fidelity`,
 :mod:`gaussfid.metrology` and :mod:`gaussfid.fock` by other routes: V_aux
 itself, the nonsymmetric ``eigvals`` spectrum of 2 V_aux Omega, the
-invariants from traces of its powers and Newton's identities, the complex V12
+invariants from traces of its powers and Newton's identities, Gamma from the
+products with Omega as written, the complex V12
 determinant, the singular block reduction, an explicit superoperator
 pseudo-inverse, the paper's Gaussian-operator algebra of Gibbs exponent
 matrices and W-matrices, and the Fock oracle's operators on the full space.
@@ -33,7 +34,6 @@ from gaussfid.fidelity import (
     DEFAULT_PURE_TOL,
     InvariantSet,
     _checked_lambda,
-    _gamma,
     _solve_v_sum,
 )
 from gaussfid.fock import destroy
@@ -124,6 +124,17 @@ def _char_coeffs_from_traces(i2k: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def gamma_three_products(V1: np.ndarray, V2: np.ndarray) -> float:
+    """Gamma = 4^n det(Omega V1 Omega V2 - I/4) from three matrix products
+    and an identity, the definition as written: the reference that the
+    engine's one-product Gamma is pinned to bit for bit.  A Gamma past the
+    float range reads +-inf, without a warning."""
+    n = V1.shape[0] // 2
+    omega = make_symplectic_form(n)
+    with np.errstate(over="ignore"):
+        return float(4.0 ** n * np.linalg.det(omega @ V1 @ omega @ V2 - 0.25 * np.eye(2 * n)))
+
+
 def invariant_set(V1: np.ndarray, V2: np.ndarray) -> InvariantSet:
     """Trace and determinant invariants of a covariance pair."""
     V1 = np.asarray(V1, dtype=float)
@@ -142,7 +153,7 @@ def invariant_set(V1: np.ndarray, V2: np.ndarray) -> InvariantSet:
     if sign <= 0:
         raise NumericalError("det(V1 + V2) is not positive")
     delta = float(sign * np.exp(logdet))
-    gamma = _gamma(V1, V2)
+    gamma = gamma_three_products(V1, V2)
     lam = _checked_lambda(GaussianState._lambda_factor_of(V1),
                           GaussianState._lambda_factor_of(V2), V1, V2, gamma)
     return InvariantSet(i2k=i2k, gamma=gamma, lam=lam, delta=delta,

@@ -98,6 +98,14 @@ class TestSymplecticForm:
         with pytest.raises(InvalidParameter):
             make_symplectic_form(0)
 
+    def test_non_integral_mode_count_rejected(self):
+        # 2.0 == 2 and both hash alike, so the cache of n = 2 must not answer it
+        make_symplectic_form(2)
+        for n in (2.0, 1.5, "2"):
+            with pytest.raises(InvalidParameter, match="mode count must be an integer"):
+                make_symplectic_form(n)
+        np.testing.assert_array_equal(make_symplectic_form(np.int64(2)), make_symplectic_form(2))
+
     def test_cached_and_read_only(self):
         omega = make_symplectic_form(3)
         assert make_symplectic_form(3) is omega
@@ -134,7 +142,7 @@ class TestSymplecticForm:
 
 
 #: The values a state computes from V on first use, besides its hash.
-_PER_STATE = ("_lambda_factor", "_symplectic_spectrum", "_slogdet_2v")
+_PER_STATE = ("_purity_invariant", "_lambda_factor", "_symplectic_spectrum", "_slogdet_2v")
 
 
 class TestFrozenState:
@@ -159,7 +167,7 @@ class TestFrozenState:
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_stay_read_only(self, copier):
         state = random_state(2, 3)
-        fidelity(state, state)  # fills the Lambda factor, nu and log det(V + V)
+        fidelity(state, state)  # fills t(V), the Lambda factor, nu and log det(V + V)
         assert set(_PER_STATE) <= set(vars(state))
         twin = copier(state)
         assert twin is not state and twin == state and hash(twin) == hash(state)
@@ -175,6 +183,17 @@ class TestFrozenState:
             GaussianState(0, np.zeros(0), np.zeros((0, 0)))
         with pytest.raises(InvalidParameter, match="mode count must be >= 1, got 0"):
             thermal([])
+
+    def test_non_integral_mode_count_rejected(self):
+        # (4,) == (4.0,), so the shape checks passed n = 2.0, and fidelity()
+        # then raised TypeError from np.eye
+        s = random_state(2, 5)
+        for n in (2.0, 1.5, None):
+            with pytest.raises(InvalidParameter, match="mode count must be an integer"):
+                GaussianState(n, s.u, s.V)
+        kept = GaussianState(np.int64(2), s.u, s.V)
+        assert type(kept.n) is int and kept == s and hash(kept) == hash(s)
+        assert repr(kept) == repr(s)
 
 
 class TestStateEquality:
@@ -199,8 +218,8 @@ class TestStateEquality:
         assert vacuum(1) != "vacuum"
 
     def test_cached_lambda_factor_is_invisible(self):
-        # the Lambda factor, nu, log det(V + V) and the hash live in the
-        # instance dict, outside the dataclass fields
+        # t(V), the Lambda factor, nu, log det(V + V) and the hash live in
+        # the instance dict, outside the dataclass fields
         state, fresh = random_state(3, 44), random_state(3, 44)
         first = fidelity(state, state).waux_spectrum
         hash(state)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -25,8 +26,8 @@ from gaussfid import (
 )
 from gaussfid.fidelity import (
     _PURITY_TOL,
+    _gamma,
     _parallel_sum_spectrum,
-    _purity_invariant,
     ftot_from_spectrum,
 )
 from gaussfid.core import DEFAULT_PHYS_TOL, require_physical
@@ -47,6 +48,7 @@ from reference_routes import (
     alt_ftot_v12,
     aux_matrix,
     aux_spectrum,
+    gamma_three_products,
     invariant_set,
     singular_reduction,
     w_matrix,
@@ -581,7 +583,7 @@ class TestPureMemberRoute:
         for seed in range(20):
             p = random_state(n, 7000 + 10 * n + seed, pure=True, max_squeeze=4.0)
             q = random_state(n, 7500 + 10 * n + seed)
-            resolved = abs(_purity_invariant(p.V) - 1.0) <= _PURITY_TOL
+            resolved = abs(p._purity_invariant - 1.0) <= _PURITY_TOL
             resolved_seen.add(resolved)
             del calls[:]
             try:
@@ -627,9 +629,9 @@ class TestPureMemberRoute:
     def test_v_sum_not_positive_definite_refused(self, monkeypatch):
         # V1 + V2 = 2V of this state has a negative eigenvalue in floating
         # point.  Read as pure, the pair takes the root overlap, whose
-        # Cholesky factor refuses it
-        module = importlib.import_module("gaussfid.fidelity")
-        monkeypatch.setattr(module, "_purity_invariant", lambda V: 1.0)
+        # Cholesky factor refuses it.  The patch replaces the kept t(V) on
+        # the class, ahead of any value a state has kept
+        monkeypatch.setattr(GaussianState, "_purity_invariant", property(lambda s: 1.0))
         s = random_state(1, 9113, pure=True, max_squeeze=8.0)
         with pytest.raises(NumericalError, match="V1 \\+ V2 is not positive definite") as exc:
             fidelity(s, displace(s, [1.0, 0.0]))
@@ -645,7 +647,7 @@ class TestPureMemberRoute:
     def test_lambda_refusal_on_a_stiff_pure_pair(self):
         p = random_state(1, 305, pure=True, max_squeeze=8.0)
         q = random_state(1, 5305, max_squeeze=8.0)
-        assert abs(_purity_invariant(p.V) - 1.0) <= _PURITY_TOL  # the pure-member route
+        assert abs(p._purity_invariant - 1.0) <= _PURITY_TOL  # the pure-member route
         with pytest.raises(NumericalError, match="Lambda has a non-vanishing imaginary part"):
             fidelity(p, q)
 
@@ -753,8 +755,6 @@ class TestLambdaFactorCache:
             fidelity(twin, s)  # the first self pair of the copy
             assert len(calls["svd"]) == spectrum and len(calls["slogdet"]) == 1
 
-    # the stiffest pure states overflow det and exp at n = 64 and are refused
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_cached_states_match_fresh_copies(self):
         refused = computed = 0
         for group in _cache_ensemble():
@@ -768,6 +768,134 @@ class TestLambdaFactorCache:
                     refused += first[0] == "refused"
                     computed += first[0] != "refused"
         assert refused and computed
+
+
+def _purity_by_trace(V):
+    """t(V) = -(2/n) Tr((V Omega)^2) from the matrix product, apart from the
+    state's own evaluation."""
+    n = V.shape[0] // 2
+    v_omega = V @ make_symplectic_form(n)
+    return -2.0 / n * float(np.trace(v_omega @ v_omega))
+
+
+def _purity_by_blocks(V):
+    """t(V) = (4/n) (sum(a * d) - sum(b * c)) over V's blocks [[a, b], [c, d]],
+    evaluated apart from the state by the sums it uses: the same bits, so
+    the same route at the purity test's edge, where the rounding of t
+    decides it."""
+    n = V.shape[0] // 2
+    return (4.0 / n) * float(np.vdot(V[:n, :n], V[n:, n:]) - np.vdot(V[:n, n:], V[n:, :n]))
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _stiff_slice():
+    """n = 3 states at max_squeeze 4, mixed and pure."""
+    return ([random_state(3, seed, max_squeeze=4.0) for seed in range(6)]
+            + [random_state(3, 7030 + seed, pure=True, max_squeeze=4.0) for seed in range(6)])
+
+
+class TestPurityInvariantKept:
+    """Each state computes its purity invariant t(V) once, on first use, and
+    keeps it; the route it picks and every refusal are those of a fresh copy."""
+
+    def test_once_per_state(self, monkeypatch):
+        calls = record_calls(monkeypatch, vars(GaussianState)["_purity_invariant"], "func")
+        a, p = random_state(2, 9004), random_state(2, 9005, pure=True)
+        for _ in range(5):
+            for x, y in ((a, p), (p, a), (a, a), (p, p)):
+                fidelity(x, y)
+        assert len(calls) == 2 and calls[0][0] is a and calls[1][0] is p
+        for s in (a, p):
+            fresh = GaussianState(s.n, s.u, s.V)
+            assert "_purity_invariant" not in vars(fresh)
+            kept = vars(s)["_purity_invariant"]
+            assert _bits(kept) == _bits(fresh._purity_invariant)
+            assert kept == pytest.approx(_purity_by_trace(s.V), rel=1e-14)
+        assert abs(vars(p)["_purity_invariant"] - 1.0) <= _PURITY_TOL
+        assert vars(a)["_purity_invariant"] > 1.0 + _PURITY_TOL
+
+    def test_routes_and_refusals_unchanged(self, monkeypatch):
+        # the pure-member route is taken exactly when t, evaluated apart,
+        # marks a state pure, on the first call and on a repeat call, and a
+        # fresh copy gives the same bytes or the same refusal.  On the stiff
+        # slice t is rounded near the purity test's edge, so the kept value
+        # must match the block sums bit for bit
+        spectra = _record_calls(monkeypatch, "_parallel_sum_spectrum")
+        groups = _cache_ensemble() + [_stiff_slice()]
+        routes = {True: 0, False: 0}
+        refused = 0
+        for group in groups:
+            for a in group:
+                for b in group:
+                    if a is b:
+                        continue
+                    pure = any(abs(_purity_by_blocks(s.V) - 1.0) <= _PURITY_TOL for s in (a, b))
+                    outcomes = []
+                    for x, y in ((a, b), (a, b), (GaussianState(a.n, a.u, a.V),
+                                                  GaussianState(b.n, b.u, b.V))):
+                        del spectra[:]
+                        outcomes.append(_outcome(x, y))
+                        # a V1 + V2 refused by its factor stops before the spectrum
+                        assert len(spectra) <= (not pure), (a.n, pure)
+                        if outcomes[-1][0] != "refused":
+                            assert len(spectra) == (not pure), (a.n, pure)
+                    assert outcomes[0] == outcomes[1] == outcomes[2]
+                    for s in (a, b):
+                        if "_purity_invariant" in vars(s):
+                            assert _bits(vars(s)["_purity_invariant"]) == _bits(
+                                _purity_by_blocks(s.V))
+                    routes[pure] += 1
+                    refused += outcomes[0][0] == "refused"
+        assert routes[True] and routes[False] and refused
+
+
+class TestGamma:
+    """Gamma = 4^n det(Omega V1 Omega V2 - I/4) from the signed block swap of
+    V1 and one product, pinned bit for bit to the three products with Omega
+    of reference_routes.gamma_three_products."""
+
+    def test_cache_ensemble_bit_for_bit(self):
+        for group in _cache_ensemble():
+            for a in group:
+                for b in group:
+                    assert _bits(_gamma(a.V, b.V)) == _bits(gamma_three_products(a.V, b.V))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    def test_mixed_and_pure_pairs_bit_for_bit(self, n):
+        # vacuum and thermal covariances have exact zero entries, whose sign
+        # could differ between the swap and the products with Omega
+        a, b = mixed_pair(n, 9300 + n)
+        states = [a, b, random_state(n, 9400 + n, pure=True),
+                  random_state(n, 9500 + n, pure=True, max_squeeze=4.0),
+                  vacuum(n), thermal(np.linspace(0.0, 2.0, n))]
+        for x in states:
+            for y in states:
+                assert _bits(_gamma(x.V, y.V)) == _bits(gamma_three_products(x.V, y.V))
+
+    def test_stiff_pair_cancels_to_zero(self):
+        # the exact bits test_lambda_refusal_on_a_stiff_pure_pair rests on
+        p = random_state(1, 305, pure=True, max_squeeze=8.0)
+        q = random_state(1, 5305, max_squeeze=8.0)
+        for x, y in ((p, q), (q, p)):
+            assert _bits(_gamma(x.V, y.V)) == _bits(gamma_three_products(x.V, y.V))
+        assert _gamma(p.V, q.V) == 0.0
+
+    def test_overflow_reads_inf_without_a_warning(self):
+        # det(Omega V1 Omega V2 - I/4) of this valid n = 64 pair exceeds the
+        # float range; fidelity() and the report's invariants both evaluate
+        # Gamma, which warned in numpy's det
+        a = random_state(64, 9740)
+        b = random_state(64, 9743, pure=True, max_squeeze=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in ((a, b), (b, a)):
+                rep = fidelity(x, y)
+                assert 0.0 < rep.F < 1.0
+                assert rep.invariants.gamma == np.inf
+                assert _gamma(x.V, y.V) == gamma_three_products(x.V, y.V) == np.inf
 
 
 def _pure_mode_pairs():
@@ -862,8 +990,6 @@ class TestSelfPairRoute:
     """Equal states: F = 1 exactly, with the W_aux pairs w = nu + 1/(4 nu)
     over V's symplectic eigenvalues and Ftot = det(V1 + V2)^{1/4}."""
 
-    # the stiffest pure states overflow det and exp at n = 64 and are refused
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_equal_copies_take_the_self_route(self, monkeypatch):
         # a state against a fresh equal copy gives the bytes of the state
         # against itself: one physicality check, no solve, F exactly 1

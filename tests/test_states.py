@@ -23,7 +23,7 @@ from gaussfid import (
     validate_state,
 )
 from gaussfid import states
-from gaussfid.fidelity import _PURITY_TOL, _purity_invariant
+from gaussfid.fidelity import _PURITY_TOL
 from gaussfid.metrology import FAMILIES
 from gaussfid.states import (
     beamsplitter_block,
@@ -68,7 +68,7 @@ class TestBuilders:
         # the contracted variance is e^{-2r}/2 without cancellation, so the
         # state passes the purity test and takes the root-overlap route
         for r in np.linspace(-16.0, 16.0, 65):
-            assert abs(_purity_invariant(squeezed([r]).V) - 1.0) <= _PURITY_TOL, r
+            assert abs(squeezed([r])._purity_invariant - 1.0) <= _PURITY_TOL, r
         calls = count_linalg_calls(monkeypatch, "eigvals")
         assert 0.0 < fidelity(squeezed([16.0]), thermal([0.3])).F < 1.0
         assert calls == []
@@ -267,6 +267,29 @@ class TestNonFiniteParameters:
         # 1e308 is finite, but the width of its draw, 2e308, is not
         with pytest.raises(InvalidParameter, match="sampling bounds"):
             random_state(2, 1, **{bound: value})
+
+    @pytest.mark.parametrize("build", [
+        lambda: vacuum(2.0),
+        lambda: two_mode_squeezed(0.3, 2.0),
+        lambda: random_state(2.0, 1),
+        lambda: random_symplectic(2.0, np.random.default_rng(1)),
+        lambda: embed_symplectic(np.eye(2), [0], 2.0),
+    ], ids=["vacuum", "two_mode_squeezed", "random_state", "random_symplectic",
+            "embed_symplectic"])
+    def test_non_integral_mode_count(self, build):
+        # each raised an untyped TypeError from numpy
+        with pytest.raises(InvalidParameter, match="mode count must be an integer, got 2.0"):
+            build()
+
+    @pytest.mark.parametrize("seed, message", [(1.5, "seed must be an integer, got 1.5"),
+                                               (-1, "seed must be >= 0, got -1")])
+    def test_random_state_seed(self, seed, message):
+        with pytest.raises(InvalidParameter, match=message):
+            random_state(2, seed)
+
+    def test_integer_types_give_the_same_state(self):
+        assert random_state(np.int64(2), np.int64(1)) == random_state(2, 1)
+        assert vacuum(np.int32(2)) == vacuum(2) and type(vacuum(np.int32(2)).n) is int
 
     def test_large_finite_parameters_are_kept(self):
         assert np.isfinite(squeezed([300.0]).V).all()
