@@ -66,7 +66,8 @@ def _half_i_omega(n: int) -> np.ndarray:
 
 
 def xxpp_to_xpxp_indices(n: int) -> np.ndarray:
-    """Index array p with v_xpxp = v_xxpp[p]."""
+    """Index array p with v_xpxp = v_xxpp[p]; ``n`` is checked as a mode count."""
+    n = check_count(n)
     perm = np.empty(2 * n, dtype=int)
     perm[0::2] = np.arange(n)
     perm[1::2] = np.arange(n) + n
@@ -76,6 +77,30 @@ def xxpp_to_xpxp_indices(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # state container
 # ---------------------------------------------------------------------------
+
+class _kept:
+    """A value a state computes from its arrays on first access and keeps in
+    its instance dict, which later reads find before this descriptor.
+
+    Unlike ``functools.cached_property`` on Python < 3.12, it takes no lock:
+    two threads that read the value first may both compute it, and each keeps
+    an equal result.  A computation that raises keeps nothing.  ``func`` is
+    looked up on every computation, so a test can record its calls.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
@@ -135,7 +160,7 @@ class GaussianState:
     def __reduce__(self):
         return self.__class__, (self.n, self.u, self.V)
 
-    @functools.cached_property
+    @_kept
     def _purity_invariant(self) -> float:
         """t(V) = -(2/n) Tr((V Omega)^2) = (4/n) sum_k nu_k^2, evaluated on
         first access and kept like :attr:`_lambda_factor`.
@@ -153,7 +178,7 @@ class GaussianState:
         """det(V + i Omega/2), one covariance's factor of the invariant Lambda."""
         return np.linalg.det(V + _half_i_omega(V.shape[0] // 2))
 
-    @functools.cached_property
+    @_kept
     def _lambda_factor(self) -> complex:
         """:meth:`_lambda_factor_of` this state's V, evaluated on first access.
 
@@ -162,7 +187,7 @@ class GaussianState:
         """
         return self._lambda_factor_of(self.V)
 
-    @functools.cached_property
+    @_kept
     def _symplectic_spectrum(self) -> np.ndarray:
         """:func:`symplectic_eigenvalues` of this state's V, read-only, kept
         like :attr:`_lambda_factor`.  A V it refuses caches nothing, so the
@@ -172,7 +197,7 @@ class GaussianState:
         nu.setflags(write=False)
         return nu.view()
 
-    @functools.cached_property
+    @_kept
     def _slogdet_2v(self) -> tuple[float, float]:
         """The LU ``slogdet(V + V)``, kept like :attr:`_lambda_factor`.  It is
         the reference :attr:`_symplectic_spectrum` is checked against, so it
@@ -180,7 +205,7 @@ class GaussianState:
         sign, logdet = np.linalg.slogdet(self.V + self.V)
         return float(sign), float(logdet)
 
-    @functools.cached_property
+    @_kept
     def _hash(self) -> int:
         """The hash of the mode count and arrays, computed on first access and
         kept outside the fields like :attr:`_lambda_factor`."""

@@ -25,6 +25,7 @@ of A1^dagger A2, and a moment reads bands rho[n + d, n] = <A[n], A[n + d]>.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -153,10 +154,11 @@ def _gate(op, n: int, cutoffs: Sequence[int]):
     """A primitive's checks and both of its actions, as (modes, blocks, S, d).
 
     The primitive is refused with InvalidParameter when its kind is unknown,
-    a mode index is out of range (a beam splitter needs two distinct modes),
-    |alpha| > MAX_ALPHA or |r| > MAX_SQUEEZE.  ``blocks`` is the exact
-    exponential of its truncated generator on the factor of ``modes``, as
-    (indices, block) pairs, and (S, d) its exact xxpp action u -> S u + d.
+    a mode index is not an integer or out of range (a beam splitter needs two
+    distinct modes), |alpha| > MAX_ALPHA or |r| > MAX_SQUEEZE.  ``blocks`` is
+    the exact exponential of its truncated generator on the factor of
+    ``modes``, as (indices, block) pairs, and (S, d) its exact xxpp action
+    u -> S u + d.
 
     A single-mode gate is one c x c block.  The beam splitter on modes (j, k)
     acts on the flattened factor index n_j * c_k + n_k; its generator
@@ -167,6 +169,10 @@ def _gate(op, n: int, cutoffs: Sequence[int]):
     kind = op[0]
     if kind == "beamsplitter":
         _, modes, theta, phi = op
+        try:
+            modes = tuple(map(operator.index, modes))
+        except TypeError:
+            raise InvalidParameter(f"beamsplitter modes {modes!r} are not integers") from None
         if len(set(modes)) != 2 or any(not 0 <= m < n for m in modes):
             raise InvalidParameter("beamsplitter needs two distinct in-range modes")
         cj, ck = cutoffs[modes[0]], cutoffs[modes[1]]
@@ -183,7 +189,10 @@ def _gate(op, n: int, cutoffs: Sequence[int]):
         return modes, blocks, S, np.zeros(2 * n)
     if kind not in ("displace", "squeeze", "phase"):
         raise InvalidParameter(f"unknown primitive {kind!r}")
-    mode = op[1]
+    try:
+        mode = operator.index(op[1])
+    except TypeError:
+        raise InvalidParameter(f"mode index {op[1]!r} is not an integer") from None
     if not 0 <= mode < n:
         raise InvalidParameter(f"mode index {mode} out of range")
     a = destroy(cutoffs[mode])

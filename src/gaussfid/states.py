@@ -6,12 +6,34 @@ coherent amplitude alpha mapped to the mean (sqrt(2) Re alpha, sqrt(2) Im alpha)
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from typing import Sequence
 
 import numpy as np
 
 from .core import GaussianState, check_count, make_symplectic_form
 from .errors import InvalidParameter
+
+#: numpy's overflow and invalid-value reports are silenced where a builder
+#: refuses the non-finite result itself, so that a refusal comes without a warning
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
+@functools.lru_cache(maxsize=64)
+def _scaled_identity(n: int, scale: float) -> np.ndarray:
+    """scale * I of size 2n, cached and read-only per (n, scale): a template
+    that the builders copy in place of an ``np.eye`` per call."""
+    out = scale * np.eye(2 * n)
+    out.setflags(write=False)
+    return out
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, in one pass after ``isfinite``."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
 
 # ---------------------------------------------------------------------------
 # elementary symplectic blocks (single mode in (x, p), pairs in (x1, x2, p1, p2))
@@ -52,27 +74,42 @@ def beamsplitter_block(theta: float, phi: float = 0.0) -> np.ndarray:
 def two_mode_squeeze_block(r: float) -> np.ndarray:
     """Two-mode squeezer in (x1,x2,p1,p2): x's correlate, p's anticorrelate."""
     ch, sh = np.cosh(r), np.sinh(r)
-    return np.array([
-        [ch, sh, 0.0, 0.0],
-        [sh, ch, 0.0, 0.0],
-        [0.0, 0.0, ch, -sh],
-        [0.0, 0.0, -sh, ch],
-    ])
+    return np.array([ch, sh, 0.0, 0.0,
+                     sh, ch, 0.0, 0.0,
+                     0.0, 0.0, ch, -sh,
+                     0.0, 0.0, -sh, ch]).reshape(4, 4)
+
+
+@functools.lru_cache(maxsize=256)
+def _embedding(modes: tuple[int, ...], n: int) -> np.ndarray:
+    """The flat indices, in C order, of the rows and columns of ``modes`` in a
+    2n x 2n xxpp matrix; read-only and cached per (modes, n), which are
+    integers.  Repeated or out-of-range modes are refused."""
+    if len(set(modes)) != len(modes) or any(not 0 <= m < n for m in modes):
+        raise InvalidParameter(f"invalid mode indices {list(modes)} for n = {n}")
+    idx = np.array(modes + tuple(m + n for m in modes))
+    flat = (2 * n * idx[:, None] + idx).ravel()
+    flat.setflags(write=False)
+    return flat
 
 
 def embed_symplectic(block: np.ndarray, modes: Sequence[int], n: int) -> np.ndarray:
     """Embed a block acting on ``modes`` into an identity 2n x 2n xxpp matrix.
 
-    The block must use the sub-layout (x_{m1}..x_{mk}, p_{m1}..p_{mk}).
+    The block must use the sub-layout (x_{m1}..x_{mk}, p_{m1}..p_{mk}).  A mode
+    index that is not an integer, repeated or out of range is refused with
+    :class:`InvalidParameter`.
     """
-    modes, n = list(modes), check_count(n)
-    if len(set(modes)) != len(modes) or any(not 0 <= m < n for m in modes):
-        raise InvalidParameter(f"invalid mode indices {modes} for n = {n}")
+    n = check_count(n)
+    try:
+        modes = tuple(map(operator.index, modes))
+    except TypeError:
+        raise InvalidParameter(f"mode indices must be integers, got {modes!r}") from None
+    flat = _embedding(modes, n)
     if block.shape != (2 * len(modes),) * 2:
         raise InvalidParameter("block shape does not match number of modes")
-    idx = np.array(modes + [m + n for m in modes])
-    out = np.eye(2 * n)
-    out[idx[:, None], idx] = block
+    out = _scaled_identity(n, 1.0).copy()
+    out.put(flat, block)
     return out
 
 
@@ -82,29 +119,57 @@ def embed_symplectic(block: np.ndarray, modes: Sequence[int], n: int) -> np.ndar
 
 def vacuum(n: int) -> GaussianState:
     n = check_count(n)
-    return GaussianState(n, np.zeros(2 * n), 0.5 * np.eye(2 * n))
+    return GaussianState(n, np.zeros(2 * n), _scaled_identity(n, 0.5))
 
 
 def thermal(nbar: Sequence[float]) -> GaussianState:
-    """Thermal state with mean occupation nbar_k per mode; V = diag(nbar + 1/2)."""
-    nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
-    if not ((nbar >= 0) & (nbar < np.inf)).all():
+    """Thermal state with mean occupation nbar_k per mode; V = diag(nbar + 1/2).
+
+    ``nbar`` is a number or a 1-D sequence of finite occupations >= 0; anything
+    else is refused with :class:`InvalidParameter`.
+    """
+    nbar = np.array(nbar, dtype=float, ndmin=1)
+    if nbar.ndim != 1:
+        raise InvalidParameter(f"thermal occupations must be 1-D, got shape {nbar.shape}")
+    occupations = nbar.tolist()
+    if not all(0.0 <= x < math.inf for x in occupations):  # a NaN fails the test
         raise InvalidParameter(f"thermal occupations must be finite and >= 0, got {nbar}")
-    v = np.concatenate([nbar, nbar]) + 0.5
-    return GaussianState(len(nbar), np.zeros(2 * len(nbar)), np.diag(v))
+    n = len(occupations)
+    V = np.zeros((2 * n, 2 * n))
+    for k, x in enumerate(occupations):
+        V[k, k] = V[k + n, k + n] = x + 0.5
+    return GaussianState(n, np.zeros(2 * n), V)
 
 
 def coherent(alpha: Sequence[complex]) -> GaussianState:
-    """Coherent state |alpha_1 .. alpha_n>: vacuum CM, mean sqrt(2)(Re a, Im a)."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    return displace(vacuum(len(alpha)), np.sqrt(2.0) * np.concatenate([alpha.real, alpha.imag]))
+    """Coherent state |alpha_1 .. alpha_n>: vacuum CM, mean sqrt(2)(Re a, Im a).
+
+    ``alpha`` is a number or a 1-D sequence; anything else, and a mean vector
+    that is not finite, is refused with :class:`InvalidParameter`.
+    """
+    alpha = np.array(alpha, dtype=complex, ndmin=1)
+    if alpha.ndim != 1:
+        raise InvalidParameter(f"coherent amplitudes must be 1-D, got shape {alpha.shape}")
+    n = check_count(len(alpha))
+    with np.errstate(**_QUIET):
+        u = np.sqrt(2.0) * np.concatenate([alpha.real, alpha.imag])
+    if not _finite(u):
+        raise InvalidParameter(f"displacement {u}: non-finite mean vector")
+    return GaussianState(n, u, _scaled_identity(n, 0.5))
 
 
 def _through(S: np.ndarray, core=None, u=None, **params) -> GaussianState:
-    """The state (u, S core S^T) for a symplectic S; by default u = 0, core = I/2."""
-    V = S @ (0.5 * np.eye(len(S)) if core is None else core) @ S.T
+    """The state (u, S core S^T) for a symplectic S; by default u = 0 and
+    core = I/2, whose product is formed as (S/2) S^T.  The callers silence
+    numpy's overflow reports (:data:`_QUIET`): a non-finite entry is refused
+    here with :class:`InvalidParameter`.
+
+    ``ndarray.dot`` makes the BLAS call ``@`` makes, with less overhead.  Each
+    product pairs two distinct arrays: numpy hands ``S.dot(S.T)`` to SYRK,
+    which rounds differently from S (I/2) S^T."""
+    V = (0.5 * S).dot(S.T) if core is None else S.dot(core).dot(S.T)
     del S, core  # so that the state's copy of V takes the lowest free block
-    if not (np.isfinite(V).all() and (u is None or np.isfinite(u).all())):
+    if not (_finite(V) and (u is None or _finite(u))):
         raise InvalidParameter(
             f"{params or 'conjugation'}: non-finite or overflowing covariance or mean vector")
     return GaussianState(len(V) // 2, np.zeros(len(V)) if u is None else u, V)
@@ -112,29 +177,32 @@ def _through(S: np.ndarray, core=None, u=None, **params) -> GaussianState:
 
 def squeezed(r: Sequence[float], phi: Sequence[float] | None = None) -> GaussianState:
     """Product of single-mode squeezed vacua with parameters (r_k, phi_k)."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    phi = np.zeros_like(r) if phi is None else np.atleast_1d(np.asarray(phi, dtype=float))
+    r = np.array(r, dtype=float, ndmin=1)
+    phi = np.zeros(r.shape) if phi is None else np.array(phi, dtype=float, ndmin=1)
     n = len(r)
     if r.ndim != 1 or phi.shape != r.shape or n < 1:
         raise InvalidParameter("r and phi must be non-empty 1-D of matching lengths")
-    S = np.eye(2 * n)
-    for k in range(n):  # squeezer k acts on rows and columns k, k + n alone
-        S[k::n, k::n] = squeeze_block(r[k], phi[k])
-    return _through(S, r=r, phi=phi)
+    S = np.zeros((2 * n, 2 * n))
+    with np.errstate(**_QUIET):
+        for k in range(n):  # squeezer k acts on rows and columns k, k + n alone
+            S[k::n, k::n] = squeeze_block(r[k], phi[k])
+        return _through(S, r=r, phi=phi)
 
 
 def two_mode_squeezed(r: float, n: int = 2, modes: Sequence[int] = (0, 1)) -> GaussianState:
     """Two-mode squeezed vacuum on the given mode pair of an n-mode register."""
-    return _through(embed_symplectic(two_mode_squeeze_block(r), list(modes), n), r=r)
+    with np.errstate(**_QUIET):
+        return _through(embed_symplectic(two_mode_squeeze_block(r), modes, n), r=r)
 
 
 def displace(state: GaussianState, d: Sequence[float]) -> GaussianState:
-    """Shift the mean vector by d."""
+    """Shift the mean vector by d, refusing a mean that is not finite."""
     d = np.asarray(d, dtype=float)
     if d.shape != state.u.shape:
         raise InvalidParameter("displacement length does not match the state")
-    u = state.u + d
-    if not np.isfinite(u).all():
+    # summed as Python floats, which overflow to inf without a numpy warning
+    u = [a + b for a, b in zip(state.u.tolist(), d.tolist())]
+    if not all(map(math.isfinite, u)):
         raise InvalidParameter(f"displacement {d}: non-finite mean vector")
     return GaussianState(state.n, u, state.V)
 
@@ -145,10 +213,13 @@ def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
     if S.shape != (2 * state.n,) * 2:
         raise InvalidParameter("symplectic matrix shape does not match the state")
     omega = make_symplectic_form(state.n)
-    resid = np.abs(S @ omega @ S.T - omega).max()  # within 1e-8 * max(1, max|S|^2)
-    if not (resid <= 1e-8 or resid <= 1e-8 * np.abs(S).max() ** 2):
-        raise InvalidParameter("matrix is not symplectic (S Omega S^T != Omega)")
-    return _through(S, state.V, S @ state.u)
+    with np.errstate(**_QUIET):
+        resid = S.dot(omega).dot(S.T)
+        resid -= omega
+        resid = np.abs(resid, out=resid).max()  # within 1e-8 * max(1, max|S|^2)
+        if not (resid <= 1e-8 or resid <= 1e-8 * np.abs(S).max() ** 2):
+            raise InvalidParameter("matrix is not symplectic (S Omega S^T != Omega)")
+        return _through(S, state.V, S.dot(state.u))
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -199,6 +270,8 @@ def random_state(n: int, seed: int, max_squeeze: float = 1.0, max_thermal: float
     rng = np.random.default_rng(seed)
     nbar = np.zeros(n) if pure else rng.uniform(0.0, max_thermal, n)
     # the arguments draw in order: the circuit, then the shift
-    return _through(random_symplectic(n, rng, max_squeeze),
-                    np.diag(np.concatenate([nbar, nbar]) + 0.5),
-                    rng.uniform(-max_disp, max_disp, 2 * n), seed=seed, max_squeeze=max_squeeze)
+    with np.errstate(**_QUIET):
+        return _through(random_symplectic(n, rng, max_squeeze),
+                        np.diag(np.concatenate([nbar, nbar]) + 0.5),
+                        rng.uniform(-max_disp, max_disp, 2 * n), seed=seed,
+                        max_squeeze=max_squeeze)

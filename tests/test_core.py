@@ -4,6 +4,8 @@ algebra of the test-side :mod:`reference_routes` (Gibbs conversions, products)."
 import copy
 import dataclasses
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -106,6 +108,14 @@ class TestSymplecticForm:
                 make_symplectic_form(n)
         np.testing.assert_array_equal(make_symplectic_form(np.int64(2)), make_symplectic_form(2))
 
+    def test_reorder_index_checks_its_mode_count(self):
+        # 2.0 reached numpy's untyped TypeError, and 0 gave an empty array
+        for n, message in ((2.0, "mode count must be an integer, got 2.0"),
+                           (0, "mode count must be >= 1, got 0")):
+            with pytest.raises(InvalidParameter, match=message):
+                xxpp_to_xpxp_indices(n)
+        np.testing.assert_array_equal(xxpp_to_xpxp_indices(np.int64(2)), [0, 2, 1, 3])
+
     def test_cached_and_read_only(self):
         omega = make_symplectic_form(3)
         assert make_symplectic_form(3) is omega
@@ -194,6 +204,76 @@ class TestFrozenState:
         kept = GaussianState(np.int64(2), s.u, s.V)
         assert type(kept.n) is int and kept == s and hash(kept) == hash(s)
         assert repr(kept) == repr(s)
+
+
+class TestKeptValues:
+    """The five values a state computes on first use are kept per instance
+    without a lock; threads that read them first agree with a fresh copy."""
+
+    @staticmethod
+    def _values(state):
+        return (state._hash, _bits(state._purity_invariant), _bits(state._lambda_factor),
+                state._symplectic_spectrum.tobytes(), _bits(state._slogdet_2v))
+
+    def test_first_access_takes_no_lock(self, monkeypatch):
+        # functools.cached_property on Python < 3.12 holds one lock per class
+        # attribute over every first access, so a slow first access on one
+        # state held up that value's first access on every other state
+        kept = vars(GaussianState)["_purity_invariant"]
+        compute, started, release = kept.func, threading.Event(), threading.Event()
+        a, b = random_state(2, 61), random_state(2, 62)
+
+        def slow(state):
+            if state is a:
+                started.set()
+                release.wait(10.0)
+            return compute(state)
+
+        monkeypatch.setattr(kept, "func", slow)
+        first = threading.Thread(target=lambda: a._purity_invariant)
+        second = threading.Thread(target=lambda: b._purity_invariant)
+        first.start()
+        try:
+            assert started.wait(10.0)
+            second.start()
+            second.join(2.0)
+            assert not second.is_alive() and "_purity_invariant" in vars(b)
+        finally:
+            release.set()
+            first.join(10.0)
+            second.join(10.0)
+        assert not first.is_alive() and not second.is_alive()
+        assert vars(a)["_purity_invariant"] == compute(a)
+
+    def test_threads_agree_with_fresh_copies(self):
+        shared = [random_state(1 + k % 4, 7000 + k) for k in range(24)]
+        expected = [self._values(GaussianState(s.n, s.u, s.V)) for s in shared]
+        seen, errors = [], []
+
+        def read():
+            try:
+                seen.append([self._values(s) for s in shared])
+            except Exception as exc:  # reported below; a thread cannot fail the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(seen) == 8 and all(values == expected for values in seen)
+        for s, values in zip(shared, expected):
+            assert self._values(s) == values
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
 
 
 class TestStateEquality:

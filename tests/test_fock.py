@@ -116,6 +116,10 @@ REFUSED_GATES = {
     "unknown primitive": (1, ("rotate", 0, 0.3), "unknown primitive 'rotate'"),
     "mode above range": (1, ("phase", 1, 0.3), "mode index 1 out of range"),
     "negative mode": (2, ("displace", -1, 0.2), "mode index -1 out of range"),
+    # a float index raised TypeError from the list of cutoffs
+    "non-integer mode": (1, ("phase", 0.0, 0.3), "mode index 0.0 is not an integer"),
+    "non-integer beam splitter leg": (2, ("beamsplitter", (0.0, 1), 0.3, 0.2),
+                                      "beamsplitter modes (0.0, 1) are not integers"),
     "beam splitter on one mode": (2, ("beamsplitter", (1, 1), 0.3, 0.2),
                                   "beamsplitter needs two distinct in-range modes"),
     "beam splitter leg out of range": (2, ("beamsplitter", (0, 2), 0.3, 0.2),

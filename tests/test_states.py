@@ -1,5 +1,6 @@
 """Builders, elementary symplectics, tensor products and the xpxp boundary constructor."""
 
+import warnings
 import weakref
 
 import numpy as np
@@ -214,14 +215,12 @@ class TestNonFiniteParameters:
         with pytest.raises(InvalidParameter, match="non-finite mean vector"):
             coherent(alpha)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("d", [[np.nan, 0.0], [0.0, -np.inf], [1e308, 0.0]])
     def test_displace(self, d):
         # the last one overflows the mean vector of an already displaced state
         with pytest.raises(InvalidParameter, match="non-finite mean vector"):
             displace(displace(vacuum(1), [1e308, 0.0]), d)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("r, phi", [
         ([400.0], None),           # cosh(400) is finite, the covariance overflows
         ([0.2, -400.0], [0.0, 1.0]),
@@ -234,13 +233,11 @@ class TestNonFiniteParameters:
         with pytest.raises(InvalidParameter, match="non-finite or overflowing covariance"):
             squeezed(r, phi)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("r", [400.0, -400.0, np.nan, np.inf])
     def test_two_mode_squeezed(self, r):
         with pytest.raises(InvalidParameter, match="non-finite or overflowing covariance"):
             two_mode_squeezed(r, 3, (2, 0))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("state, S", [
         (vacuum(1), np.diag([1e200, 1e-200])),  # symplectic to the last bit; V overflows
         (GaussianState(1, [1e300, 0.0], 0.5 * np.eye(2)), np.diag([1e10, 1e-10])),
@@ -251,7 +248,6 @@ class TestNonFiniteParameters:
         with pytest.raises(InvalidParameter, match="conjugation: non-finite or overflowing"):
             apply_symplectic(state, S)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("n, kwargs", [
         (2, {"max_squeeze": 400.0}),
         (1, {"max_squeeze": 400.0, "pure": True}),
@@ -280,6 +276,41 @@ class TestNonFiniteParameters:
         # each raised an untyped TypeError from numpy
         with pytest.raises(InvalidParameter, match="mode count must be an integer, got 2.0"):
             build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: embed_symplectic(np.eye(2), [0.0], 2),
+        lambda: two_mode_squeezed(0.3, 2, (0.0, 1.0)),
+    ], ids=["embed_symplectic", "two_mode_squeezed"])
+    def test_non_integral_mode_index(self, build):
+        # each raised numpy's IndexError
+        with pytest.raises(InvalidParameter, match="mode indices must be integers"):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: thermal([[0.1, 0.2]]), "thermal occupations must be 1-D, got shape \\(1, 2\\)"),
+        (lambda: coherent([[0.1j]]), "coherent amplitudes must be 1-D, got shape \\(1, 1\\)"),
+    ], ids=["thermal", "coherent"])
+    def test_occupations_and_amplitudes_must_be_1d(self, build, message):
+        # thermal's refusal named a covariance of shape (2,), coherent's a displacement
+        with pytest.raises(InvalidParameter, match=message):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: squeezed([800.0]),                         # exp, sinh, multiply
+        lambda: squeezed([400.0], [1.0]),                  # the product
+        lambda: random_state(1, 1, max_squeeze=800.0),     # the product
+        lambda: two_mode_squeezed(800.0),                  # cosh, sinh, the product
+        lambda: apply_symplectic(vacuum(1), np.diag([1e200, 1e-200])),
+        lambda: apply_symplectic(vacuum(1), np.full((2, 2), 1e300)),  # S Omega S^T
+        lambda: displace(displace(vacuum(1), [1e308, 0.0]), [1e308, 0.0]),
+        lambda: coherent([1.3e308]),
+    ], ids=["squeezed", "squeezed-phi", "random_state", "two_mode_squeezed",
+            "apply_symplectic", "apply_symplectic-check", "displace", "coherent"])
+    def test_overflow_refused_without_a_warning(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter):
+                build()
 
     @pytest.mark.parametrize("seed, message", [(1.5, "seed must be an integer, got 1.5"),
                                                (-1, "seed must be >= 0, got -1")])
@@ -367,6 +398,26 @@ def _product_random_state(n, seed, max_squeeze=1.0, max_thermal=2.0, max_disp=1.
     return GaussianState(n, state.u + d, state.V)
 
 
+def _product_thermal(nbar):
+    """thermal as it was: a diagonal from the concatenated occupations."""
+    nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
+    return GaussianState(len(nbar), np.zeros(2 * len(nbar)),
+                         np.diag(np.concatenate([nbar, nbar]) + 0.5))
+
+
+def _product_displace(state, d):
+    """displace as it was: the numpy sum of the means."""
+    return GaussianState(state.n, state.u + np.asarray(d, dtype=float), state.V)
+
+
+def _product_coherent(alpha):
+    """coherent as it was: the vacuum, then its displacement."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
+    n = len(alpha)
+    return _product_displace(GaussianState(n, np.zeros(2 * n), 0.5 * np.eye(2 * n)),
+                             np.sqrt(2.0) * np.concatenate([alpha.real, alpha.imag]))
+
+
 _PRODUCT_FAMILIES = {
     "coherent-displacement": lambda t: GaussianState(1, np.array([t, 0.0]), 0.5 * np.eye(2)),
     "thermal-nbar": lambda t: GaussianState(1, np.zeros(2), np.diag([t + 0.5] * 2)),
@@ -382,11 +433,16 @@ def _assert_same(state, expected):
     assert np.array_equal(state.V, expected.V)
 
 
+#: mode counts of the bit-identity grid: the 1-4 modes the builders serve
+#: most, and sizes where BLAS blocks the products differently
+_GRID = [1, 2, 3, 4, 8, 16, 64]
+
+
 class TestBitIdentity:
     """The builders give the arrays of the composition they replaced, bit for
     bit (np.array_equal), and refuse what it refused with the same type."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
     @pytest.mark.parametrize("with_phi", [False, True])
     def test_squeezed(self, n, with_phi):
         rng = np.random.default_rng(100 + n)
@@ -396,7 +452,8 @@ class TestBitIdentity:
             _assert_same(squeezed(r, phi), _product_squeezed(r, phi))
 
     @pytest.mark.parametrize("r", [0.0, 0.4, -1.3, 5.0])
-    @pytest.mark.parametrize("n, modes", [(2, (0, 1)), (3, (2, 0)), (5, (1, 4))])
+    @pytest.mark.parametrize("n, modes", [(2, (0, 1)), (3, (2, 0)), (5, (1, 4)),
+                                          (16, (3, 12)), (64, (63, 0))])
     def test_two_mode_squeezed_and_embedding(self, r, n, modes):
         block = two_mode_squeeze_block(r)
         assert np.array_equal(embed_symplectic(block, modes, n),
@@ -414,6 +471,36 @@ class TestBitIdentity:
             block = rng.normal(size=(4, 4))
             assert np.array_equal(embed_symplectic(block, [n - 1, 0], n),
                                   _product_embed(block, [n - 1, 0], n))
+
+    @pytest.mark.parametrize("n", _GRID)
+    def test_vacuum_core_on_dense_symplectics(self, n):
+        # a squeezer's S has two entries per row, which sum alike in every
+        # order; a dense S tells (S/2) S^T apart from numpy's SYRK for S S^T
+        for seed in range(5):
+            S = random_symplectic(n, np.random.default_rng(900 + seed))
+            _assert_same(states._through(S),
+                         GaussianState(n, np.zeros(2 * n), S @ (0.5 * np.eye(2 * n)) @ S.T))
+
+    @pytest.mark.parametrize("n", _GRID)
+    def test_vacuum_thermal_coherent(self, n):
+        rng = np.random.default_rng(300 + n)
+        _assert_same(vacuum(n), GaussianState(n, np.zeros(2 * n), 0.5 * np.eye(2 * n)))
+        for scale in (0.0, 1e-3, 1.0, 1e6):
+            nbar = scale * rng.uniform(0.0, 2.0, n)
+            _assert_same(thermal(nbar), _product_thermal(nbar))
+            alpha = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            _assert_same(coherent(alpha), _product_coherent(alpha))
+
+    @pytest.mark.parametrize("n", _GRID)
+    def test_displace_and_apply_symplectic(self, n):
+        # apply_symplectic on random symplectics of every squeezing range
+        for seed, max_squeeze in enumerate((0.0, 0.5, 1.0, 4.0), start=20 * n):
+            state = random_state(n, seed, max_squeeze=max_squeeze)
+            rng = np.random.default_rng(seed)
+            S = random_symplectic(n, rng, max_squeeze)
+            _assert_same(apply_symplectic(state, S), _product_apply(state, S))
+            d = rng.uniform(-2.0, 2.0, 2 * n)
+            _assert_same(displace(state, d), _product_displace(state, d))
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_families(self, name):
@@ -536,6 +623,27 @@ class TestConstructionBudget:
         monkeypatch.setattr(GaussianState, "__post_init__", building)
         random_state(8, 5)
         assert freed == [True]
+
+    def test_tms_displace_path(self, monkeypatch):
+        # the benchmark's two-parameter family: a two-mode squeezer embedded on
+        # modes (0, 1), the base state conjugated by it, then shifted along x1.
+        # Two states per call, and no identity built per call
+        base = random_state(3, 11, max_squeeze=0.5)
+        shift = np.zeros(6)
+        shift[0] = 0.2
+
+        def family():
+            S = states.embed_symplectic(states.two_mode_squeeze_block(0.3), [0, 1], base.n)
+            return states.displace(states.apply_symplectic(base, S), shift)
+
+        expected = family()
+        calls = [record_calls(monkeypatch, states, name)
+                 for name in ("embed_symplectic", "apply_symplectic", "displace")]
+        built = record_calls(monkeypatch, GaussianState, "__post_init__")
+        eyes = record_calls(monkeypatch, np, "eye")
+        _assert_same(family(), expected)
+        assert [len(c) for c in calls] == [1, 1, 1]
+        assert (len(built), eyes) == (2, [])
 
     #: GaussianState constructions per family call
     FAMILY_STATES = {
