@@ -396,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="one of: " + ", ".join(FAMILIES))
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--mode", choices=["analytic", "finite_difference"], default="analytic")
-    p.add_argument("--h", type=float, default=None, help="step size override")
+    p.add_argument("--h", type=float, default=None,
+                   help="finite_difference step; the analytic mode checks it but uses exact "
+                        "derivatives")
 
     p = sub.add_parser("bounds", parents=[common],
                        help="discrimination error-probability bounds from a fidelity")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +30,12 @@ from . import states
 #: Terms with |w_i w_j - 1| below this are skipped in the metric sum.
 DEFAULT_METRIC_TOL = 1e-9
 
-#: Step used for moment derivatives in the analytic QFI mode.
+#: Above this share of its largest |dW_ij dW_ji|, a dV's product on a skipped
+#: pair is a dropped term, not roundoff.
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+#: Step of the moment stencil in the analytic QFI mode (families without
+#: exact derivatives).
 DEFAULT_MOMENT_STEP = 1e-4
 
 #: Step used by the finite-difference QFI mode.
@@ -92,7 +98,11 @@ def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray]):
     where the metric diverges, leaves terms that cancel to a delta of either
     sign (-9.7e15 on a pure state at max_squeeze 4, -6e-32 on one at
     max_squeeze 0), and so do the terms of strongly squeezed mixed states.
-    A positive delta of that kind is not detected.
+    A dV whose largest |dW_ij dW_ji| on a skipped pair exceeds sqrt(eps) times
+    its largest on any pair is refused with NumericalError as well: the skip
+    drops a divergent term there (a dV off the pure manifold, or a state within
+    the tolerance of pure, such as thermal n = 1e-10 with dV = I), while on a
+    tangent K V + V K^T those products are roundoff.
     """
     low, halves, U = symplectic_frame(V)
     inv_low = np.linalg.inv(low)
@@ -118,7 +128,8 @@ def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray]):
     form = np.empty((len(dVs), len(dVs)))
     for i, dWt in enumerate(dWts):
         for j in range(i, len(dVs)):
-            terms = (dWt * dWts[j].T)[keep] / denom[keep]
+            products = dWt * dWts[j].T
+            terms = products[keep] / denom[keep]
             total = complex(np.sum(terms))
             if abs(total.imag) > 1e-7 * max(1.0, abs(total.real)):
                 raise NumericalError("metric sum has imaginary residue %.3e" % total.imag)
@@ -128,6 +139,14 @@ def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray]):
                     raise NumericalError(
                         "metric delta %.3e is negative beyond the rounding of its terms "
                         "(sum of |terms| %.3e)" % (total.real, magnitude))
+            if i == j and not keep.all():
+                sizes = np.abs(products)
+                dropped = float(np.max(sizes[~keep]))
+                if dropped > _SQRT_EPS * float(np.max(sizes)):
+                    raise NumericalError(
+                        "dV carries |dW_ij dW_ji| = %.3e on a pair with |w_i w_j - 1| <= %g, "
+                        "which the metric skips: dV leaves the pure manifold or the state "
+                        "is within that tolerance of pure" % (dropped, DEFAULT_METRIC_TOL))
             form[i, j] = form[j, i] = total.real
     return inv_low, form, int(keep.size - keep.sum())
 
@@ -204,11 +223,17 @@ def qfi_scalar(family: Callable[[float], GaussianState], theta0: float,
 
     ``analytic`` differentiates the moment maps and evaluates H = 4 g from the
     metric; ``finite_difference`` evaluates 8 [1 - F(rho_theta, rho_theta+h)] / h^2.
-    The two agree in the h -> 0 limit.
+    The two agree in the h -> 0 limit.  A family of :data:`FAMILIES` has exact
+    moment derivatives, taken from its state at theta0: its analytic mode
+    validates ``h`` but uses no step.  Any other callable is differentiated by
+    the 4-point stencil with step ``h``.
     """
     if mode == "analytic":
         base = family(theta0)
-        du, dV = _moment_derivatives(family, theta0, _step(h, DEFAULT_MOMENT_STEP))
+        step = _step(h, DEFAULT_MOMENT_STEP)
+        # a function hashes by identity; other callables may not hash at all
+        exact = _EXACT_DERIVATIVES.get(family) if isinstance(family, FunctionType) else None
+        du, dV = exact(base) if exact else _moment_derivatives(family, theta0, step)
         return 4.0 * bures_metric(base, du, dV).ds2
     if mode == "finite_difference":
         step = _step(h, DEFAULT_FD_STEP)
@@ -307,6 +332,17 @@ FAMILIES = {
     "thermal-nbar": thermal_nbar_family,
     "squeeze-r": squeeze_r_family,
     "phase-theta": phase_theta_family,
+}
+
+#: Generator of phase-theta's rotation exp(theta K): du = K u, dV = K V + V K^T.
+_K = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+#: Exact (du, dV) of each named family from its state at theta.
+_EXACT_DERIVATIVES = {
+    coherent_displacement_family: lambda s: (np.array([1.0, 0.0]), np.zeros((2, 2))),
+    thermal_nbar_family: lambda s: (np.zeros(2), np.eye(2)),
+    squeeze_r_family: lambda s: (np.zeros(2), np.diag([-2.0 * s.V[0, 0], 2.0 * s.V[1, 1]])),
+    phase_theta_family: lambda s: (_K @ s.u, _K @ s.V + s.V @ _K.T),
 }
 
 

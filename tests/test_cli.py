@@ -263,11 +263,12 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "non-finite entry" in err
 
-    def test_qfi_stencil_outside_the_domain(self, capsys):
-        # exited 2 naming only "[-0.0001]", a point the caller never gave
-        code, out, err = run(capsys, ["qfi", "--family", "thermal-nbar", "--theta", "1e-4"])
-        assert (code, out) == (2, "")
-        assert "theta0 = 0.0001 with step h = 0.0001 reaches -0.0001 to 0.0003" in err
+    def test_qfi_near_the_thermal_domain_edge(self, capsys):
+        # the moment stencil reached nbar = -0.0001 here and exited 2; the
+        # family's exact derivatives need no step
+        code, report, _ = run_json(capsys, ["qfi", "--family", "thermal-nbar", "--theta", "1e-4"])
+        assert code == 0
+        assert report["qfi"] == pytest.approx(1.0 / (1e-4 * (1.0 + 1e-4)), rel=1e-9)
 
     def test_qfi(self, capsys):
         code, report, _ = run_json(capsys, [
@@ -426,7 +427,7 @@ REFUSED_ARGV = [
     "random --modes 0 --seed 1 -o {tmp}/x.json",
     "qfi --family squeeze-r --theta 0.3 --h 0",
     "qfi --family squeeze-r --theta 0.3 --mode finite_difference --h nan",
-    "qfi --family thermal-nbar --theta 1e-4",
+    "qfi --family thermal-nbar --theta 1e-12",
     "qfi --family nope --theta 1",
     "bounds --fidelity 1.5 --copies 8",
     "oracle-check --modes 1 --seed 7 --cutoff 2",

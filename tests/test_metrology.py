@@ -18,16 +18,18 @@ from gaussfid import (
     error_bounds,
     fidelity,
     get_family,
+    make_symplectic_form,
     qfi_matrix,
     qfi_scalar,
     random_state,
     thermal,
     vacuum,
 )
+from gaussfid import metrology, states
 from gaussfid.metrology import FAMILIES
 from gaussfid.states import embed_symplectic, two_mode_squeeze_block
 
-from conftest import COMPLEX, REAL, count_linalg_calls
+from conftest import COMPLEX, REAL, count_linalg_calls, record_calls
 from reference_routes import bures_metric_delta_superop, w_matrix
 
 
@@ -80,7 +82,6 @@ class TestBuresMetricDelta:
     @pytest.mark.parametrize("seed", range(4))
     def test_pure_state_trace_formula(self, seed):
         # physical tangent at a pure state: dV = A V + V A^T with A = Omega H
-        from gaussfid import make_symplectic_form
         s = random_state(2, 3000 + seed, pure=True)
         rng = np.random.default_rng(seed)
         H = rng.standard_normal((4, 4))
@@ -282,9 +283,10 @@ class TestQfiScalar:
 
     def test_stencil_outside_the_domain_names_the_reach(self):
         # the stencil reaches theta0 - 2h = -1e-4, which thermal([.]) refused
-        # under its own message alone, naming a point the caller never gave
+        # under its own message alone, naming a point the caller never gave;
+        # a plain callable, as the named family has exact derivatives
         with pytest.raises(InvalidParameter) as info:
-            qfi_scalar(get_family("thermal-nbar"), 1e-4)
+            qfi_scalar(lambda t: thermal([t]), 1e-4)
         message = str(info.value)
         assert "theta0 = 0.0001 with step h = 0.0001 reaches -0.0001 to 0.0003" in message
         assert isinstance(info.value.__cause__, InvalidParameter)
@@ -300,6 +302,100 @@ class TestQfiScalar:
         fd = qfi_scalar(get_family("phase-theta"), 0.2, mode="finite_difference", h=1e-4)
         assert value > 0
         assert fd == pytest.approx(value, rel=1e-3)
+
+
+class TestExactDerivatives:
+    """The named families' analytic QFI from exact moment derivatives."""
+
+    CLOSED_FORMS = {
+        "coherent-displacement": lambda t: 2.0,
+        "thermal-nbar": lambda t: 1.0 / (t * (t + 1.0)),
+        "squeeze-r": lambda t: 2.0,
+        "phase-theta": lambda t: 2.0 * math.sinh(2.0) ** 2,
+    }
+    THETAS = np.geomspace(1e-3, 12.0, 40)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_closed_form(self, name):
+        # the 4-point stencil was off by up to 1.7e-11 here
+        thetas = self.THETAS
+        if name == "coherent-displacement":
+            thetas = np.concatenate([-thetas, thetas])
+        for theta in thetas:
+            expected = self.CLOSED_FORMS[name](theta)
+            assert qfi_scalar(FAMILIES[name], theta) == pytest.approx(expected, rel=5e-13), theta
+
+    @pytest.mark.parametrize("nbar", [1e-4, 1e-5, 1e-6])
+    def test_thermal_near_zero_answers(self, nbar):
+        # the stencil reached below nbar = 0 here and was refused
+        value = qfi_scalar(get_family("thermal-nbar"), nbar)
+        assert value == pytest.approx(1.0 / (nbar * (nbar + 1.0)), rel=1e-9)
+
+    @pytest.mark.parametrize("nbar", [1e-10, 1e-12])
+    def test_thermal_within_the_skip_tolerance_refused(self, nbar):
+        # w^2 - 1 = 4 nbar falls in the skip band, which dropped the whole
+        # term: 1e-43 of the exact QFI at nbar = 1e-10
+        with pytest.raises(NumericalError, match="which the metric skips"):
+            qfi_scalar(get_family("thermal-nbar"), nbar)
+
+    BUILDERS = {"coherent-displacement": "displace", "thermal-nbar": "thermal",
+                "squeeze-r": "squeezed", "phase-theta": "apply_symplectic"}
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_one_state_and_no_stencil(self, name, monkeypatch):
+        builds = record_calls(monkeypatch, states, self.BUILDERS[name])
+        stencils = record_calls(monkeypatch, metrology, "_moment_derivatives")
+        qfi_scalar(FAMILIES[name], 0.4, h=1e-3)
+        assert (len(builds), stencils) == (1, [])
+
+    def test_plain_callable_takes_the_stencil(self, monkeypatch):
+        stencils = record_calls(monkeypatch, metrology, "_moment_derivatives")
+        qfi_scalar(lambda t: thermal([t]), 0.4)
+        assert len(stencils) == 1
+
+    def test_unhashable_callable_family(self):
+        # a callable that cannot be a dict key is a plain family, not an error
+        class Family:
+            __hash__ = None
+
+            def __call__(self, theta):
+                return thermal([theta])
+        assert qfi_scalar(Family(), 0.4) == qfi_scalar(lambda t: thermal([t]), 0.4)
+
+    def test_table_covers_exactly_the_named_families(self):
+        table = metrology._EXACT_DERIVATIVES
+        assert len(table) == len(FAMILIES)
+        assert all(family in table for family in FAMILIES.values())
+
+
+class TestSkippedTermGuard:
+    """A skipped pair of the metric that carries a term is refused."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("max_squeeze", [0.0, 2.0, 4.0, 8.0])
+    def test_pure_state_tangents_pass(self, n, max_squeeze):
+        # dV = A V + V A^T, A = Omega H: the skipped products are roundoff
+        for seed in range(100):
+            s = random_state(n, seed, pure=True, max_squeeze=max_squeeze)
+            rng = np.random.default_rng(seed)
+            H = rng.standard_normal((2 * n, 2 * n))
+            A = make_symplectic_form(n) @ (H + H.T)
+            try:
+                bures_metric_delta(s.V, A @ s.V + s.V @ A.T)
+            except NumericalError as exc:  # the frame's or the sum's own refusals
+                assert "which the metric skips" not in str(exc), seed
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("max_squeeze", [0.0, 1.0, 2.0])
+    def test_pure_state_scaling_refused(self, n, max_squeeze):
+        # dV = V leaves the pure manifold, where the metric diverges; 599 of
+        # these 900 returned a finite delta.  From max_squeeze ~4 the roundoff
+        # of w_i w_j - 1 can move pairs out of the skip band, and some pass
+        # both checks
+        for seed in range(100):
+            V = random_state(n, seed, pure=True, max_squeeze=max_squeeze).V
+            with pytest.raises(NumericalError):
+                bures_metric_delta(V, V)
 
 
 class TestQfiMatrix:
@@ -367,10 +463,17 @@ class TestQfiMatrix:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     @pytest.mark.parametrize("theta", [0.2, 0.7, 1.5])
     def test_scalar_is_the_one_parameter_case(self, name, theta):
+        # a plain callable takes the stencil in both, to the last bit
         family = FAMILIES[name]
         H = qfi_matrix(lambda t: family(t[0]), [theta]).H
         assert H.shape == (1, 1)
-        assert H[0, 0] == qfi_scalar(family, theta)
+        assert H[0, 0] == qfi_scalar(lambda t: family(t), theta)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_named_family_exact_agrees_with_the_stencil(self, name):
+        # the named family's exact derivatives against qfi_matrix's stencil
+        H = qfi_matrix(lambda t: FAMILIES[name](t[0]), [0.7]).H
+        assert qfi_scalar(FAMILIES[name], 0.7) == pytest.approx(H[0, 0], rel=1e-10)
 
     @pytest.mark.parametrize("theta0", [[], 0.3, [[0.1, 0.2]]])
     def test_theta0_must_be_a_non_empty_vector(self, theta0):
