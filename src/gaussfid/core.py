@@ -74,9 +74,32 @@ def xxpp_to_xpxp_indices(n: int) -> np.ndarray:
     return perm
 
 
+def real_array(value, what: str, copy: bool = False) -> np.ndarray:
+    """``value`` as a float array, a new one if ``copy``.  A complex array,
+    whose imaginary part the conversion would drop, is refused with
+    :class:`InvalidParameter` naming ``what``."""
+    array = np.array(value, copy=copy or None)
+    if array.dtype != float:  # native float64 passes as it is
+        if array.dtype.kind == "c":
+            raise InvalidParameter(f"{what} must be real, got dtype {array.dtype}")
+        # converted from value itself, so numpy refuses what it cannot convert
+        # with its own messages
+        array = np.array(value, dtype=float)
+    return array
+
+
 # ---------------------------------------------------------------------------
 # state container
 # ---------------------------------------------------------------------------
+
+def _freeze(fields: dict, n: int, u: np.ndarray, V: np.ndarray) -> None:
+    """Make ``u`` and ``V`` read-only and store views of them, with ``n``, as
+    a state's fields."""
+    # a view of a read-only base cannot be made writable
+    u.setflags(write=False)
+    V.setflags(write=False)
+    fields.update(n=n, u=u.view(), V=V.view())
+
 
 class _kept:
     """A value a state computes from its arrays on first access and keeps in
@@ -107,9 +130,13 @@ class GaussianState:
     """An n-mode Gaussian state given by its mean vector and covariance matrix.
 
     ``u`` and ``V`` are in the xxpp layout; :meth:`from_xpxp` converts
-    interleaved arrays.  Arrays are copied and frozen at construction;
-    instances are immutable and safe to share across threads, and copies and
-    pickles are rebuilt through the constructor, which freezes them again.
+    interleaved arrays.  The constructor copies the arrays it is given and
+    freezes the copies; most of the package's builders hand over arrays
+    they have just made, which are frozen in place (:meth:`_adopt`).
+    Complex arrays are refused with :class:`InvalidParameter`.  Instances
+    are immutable and safe to share across threads, and copies and pickles
+    are rebuilt through the constructor, which copies and freezes them
+    again.
     Two states are equal when their mode count and arrays are equal entry by
     entry; equal states hash alike, so states can be set members and dict
     keys.  Each instance computes its hash once, and states whose hashes
@@ -131,31 +158,40 @@ class GaussianState:
     def __post_init__(self):
         if type(self.n) is not int or self.n < 1:  # an int of at least 1 is kept as is
             object.__setattr__(self, "n", check_count(self.n))
-        u = np.array(self.u, dtype=float)
-        V = np.array(self.V, dtype=float)
+        u = real_array(self.u, "mean vector", copy=True)
+        V = real_array(self.V, "covariance matrix", copy=True)
         if u.shape != (2 * self.n,):
             raise InvalidParameter(f"mean vector has shape {u.shape}, expected {(2 * self.n,)}")
         if V.shape != (2 * self.n, 2 * self.n):
             raise InvalidParameter(
                 f"covariance matrix has shape {V.shape}, expected {(2 * self.n,) * 2}")
-        # a view of a read-only base cannot be made writable
-        u.setflags(write=False)
-        V.setflags(write=False)
-        object.__setattr__(self, "u", u.view())
-        object.__setattr__(self, "V", V.view())
+        _freeze(self.__dict__, self.n, u, V)
+
+    @classmethod
+    def _adopt(cls, n: int, u: np.ndarray, V: np.ndarray) -> "GaussianState":
+        """The state with arrays ``u`` and ``V``, frozen in place, not copied.
+
+        The caller must have checked ``n`` (a Python int >= 1) and made both
+        arrays itself: float64, of shapes (2n,) and (2n, 2n), and writable by
+        no one else.  A read-only array another state holds may be shared.
+        """
+        state = object.__new__(cls)
+        _freeze(state.__dict__, n, u, V)
+        return state
 
     @classmethod
     def from_xpxp(cls, u, V) -> "GaussianState":
         """The state whose mean and covariance in the interleaved layout
         (x_1, p_1, .., x_n, p_n) are ``u`` and ``V``."""
-        u = np.asarray(u, dtype=float)
-        V = np.asarray(V, dtype=float)
+        u = real_array(u, "mean vector")
+        V = real_array(V, "covariance matrix")
         n = u.size // 2
         if n < 1 or u.shape != (2 * n,) or V.shape != (2 * n, 2 * n):
             raise InvalidParameter(
                 f"mean/cov shapes {u.shape}/{V.shape} do not describe an xpxp state")
         perm = np.argsort(xxpp_to_xpxp_indices(n))
-        return cls(n, u[perm], V[perm[:, None], perm])
+        # fancy indexing makes new arrays, which the state takes over
+        return cls._adopt(n, u[perm], V[perm[:, None], perm])
 
     def __reduce__(self):
         return self.__class__, (self.n, self.u, self.V)

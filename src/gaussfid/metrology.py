@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GaussianState, make_symplectic_form, symplectic_frame
+from .core import GaussianState, make_symplectic_form, real_array, symplectic_frame
 from .errors import InvalidParameter, NumericalError
 from .fidelity import fidelity
 from . import states
@@ -86,9 +86,11 @@ def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray]):
     """(L^{-1}, form, skipped) at V = L L^T from one :func:`symplectic_frame`
     and one inverse, the kernel of the three metric entry points: the form
     delta(dV_i, dV_j) on every pair of ``dVs``, summed as in
-    :func:`bures_metric_delta`, and the entries skipped per pair.  V is
-    refused as by the frame; a dV of another shape, with a NaN or infinite
-    entry, or not symmetric within 1e-8 max(1, max|dV|) with InvalidParameter.
+    :func:`bures_metric_delta`, and the entries skipped per pair.  What
+    depends on V alone (U^+ L^{-1} and the kept denominators) is formed once.
+    V is refused as by the frame; a complex dV, or one of another shape, with
+    a NaN or infinite entry, or not symmetric within 1e-8 max(1, max|dV|),
+    with InvalidParameter.
 
     delta(dV, dV) >= 0 in exact arithmetic for a symmetric dV.  A diagonal
     entry below -k eps sum|terms|, k the number of terms summed, is more
@@ -106,14 +108,14 @@ def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray]):
     """
     low, halves, U = symplectic_frame(V)
     inv_low = np.linalg.inv(low)
-    dVs = [np.asarray(dV, dtype=float) for dV in dVs]
+    dVs = [real_array(dV, "dV") for dV in dVs]
     for dV in dVs:
         if dV.shape != low.shape:
             raise InvalidParameter("dV shape does not match V")
-        peak = float(np.max(np.abs(dV)))  # NaN or inf exactly when an entry is one
+        peak = float(np.abs(dV).max())  # NaN or inf exactly when an entry is one
         if not math.isfinite(peak):
             raise InvalidParameter("dV has a non-finite entry")
-        if np.max(np.abs(dV - dV.T)) > 1e-8 * max(1.0, peak):
+        if np.abs(dV - dV.T).max() > 1e-8 * max(1.0, peak):
             raise InvalidParameter("dV must be symmetric")
     omega = make_symplectic_form(low.shape[0] // 2)
     # W = -L U diag(w) U^+ L^{-1} with V = L L^T and i L^T Omega L = U diag(w/2) U^+;
@@ -122,33 +124,36 @@ def _metric_form(V: np.ndarray, dVs: Sequence[np.ndarray]):
     # each dV enters through its symmetric part (dV + dV^T)/2: an antisymmetric
     # part, such as the roundoff of a finite difference, has a negative
     # definite delta of its own and no cross term with the symmetric one
-    dWts = [U.conj().T @ inv_low @ (-1.0j * (dV + dV.T) @ omega) @ low @ U for dV in dVs]
-    denom = np.outer(w, w) - 1.0
+    left = U.conj().T @ inv_low
+    dWts = [left @ (-1.0j * (dV + dV.T) @ omega) @ low @ U for dV in dVs]
+    denom = w[:, None] * w - 1.0
     keep = np.abs(denom) > DEFAULT_METRIC_TOL
+    kept_denom = denom[keep]
+    dropped_pairs = None if keep.all() else ~keep
     form = np.empty((len(dVs), len(dVs)))
     for i, dWt in enumerate(dWts):
         for j in range(i, len(dVs)):
             products = dWt * dWts[j].T
-            terms = products[keep] / denom[keep]
-            total = complex(np.sum(terms))
+            terms = products[keep] / kept_denom
+            total = complex(terms.sum())
             if abs(total.imag) > 1e-7 * max(1.0, abs(total.real)):
                 raise NumericalError("metric sum has imaginary residue %.3e" % total.imag)
             if i == j and total.real < 0.0:
-                magnitude = float(np.sum(np.abs(terms)))
+                magnitude = float(np.abs(terms).sum())
                 if total.real < -terms.size * np.finfo(float).eps * magnitude:
                     raise NumericalError(
                         "metric delta %.3e is negative beyond the rounding of its terms "
                         "(sum of |terms| %.3e)" % (total.real, magnitude))
-            if i == j and not keep.all():
+            if i == j and dropped_pairs is not None:
                 sizes = np.abs(products)
-                dropped = float(np.max(sizes[~keep]))
-                if dropped > _SQRT_EPS * float(np.max(sizes)):
+                dropped = float(sizes[dropped_pairs].max())
+                if dropped > _SQRT_EPS * float(sizes.max()):
                     raise NumericalError(
                         "dV carries |dW_ij dW_ji| = %.3e on a pair with |w_i w_j - 1| <= %g, "
                         "which the metric skips: dV leaves the pure manifold or the state "
                         "is within that tolerance of pure" % (dropped, DEFAULT_METRIC_TOL))
             form[i, j] = form[j, i] = total.real
-    return inv_low, form, int(keep.size - keep.sum())
+    return inv_low, form, int(keep.size - kept_denom.size)
 
 
 def bures_metric_delta(V: np.ndarray, dV: np.ndarray) -> DeltaResult:
@@ -172,7 +177,7 @@ def bures_metric(s: GaussianState, du: np.ndarray, dV: np.ndarray) -> MetricEval
     the mean part as |L^{-1} du|^2 / 4; V and dV are refused as by
     :func:`bures_metric_delta`.
     """
-    du = np.asarray(du, dtype=float)
+    du = real_array(du, "du")
     if du.shape != s.u.shape:
         raise InvalidParameter("du length does not match the state")
     if not np.isfinite(du).all():
@@ -257,7 +262,7 @@ def qfi_matrix(family: Callable[[Sequence[float]], GaussianState],
     ``labels``, if given, one name per parameter.  V and the dV_i are refused
     as by :func:`_metric_form`, as in qfi_scalar's analytic mode.
     """
-    theta0 = np.asarray(theta0, dtype=float)
+    theta0 = real_array(theta0, "theta0")
     m = theta0.size
     if theta0.ndim != 1 or m == 0:
         raise InvalidParameter(f"theta0 must be a non-empty 1-D vector, got shape {theta0.shape}")
@@ -307,9 +312,14 @@ def error_bounds(F: float, N: int) -> ErrorBounds:
 # named one-parameter families for the CLI
 # ---------------------------------------------------------------------------
 
+#: The bases of the named families that move a fixed state, built once.
+_VACUUM = states.vacuum(1)
+_SQUEEZED = states.squeezed([1.0])
+
+
 def coherent_displacement_family(theta: float) -> GaussianState:
     """Vacuum displaced along x: u = (theta, 0), V = I/2.  H = 2."""
-    return states.displace(states.vacuum(1), [theta, 0.0])
+    return states.displace(_VACUUM, [theta, 0.0])
 
 
 def thermal_nbar_family(theta: float) -> GaussianState:
@@ -324,7 +334,7 @@ def squeeze_r_family(theta: float) -> GaussianState:
 
 def phase_theta_family(theta: float) -> GaussianState:
     """Squeezed vacuum (r = 1) rotated by theta; phase estimation benchmark."""
-    return states.apply_symplectic(states.squeezed([1.0]), states.rotation_block(theta))
+    return states.apply_symplectic(_SQUEEZED, states.rotation_block(theta))
 
 
 FAMILIES = {

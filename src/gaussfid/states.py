@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GaussianState, check_count, make_symplectic_form
+from .core import GaussianState, check_count, make_symplectic_form, real_array
 from .errors import InvalidParameter
 
 #: numpy's overflow and invalid-value reports are silenced where a builder
@@ -24,7 +24,8 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 @functools.lru_cache(maxsize=64)
 def _scaled_identity(n: int, scale: float) -> np.ndarray:
     """scale * I of size 2n, cached and read-only per (n, scale): a template
-    that the builders copy in place of an ``np.eye`` per call."""
+    that the builders copy in place of an ``np.eye`` per call.  No state
+    holds the template itself."""
     out = scale * np.eye(2 * n)
     out.setflags(write=False)
     return out
@@ -97,8 +98,8 @@ def embed_symplectic(block: np.ndarray, modes: Sequence[int], n: int) -> np.ndar
     """Embed a block acting on ``modes`` into an identity 2n x 2n xxpp matrix.
 
     The block must use the sub-layout (x_{m1}..x_{mk}, p_{m1}..p_{mk}).  A mode
-    index that is not an integer, repeated or out of range is refused with
-    :class:`InvalidParameter`.
+    index that is not an integer, repeated or out of range, and a complex
+    block, are refused with :class:`InvalidParameter`.
     """
     n = check_count(n)
     try:
@@ -106,6 +107,7 @@ def embed_symplectic(block: np.ndarray, modes: Sequence[int], n: int) -> np.ndar
     except TypeError:
         raise InvalidParameter(f"mode indices must be integers, got {modes!r}") from None
     flat = _embedding(modes, n)
+    block = real_array(block, "symplectic block")
     if block.shape != (2 * len(modes),) * 2:
         raise InvalidParameter("block shape does not match number of modes")
     out = _scaled_identity(n, 1.0).copy()
@@ -116,29 +118,34 @@ def embed_symplectic(block: np.ndarray, modes: Sequence[int], n: int) -> np.ndar
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
+#
+# Each builder but random_state hands the state arrays it has just made and
+# keeps no other reference to (GaussianState._adopt), so the state freezes
+# them in place instead of copying them; a cached template is copied once,
+# and displace shares the read-only V of the state it moves.
 
 def vacuum(n: int) -> GaussianState:
     n = check_count(n)
-    return GaussianState(n, np.zeros(2 * n), _scaled_identity(n, 0.5))
+    return GaussianState._adopt(n, np.zeros(2 * n), _scaled_identity(n, 0.5).copy())
 
 
 def thermal(nbar: Sequence[float]) -> GaussianState:
     """Thermal state with mean occupation nbar_k per mode; V = diag(nbar + 1/2).
 
-    ``nbar`` is a number or a 1-D sequence of finite occupations >= 0; anything
-    else is refused with :class:`InvalidParameter`.
+    ``nbar`` is a number or a non-empty 1-D sequence of finite occupations
+    >= 0; anything else is refused with :class:`InvalidParameter`.
     """
-    nbar = np.array(nbar, dtype=float, ndmin=1)
+    nbar = np.array(real_array(nbar, "thermal occupations"), ndmin=1, copy=None)
     if nbar.ndim != 1:
         raise InvalidParameter(f"thermal occupations must be 1-D, got shape {nbar.shape}")
     occupations = nbar.tolist()
     if not all(0.0 <= x < math.inf for x in occupations):  # a NaN fails the test
         raise InvalidParameter(f"thermal occupations must be finite and >= 0, got {nbar}")
-    n = len(occupations)
+    n = check_count(len(occupations))
     V = np.zeros((2 * n, 2 * n))
     for k, x in enumerate(occupations):
         V[k, k] = V[k + n, k + n] = x + 0.5
-    return GaussianState(n, np.zeros(2 * n), V)
+    return GaussianState._adopt(n, np.zeros(2 * n), V)
 
 
 def coherent(alpha: Sequence[complex]) -> GaussianState:
@@ -155,30 +162,35 @@ def coherent(alpha: Sequence[complex]) -> GaussianState:
         u = np.sqrt(2.0) * np.concatenate([alpha.real, alpha.imag])
     if not _finite(u):
         raise InvalidParameter(f"displacement {u}: non-finite mean vector")
-    return GaussianState(n, u, _scaled_identity(n, 0.5))
+    return GaussianState._adopt(n, u, _scaled_identity(n, 0.5).copy())
 
 
-def _through(S: np.ndarray, core=None, u=None, **params) -> GaussianState:
+def _through(S: np.ndarray, core=None, u=None, copy: bool = False, **params) -> GaussianState:
     """The state (u, S core S^T) for a symplectic S; by default u = 0 and
     core = I/2, whose product is formed as (S/2) S^T.  The callers silence
     numpy's overflow reports (:data:`_QUIET`): a non-finite entry is refused
-    here with :class:`InvalidParameter`.
+    here with :class:`InvalidParameter`.  The state takes u and V over, or
+    with ``copy`` copies them through the public constructor.
 
     ``ndarray.dot`` makes the BLAS call ``@`` makes, with less overhead.  Each
     product pairs two distinct arrays: numpy hands ``S.dot(S.T)`` to SYRK,
     which rounds differently from S (I/2) S^T."""
     V = (0.5 * S).dot(S.T) if core is None else S.dot(core).dot(S.T)
-    del S, core  # so that the state's copy of V takes the lowest free block
+    del S, core  # so that a copy of V takes the lowest free block
     if not (_finite(V) and (u is None or _finite(u))):
         raise InvalidParameter(
             f"{params or 'conjugation'}: non-finite or overflowing covariance or mean vector")
-    return GaussianState(len(V) // 2, np.zeros(len(V)) if u is None else u, V)
+    build = GaussianState if copy else GaussianState._adopt
+    return build(len(V) // 2, np.zeros(len(V)) if u is None else u, V)
 
 
 def squeezed(r: Sequence[float], phi: Sequence[float] | None = None) -> GaussianState:
     """Product of single-mode squeezed vacua with parameters (r_k, phi_k)."""
-    r = np.array(r, dtype=float, ndmin=1)
-    phi = np.zeros(r.shape) if phi is None else np.array(phi, dtype=float, ndmin=1)
+    r = np.array(real_array(r, "squeezing r"), ndmin=1, copy=None)
+    if phi is None:
+        phi = np.zeros(r.shape)
+    else:
+        phi = np.array(real_array(phi, "squeezing phi"), ndmin=1, copy=None)
     n = len(r)
     if r.ndim != 1 or phi.shape != r.shape or n < 1:
         raise InvalidParameter("r and phi must be non-empty 1-D of matching lengths")
@@ -197,19 +209,20 @@ def two_mode_squeezed(r: float, n: int = 2, modes: Sequence[int] = (0, 1)) -> Ga
 
 def displace(state: GaussianState, d: Sequence[float]) -> GaussianState:
     """Shift the mean vector by d, refusing a mean that is not finite."""
-    d = np.asarray(d, dtype=float)
+    d = real_array(d, "displacement")
     if d.shape != state.u.shape:
         raise InvalidParameter("displacement length does not match the state")
     # summed as Python floats, which overflow to inf without a numpy warning
     u = [a + b for a, b in zip(state.u.tolist(), d.tolist())]
     if not all(map(math.isfinite, u)):
         raise InvalidParameter(f"displacement {d}: non-finite mean vector")
-    return GaussianState(state.n, u, state.V)
+    # the new state shares the read-only V of the old one
+    return GaussianState._adopt(state.n, np.array(u), state.V)
 
 
 def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
     """Conjugate the state by a symplectic S: u -> S u, V -> S V S^T, refusing overflow."""
-    S = np.asarray(S, dtype=float)
+    S = real_array(S, "symplectic matrix")
     if S.shape != (2 * state.n,) * 2:
         raise InvalidParameter("symplectic matrix shape does not match the state")
     omega = make_symplectic_form(state.n)
@@ -230,7 +243,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
         idx = np.r_[first:first + s.n, n + first:n + first + s.n]
         u[idx] = s.u
         V[idx[:, None], idx] = s.V
-    return GaussianState(n, u, V)
+    return GaussianState._adopt(n, u, V)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +282,14 @@ def random_state(n: int, seed: int, max_squeeze: float = 1.0, max_thermal: float
                                "each with a finite width 2 * bound")
     rng = np.random.default_rng(seed)
     nbar = np.zeros(n) if pure else rng.uniform(0.0, max_thermal, n)
-    # the arguments draw in order: the circuit, then the shift
+    # the arguments draw in order: the circuit, then the shift.  The state
+    # copies V after S and the core are freed, into the lowest free block:
+    # with V taken over in place, the benchmark's n = 64 ensembles were laid
+    # out so that in some checkout directories their pairs paged freed
+    # workspace back in on every call.  random_state builds no scan step, so
+    # the copy costs no hot path
     with np.errstate(**_QUIET):
         return _through(random_symplectic(n, rng, max_squeeze),
                         np.diag(np.concatenate([nbar, nbar]) + 0.5),
-                        rng.uniform(-max_disp, max_disp, 2 * n), seed=seed,
+                        rng.uniform(-max_disp, max_disp, 2 * n), copy=True, seed=seed,
                         max_squeeze=max_squeeze)

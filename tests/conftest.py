@@ -46,6 +46,21 @@ def record_calls(monkeypatch, owner, name):
     return calls
 
 
+def record_constructions(monkeypatch):
+    """The path of every state built from here on, one name per state: the
+    public constructor's ``__post_init__`` or the builders' ``_adopt``."""
+    built = []
+    for name in ("__post_init__", "_adopt"):
+        original = getattr(GaussianState, name)
+
+        def recording(*args, _original=original, _name=name):
+            built.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(GaussianState, name, recording)
+    return built
+
+
 REAL, COMPLEX = np.dtype(float), np.dtype(complex)
 
 

@@ -7,7 +7,8 @@ itself, the nonsymmetric ``eigvals`` spectrum of 2 V_aux Omega, the
 invariants from traces of its powers and Newton's identities, Gamma from the
 products with Omega as written, the complex V12
 determinant, the singular block reduction, an explicit superoperator
-pseudo-inverse, the paper's Gaussian-operator algebra of Gibbs exponent
+pseudo-inverse, the metric's kernel with its per-V work repeated per dV and
+per pair, the paper's Gaussian-operator algebra of Gibbs exponent
 matrices and W-matrices, and the Fock oracle's operators on the full space.
 The package never calls them.  They need numpy only, apart from
 :func:`alt_ftot_v12`, which imports scipy.
@@ -15,6 +16,7 @@ The package never calls them.  They need numpy only, apart from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,6 +27,7 @@ from gaussfid.core import (
     make_symplectic_form,
     require_physical,
     symplectic_eigenvalues,
+    symplectic_frame,
     williamson,
     xxpp_to_xpxp_indices,
 )
@@ -37,6 +40,7 @@ from gaussfid.fidelity import (
     _solve_v_sum,
 )
 from gaussfid.fock import destroy
+from gaussfid.metrology import _SQRT_EPS, DEFAULT_METRIC_TOL
 
 
 DEFAULT_PURE_GAP = 1e-9       # minimum nu - 1/2 for Gibbs conversions
@@ -245,6 +249,55 @@ def singular_reduction(V1: np.ndarray, V2: np.ndarray,
         w = np.empty(0)
     return SingularReduction(r=r, retained=w, corner_residual=corner,
                              lower_block_residual=lower, reduced_block=block)
+
+
+def metric_form_reference(V: np.ndarray, dVs: Sequence[np.ndarray]):
+    """The metric kernel as :func:`gaussfid.metrology._metric_form` was
+    before it formed U^+ L^{-1} and the kept denominators once per V: every
+    dW~ is the product U^+ L^{-1} (-i (dV + dV^T) Omega) L U taken left to
+    right, and each pair divides by ``denom[keep]`` afresh.  The production
+    kernel must return the same bits and refuse with the same messages.
+    """
+    low, halves, U = symplectic_frame(V)
+    inv_low = np.linalg.inv(low)
+    dVs = [np.asarray(dV, dtype=float) for dV in dVs]
+    for dV in dVs:
+        if dV.shape != low.shape:
+            raise InvalidParameter("dV shape does not match V")
+        peak = float(np.max(np.abs(dV)))
+        if not math.isfinite(peak):
+            raise InvalidParameter("dV has a non-finite entry")
+        if np.max(np.abs(dV - dV.T)) > 1e-8 * max(1.0, peak):
+            raise InvalidParameter("dV must be symmetric")
+    omega = make_symplectic_form(low.shape[0] // 2)
+    w = 2.0 * halves
+    dWts = [U.conj().T @ inv_low @ (-1.0j * (dV + dV.T) @ omega) @ low @ U for dV in dVs]
+    denom = np.outer(w, w) - 1.0
+    keep = np.abs(denom) > DEFAULT_METRIC_TOL
+    form = np.empty((len(dVs), len(dVs)))
+    for i, dWt in enumerate(dWts):
+        for j in range(i, len(dVs)):
+            products = dWt * dWts[j].T
+            terms = products[keep] / denom[keep]
+            total = complex(np.sum(terms))
+            if abs(total.imag) > 1e-7 * max(1.0, abs(total.real)):
+                raise NumericalError("metric sum has imaginary residue %.3e" % total.imag)
+            if i == j and total.real < 0.0:
+                magnitude = float(np.sum(np.abs(terms)))
+                if total.real < -terms.size * np.finfo(float).eps * magnitude:
+                    raise NumericalError(
+                        "metric delta %.3e is negative beyond the rounding of its terms "
+                        "(sum of |terms| %.3e)" % (total.real, magnitude))
+            if i == j and not keep.all():
+                sizes = np.abs(products)
+                dropped = float(np.max(sizes[~keep]))
+                if dropped > _SQRT_EPS * float(np.max(sizes)):
+                    raise NumericalError(
+                        "dV carries |dW_ij dW_ji| = %.3e on a pair with |w_i w_j - 1| <= %g, "
+                        "which the metric skips: dV leaves the pure manifold or the state "
+                        "is within that tolerance of pure" % (dropped, DEFAULT_METRIC_TOL))
+            form[i, j] = form[j, i] = total.real
+    return inv_low, form, int(keep.size - keep.sum())
 
 
 def bures_metric_delta_superop(V: np.ndarray, dV: np.ndarray) -> float:

@@ -27,10 +27,16 @@ from gaussfid import (
 )
 from gaussfid import metrology, states
 from gaussfid.metrology import FAMILIES
-from gaussfid.states import embed_symplectic, two_mode_squeeze_block
+from gaussfid.states import (
+    embed_symplectic,
+    rotation_block,
+    squeeze_block,
+    squeezed,
+    two_mode_squeeze_block,
+)
 
 from conftest import COMPLEX, REAL, count_linalg_calls, record_calls
-from reference_routes import bures_metric_delta_superop, w_matrix
+from reference_routes import bures_metric_delta_superop, metric_form_reference, w_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -581,3 +587,136 @@ class TestFamilies:
         from gaussfid import validate_state
         state = FAMILIES[name](0.4)
         assert validate_state(state).physical
+
+
+# ---------------------------------------------------------------------------
+# the metric kernel against its transcription, bit for bit
+# ---------------------------------------------------------------------------
+
+def _outcome(call):
+    """What ``call`` returns, as the bytes of its numbers, or the type and
+    message of what it raises."""
+    try:
+        result = call()
+    except (InvalidParameter, NumericalError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, metrology.QfiMatrix):
+        return result.H.tobytes(), result.labels
+    return np.array(result, dtype=float).tobytes()
+
+
+def _three_parameter_family(base):
+    """theta -> a squeezer on mode 0 and a rotation on mode n - 1 of ``base``,
+    then a shift of x_0; the first two parameters, or all three."""
+    n = base.n
+
+    def family(theta):
+        state = apply_symplectic(base, embed_symplectic(squeeze_block(theta[1], 0.3), [0], n))
+        if len(theta) > 2:
+            state = apply_symplectic(state, embed_symplectic(rotation_block(theta[2]), [n - 1], n))
+        shift = np.zeros(2 * n)
+        shift[0] = theta[0]
+        return displace(state, shift)
+    return family
+
+
+class TestKernelBitIdentity:
+    """The metric kernel forms U^+ L^{-1} and the kept denominators once per V;
+    every entry point returns the bits, and raises the messages, of the
+    kernel that formed them per dV and per pair (reference_routes)."""
+
+    KINDS = {"mixed": {}, "pure": {"pure": True},
+             "pure, max_squeeze 4": {"pure": True, "max_squeeze": 4.0}}
+
+    @staticmethod
+    def _both(monkeypatch, call):
+        production = _outcome(call)
+        with monkeypatch.context() as patch:
+            patch.setattr(metrology, "_metric_form", metric_form_reference)
+            reference = _outcome(call)
+        assert production == reference
+        return production
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_metric_entry_points(self, n, kind, monkeypatch):
+        outcomes = []
+        for seed in range(4):
+            s = random_state(n, seed, **self.KINDS[kind])
+            rng = np.random.default_rng(seed)
+            H, G = rng.standard_normal((2, 2 * n, 2 * n))
+            K = make_symplectic_form(n) @ (H + H.T)
+            tangent = K @ s.V + s.V @ K.T
+            off_manifold = G + G.T
+            du = rng.standard_normal(2 * n)
+            for dV in (tangent, off_manifold):
+                outcomes.append(self._both(monkeypatch, lambda: bures_metric(s, du, dV).ds2))
+                outcomes.append(self._both(monkeypatch, lambda: bures_metric_delta(s.V, dV)))
+            family = _three_parameter_family(s)
+            for theta in ([0.1, 0.2], [0.1, 0.2, 0.3]):
+                outcomes.append(self._both(monkeypatch, lambda: qfi_matrix(family, theta)))
+        if kind == "mixed":  # values, not refusals alone, are compared
+            assert all(isinstance(o, bytes) or isinstance(o[0], bytes) for o in outcomes)
+
+    def test_refusals_keep_their_messages(self, monkeypatch):
+        s = random_state(2, 3, pure=True)
+        refused = [self._both(monkeypatch, call) for call in (
+            lambda: bures_metric_delta(s.V, s.V),
+            lambda: bures_metric_delta(thermal([1e-10]).V, np.eye(2)),
+            lambda: qfi_matrix(lambda t: thermal([t[0], 0.5 + t[1]]), [1e-10, 0.0], h=1e-12),
+            lambda: bures_metric_delta(s.V, np.ones((4, 3))),
+            lambda: bures_metric_delta(s.V, np.triu(np.ones((4, 4)))),
+            lambda: bures_metric_delta(s.V, np.full((4, 4), np.inf)),
+            lambda: bures_metric_delta(-np.eye(4), np.eye(4)),
+        )]
+        assert [kind for kind, _ in refused] == [NumericalError] * 3 + [InvalidParameter] * 3 \
+            + [NumericalError]
+        assert "negative beyond the rounding" in refused[0][1]
+        assert all("which the metric skips" in message for _, message in refused[1:3])
+
+
+class TestNamedFamilyBases:
+    """The named families' fixed bases, built once, give the states of a base
+    built per call, bit for bit."""
+
+    THETAS = [0.0, -0.0, 1e-300, 0.7, -2.5, 7.0, 400.0, np.nan]
+
+    @staticmethod
+    def _state(call):
+        try:
+            state = call()
+        except InvalidParameter as exc:
+            return str(exc)
+        return state.u.tobytes(), state.V.tobytes()
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_phase_theta(self, theta):
+        assert self._state(lambda: FAMILIES["phase-theta"](theta)) == self._state(
+            lambda: apply_symplectic(squeezed([1.0]), rotation_block(theta)))
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_coherent_displacement(self, theta):
+        assert self._state(lambda: FAMILIES["coherent-displacement"](theta)) == self._state(
+            lambda: displace(vacuum(1), [theta, 0.0]))
+
+
+class TestComplexRefused:
+    """A complex du, dV or theta0 is refused, not stripped of its imaginary
+    part or left to numpy's TypeError."""
+
+    def test_bures_metric_du(self):
+        with pytest.raises(InvalidParameter, match="du must be real"):
+            bures_metric(vacuum(1), np.array([1.0 + 1j, 0.0]), np.eye(2))
+
+    def test_bures_metric_dv(self):
+        with pytest.raises(InvalidParameter, match="dV must be real"):
+            bures_metric(vacuum(1), np.zeros(2), np.eye(2) * (1.0 + 1j))
+
+    def test_qfi_matrix_theta0(self):
+        # numpy's TypeError reached the caller here
+        with pytest.raises(InvalidParameter, match="theta0 must be real"):
+            qfi_matrix(lambda t: displace(vacuum(1), [t[0], 0.0]), [0.1 + 1j])
+
+    def test_bures_metric_delta_dv(self):
+        with pytest.raises(InvalidParameter, match="dV must be real"):
+            bures_metric_delta(np.eye(2), [[1.0, 1j], [-1j, 1.0]])

@@ -1,5 +1,7 @@
 """Builders, elementary symplectics, tensor products and the xpxp boundary constructor."""
 
+import copy
+import pickle
 import warnings
 import weakref
 
@@ -35,7 +37,13 @@ from gaussfid.states import (
     two_mode_squeeze_block,
 )
 
-from conftest import count_linalg_calls, mixed_pair, record_calls, via_xpxp
+from conftest import (
+    count_linalg_calls,
+    mixed_pair,
+    record_calls,
+    record_constructions,
+    via_xpxp,
+)
 
 
 class TestBuilders:
@@ -582,12 +590,14 @@ class TestBitIdentity:
 
 
 class TestConstructionBudget:
-    """Each builder makes the states its result needs and no embedded products."""
+    """Each builder makes the states its result needs and no embedded products.
+    A state is counted on whichever path builds it: the public constructor or
+    the builders' ``_adopt``."""
 
     def test_squeezed_places_its_blocks(self, monkeypatch):
         embeds = record_calls(monkeypatch, states, "embed_symplectic")
         applies = record_calls(monkeypatch, states, "apply_symplectic")
-        built = record_calls(monkeypatch, GaussianState, "__post_init__")
+        built = record_constructions(monkeypatch)
         squeezed([0.3, -0.2, 1.1], [0.1, 0.0, 2.0])
         assert (embeds, applies, len(built)) == ([], [], 1)
 
@@ -600,9 +610,10 @@ class TestConstructionBudget:
     def test_random_state_builds_one_state(self, pure, monkeypatch):
         calls = [record_calls(monkeypatch, states, name)
                  for name in ("embed_symplectic", "apply_symplectic", "thermal", "displace")]
-        built = record_calls(monkeypatch, GaussianState, "__post_init__")
+        built = record_constructions(monkeypatch)
         random_state(5, 3, pure=pure)
-        assert (calls, len(built)) == ([[]] * 4, 1)
+        # its one state is copied, as the next test explains
+        assert (calls, built) == ([[]] * 4, ["__post_init__"])
 
     def test_random_state_frees_its_symplectic_before_the_copy(self, monkeypatch):
         # the one state copies V after S is freed, so that at n = 64 the copy
@@ -639,22 +650,167 @@ class TestConstructionBudget:
         expected = family()
         calls = [record_calls(monkeypatch, states, name)
                  for name in ("embed_symplectic", "apply_symplectic", "displace")]
-        built = record_calls(monkeypatch, GaussianState, "__post_init__")
+        built = record_constructions(monkeypatch)
         eyes = record_calls(monkeypatch, np, "eye")
         _assert_same(family(), expected)
         assert [len(c) for c in calls] == [1, 1, 1]
         assert (len(built), eyes) == (2, [])
 
-    #: GaussianState constructions per family call
+    #: GaussianState constructions per family call; the vacuum and the
+    #: squeezed vacuum that two families move are built once, at import
     FAMILY_STATES = {
-        "coherent-displacement": 2,  # the vacuum, then its displacement
+        "coherent-displacement": 1,  # the displaced vacuum
         "thermal-nbar": 1,
         "squeeze-r": 1,
-        "phase-theta": 2,            # the squeezed vacuum, then its rotation
+        "phase-theta": 1,            # the rotated squeezed vacuum
     }
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_family_states(self, name, monkeypatch):
-        built = record_calls(monkeypatch, GaussianState, "__post_init__")
+        built = record_constructions(monkeypatch)
         FAMILIES[name](0.7)
         assert len(built) == self.FAMILY_STATES[name]
+
+
+# ---------------------------------------------------------------------------
+# arrays a state takes over from its builder
+# ---------------------------------------------------------------------------
+
+_BASE = random_state(2, 4)
+
+#: Every builder and named family: a maker of the arrays a caller passes it,
+#: made afresh per test, and the call that builds a state from them.
+BUILDERS = {
+    "vacuum": (lambda: [], lambda: vacuum(2)),
+    "thermal": (lambda: [np.array([0.3, 1.2])], thermal),
+    "coherent": (lambda: [np.array([0.5 - 0.2j, 1j])], coherent),
+    "squeezed": (lambda: [np.array([0.3, -0.6]), np.array([0.1, 2.0])], squeezed),
+    "two_mode_squeezed": (lambda: [], lambda: two_mode_squeezed(0.4, 3, (2, 0))),
+    "displace": (lambda: [np.array([0.1, -0.2, 0.3, 0.4])], lambda d: displace(_BASE, d)),
+    "apply_symplectic": (lambda: [random_symplectic(2, np.random.default_rng(1))],
+                         lambda S: apply_symplectic(_BASE, S)),
+    "tensor": (lambda: [], lambda: tensor(_BASE, vacuum(1))),
+    "random_state": (lambda: [], lambda: random_state(3, 8)),
+    "random_state, pure": (lambda: [], lambda: random_state(3, 8, pure=True)),
+    "from_xpxp": (lambda: [np.array([0.1, 0.2]), np.array([[0.9, 0.1], [0.1, 0.6]])],
+                  GaussianState.from_xpxp),
+    **{name: (lambda: [], lambda family=family: family(0.7)) for name, family in FAMILIES.items()},
+}
+
+
+def _build(name):
+    """(inputs, state): the arrays passed to builder ``name`` and its state."""
+    make_inputs, build = BUILDERS[name]
+    inputs = make_inputs()
+    return inputs, build(*inputs)
+
+
+class TestAdoptedArrays:
+    """A builder's state freezes the arrays it takes over in place; it stays as
+    safe as a state whose arrays were copied."""
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_writes_cannot_be_reenabled(self, name):
+        _, state = _build(name)
+        for a in (state.u, state.V):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_caller_arrays_stay_the_callers(self, name):
+        inputs, state = _build(name)
+        u, V = state.u.copy(), state.V.copy()
+        for a in inputs:
+            a[...] = 7.0
+        assert np.array_equal(state.u, u) and np.array_equal(state.V, V)
+        assert not any(np.shares_memory(a, b) for a in inputs for b in (state.u, state.V))
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_no_state_holds_a_template(self, name):
+        _, state = _build(name)
+        n = state.n
+        templates = (states._scaled_identity(n, 0.5), states._scaled_identity(n, 1.0),
+                     make_symplectic_form(n))
+        assert not any(np.shares_memory(a, t) for a in (state.u, state.V) for t in templates)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_copies_round_trip(self, name, copier):
+        _, state = _build(name)
+        twin = copier(state)
+        assert twin is not state and twin == state and hash(twin) == hash(state)
+        for a in (twin.u, twin.V):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: vacuum(0), "mode count must be >= 1, got 0"),
+        (lambda: vacuum(1.5), "mode count must be an integer, got 1.5"),
+        (lambda: thermal([]), "mode count must be >= 1, got 0"),
+        (lambda: coherent([]), "mode count must be >= 1, got 0"),
+        (lambda: squeezed([]), "r and phi must be non-empty 1-D of matching lengths"),
+        (lambda: two_mode_squeezed(0.3, 0), "mode count must be >= 1, got 0"),
+        (lambda: two_mode_squeezed(0.3, 2.0), "mode count must be an integer, got 2.0"),
+        (lambda: random_state(0, 1), "mode count must be >= 1, got 0"),
+        (lambda: random_state(1.5, 1), "mode count must be an integer, got 1.5"),
+        (lambda: GaussianState.from_xpxp([], np.zeros((0, 0))),
+         "mean/cov shapes (0,)/(0, 0) do not describe an xpxp state"),
+    ])
+    def test_mode_count_refusals(self, call, message):
+        with pytest.raises(InvalidParameter) as info:
+            call()
+        assert str(info.value) == message
+
+
+class TestComplexRefused:
+    """Complex input is refused with InvalidParameter, not stripped of its
+    imaginary part (after a ComplexWarning) or left to numpy's TypeError."""
+
+    def test_constructor_mean(self):
+        with pytest.raises(InvalidParameter, match="mean vector must be real"):
+            GaussianState(1, [1.0 + 1j, 0.0], 0.5 * np.eye(2))
+
+    def test_constructor_covariance(self):
+        with pytest.raises(InvalidParameter, match="covariance matrix must be real"):
+            GaussianState(1, [0.0, 0.0], 0.5 * np.eye(2, dtype=complex))
+
+    def test_from_xpxp(self):
+        with pytest.raises(InvalidParameter, match="mean vector must be real"):
+            GaussianState.from_xpxp(np.array([1j, 0.0]), 0.5 * np.eye(2))
+
+    def test_apply_symplectic(self):
+        with pytest.raises(InvalidParameter, match="symplectic matrix must be real"):
+            apply_symplectic(vacuum(1), rotation_block(0.3) * (1.0 + 0j))
+
+    def test_displace(self):
+        with pytest.raises(InvalidParameter, match="displacement must be real"):
+            displace(vacuum(1), [1j, 0.0])
+
+    def test_thermal(self):
+        with pytest.raises(InvalidParameter, match="thermal occupations must be real"):
+            thermal([0.5 + 1j])
+
+    def test_embed_symplectic(self):
+        # a two-mode squeezer of complex strength lost its imaginary part here
+        with pytest.raises(InvalidParameter, match="symplectic block must be real"):
+            embed_symplectic(rotation_block(0.3) * (1.0 + 1j), [0], 1)
+        with pytest.raises(InvalidParameter, match="symplectic block must be real"):
+            two_mode_squeezed(0.3 + 1j)
+
+    @pytest.mark.parametrize("r, phi, what", [([0.5 + 1j], None, "r"),
+                                              ([0.5], [1j], "phi")])
+    def test_squeezed(self, r, phi, what):
+        with pytest.raises(InvalidParameter, match=f"squeezing {what} must be real"):
+            squeezed(r, phi)
+
+    def test_real_input_of_other_dtypes_is_accepted(self):
+        # integers and float32 convert exactly, as before
+        assert displace(vacuum(1), np.array([1, 0])) == displace(vacuum(1), [1.0, 0.0])
+        assert thermal(np.float32([0.5])) == thermal([0.5])
+        assert GaussianState(1, [0, 0], [[1, 0], [0, 1]]) == thermal([0.5])
